@@ -147,10 +147,10 @@ def cmd_pack(args: argparse.Namespace) -> int:
         return 1
     try:
         sequences = pack_ffd(samples, config.capacity)
-        report = packing_report(samples, config.capacity, config.batch_size)
     except SampleTooLong as e:
         _diag(f"samples exceed capacity {e.capacity}: {', '.join(e.ids)}")
         return 1
+    report = packing_report(samples, sequences, config.capacity, config.batch_size)
     log.info(
         "packed %d samples into %d sequences (pad fraction %.4f)",
         report.n_samples,

@@ -277,16 +277,21 @@ def build_attention_metadata(seq: PackedSequence) -> tuple[list[int], list[int]]
 
 
 def packing_report(
-    samples: Sequence[SampleRecord], capacity: int, batch_size: int
+    samples: Sequence[SampleRecord],
+    sequences: Sequence[PackedSequence],
+    capacity: int,
+    batch_size: int,
 ) -> PackingReport:
-    """Pack the samples and compare slot usage against the naive baseline.
+    """Compare the packed slot usage against the naive baseline.
+
+    `sequences` are `samples` as `pack_ffd` packed them at `capacity`;
+    the report reuses them rather than packing again.
 
     An empty manifest reports zero fractions and a proxy of 1.0. The
     proxy can drop below 1.0 on manifests the naive baseline already
     packs tightly (near-uniform lengths with capacity far above the
     batch widths); it is a measurement, not a guaranteed win.
     """
-    sequences = pack_ffd(samples, capacity)
     if not samples:
         return PackingReport(
             n_samples=0,

@@ -29,7 +29,7 @@ from navit_pack.geometry import (
 )
 from navit_pack.objectives import DpoConfig, ScoredCandidate, dpo_loss, grpo_advantages
 from navit_pack.packing import SampleRecord, pack_ffd, packing_report
-from navit_pack.selfcheck import optimal_bin_count
+from navit_pack.selfcheck import _dense_block_attention, optimal_bin_count
 from navit_pack.vet import (
     ProbVisualToken,
     VisualEmbeddingTable,
@@ -277,7 +277,7 @@ def test_c06_packed_attention_equivalence():
             for i in range(len(lengths)):
                 lo, hi = boundaries[i], boundaries[i + 1]
                 if rope.enabled:
-                    alone = block_diag_forward(
+                    alone = _dense_block_attention(
                         PatchSequence(
                             embeddings=x[lo:hi],
                             positions=positions[lo:hi],
@@ -324,12 +324,16 @@ def test_c07_packing_soundness():
 def test_c08_waste_reduction():
     with criterion(8, "packing beats naive padding on the documented manifest"):
         samples = synthetic_manifest(4000, seed=20250302)
-        report = packing_report(samples, capacity=8192, batch_size=8)
+        report = packing_report(
+            samples, pack_ffd(samples, 8192), capacity=8192, batch_size=8
+        )
         assert report.packed_pad_fraction < report.naive_pad_fraction
         assert report.useful_token_speedup_proxy > 1.0
 
         fixture = [SampleRecord.build("a", 10), SampleRecord.build("b", 1)]
-        fixture_report = packing_report(fixture, capacity=11, batch_size=2)
+        fixture_report = packing_report(
+            fixture, pack_ffd(fixture, 11), capacity=11, batch_size=2
+        )
         assert abs(fixture_report.useful_token_speedup_proxy - 20.0 / 11.0) <= 1e-9
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour over temp files, with schema validation."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -324,7 +325,7 @@ class TestCliConfig:
             [sys.executable, "-m", "navit_pack", "pack", "--manifest", str(manifest)],
             capture_output=True,
             text=True,
-            env={"NAVIT_PACK_LOG": "info", "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "NAVIT_PACK_LOG": "info"},
         )
         assert result.returncode == 0
         assert "packed 1 samples into 1 sequences" in result.stderr

@@ -1,11 +1,15 @@
 """Rotary embeddings, position-table interpolation, and packed attention."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from navit_pack.encoder import (
+    _TILE_ENTRIES,
     AttentionParams,
     DisabledRope,
     LearnedPosTable,
@@ -17,6 +21,7 @@ from navit_pack.encoder import (
     rope_dot_relative,
 )
 from navit_pack.errors import ShapeMismatch
+from navit_pack.selfcheck import _dense_block_attention
 
 
 def plain_attention(x, params):
@@ -211,7 +216,7 @@ class TestBlockDiagonal:
         b = packed.sample_boundaries
         for i in range(len(b) - 1):
             lo, hi = b[i], b[i + 1]
-            alone = block_diag_forward(
+            alone = _dense_block_attention(
                 PatchSequence(
                     embeddings=packed.embeddings[lo:hi],
                     positions=packed.positions[lo:hi],
@@ -286,6 +291,57 @@ class TestBlockDiagonal:
         with pytest.raises(ShapeMismatch):
             block_diag_forward(packed, params, RopeConfig(d_head=4, enabled=False))
 
+    def test_empty_sequence(self):
+        rng = np.random.default_rng(14)
+        params = AttentionParams.random(6, 4, rng)
+        packed = PatchSequence(
+            embeddings=np.zeros((0, 6)), positions=np.zeros((0, 2), int), sample_boundaries=(0,)
+        )
+        for enabled in (False, True):
+            out = block_diag_forward(packed, params, RopeConfig(d_head=4, enabled=enabled))
+            assert out.shape == (0, 6)
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_long_block_spans_row_tiles(self, enabled):
+        n = 1500
+        assert math.ceil(n / (_TILE_ENTRIES // n)) == 3
+        rng = np.random.default_rng(15)
+        params = AttentionParams.random(8, 8, rng)
+        rope = RopeConfig(d_head=8, enabled=enabled)
+        packed = make_packed(rng, [n], 8)
+        np.testing.assert_allclose(
+            block_diag_forward(packed, params, rope),
+            _dense_block_attention(packed, params, rope),
+            rtol=0,
+            atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_long_and_singleton_blocks(self, enabled):
+        rng = np.random.default_rng(16)
+        params = AttentionParams.random(8, 8, rng)
+        rope = RopeConfig(d_head=8, enabled=enabled)
+        packed = make_packed(rng, [1, 1100, 1, 1, 1300, 37, 1], 8)
+        np.testing.assert_allclose(
+            block_diag_forward(packed, params, rope),
+            _dense_block_attention(packed, params, rope),
+            rtol=0,
+            atol=1e-9,
+        )
+
+    def test_long_block_memory_is_tiled(self):
+        # The dense 4096 x 4096 float64 score matrix alone would be 128 MiB.
+        rng = np.random.default_rng(17)
+        params = AttentionParams.random(32, 32, rng)
+        packed = make_packed(rng, [4096], 32)
+        tracemalloc.start()
+        try:
+            block_diag_forward(packed, params, RopeConfig(d_head=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5))
     def test_packed_equivalence_property(self, lengths):
         rng = np.random.default_rng(sum(lengths))
@@ -296,7 +352,7 @@ class TestBlockDiagonal:
         b = packed.sample_boundaries
         for i in range(len(b) - 1):
             lo, hi = b[i], b[i + 1]
-            alone = block_diag_forward(
+            alone = _dense_block_attention(
                 PatchSequence(
                     embeddings=packed.embeddings[lo:hi],
                     positions=packed.positions[lo:hi],

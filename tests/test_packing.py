@@ -23,11 +23,15 @@ from navit_pack.packing import (
     parse_manifest_line,
     sample_from_record,
 )
-from navit_pack.selfcheck import optimal_bin_count
+from navit_pack.selfcheck import _dense_block_attention, optimal_bin_count
 
 
 def samples_of(lengths):
     return [SampleRecord.build(f"s{i:03d}", n) for i, n in enumerate(lengths)]
+
+
+def report_of(samples, capacity, batch_size):
+    return packing_report(samples, pack_ffd(samples, capacity), capacity, batch_size)
 
 
 def reference_ffd(lengths, capacity):
@@ -167,7 +171,8 @@ class TestAttentionMetadata:
         assert cumulative[-1] == seq.capacity  # zero-pad tail ends at capacity
 
     def test_metadata_drives_block_attention(self):
-        # Packed forward with the emitted boundaries matches per-sample runs.
+        # Packed forward with the emitted boundaries matches the dense
+        # reference run on each sample alone.
         rng = np.random.default_rng(2)
         lengths = [4, 2, 5]
         seqs = pack_ffd(samples_of(lengths), capacity=11)
@@ -184,7 +189,7 @@ class TestAttentionMetadata:
         out = block_diag_forward(packed, params, rope)
         for i in range(len(cumulative) - 1):
             lo, hi = cumulative[i], cumulative[i + 1]
-            alone = block_diag_forward(
+            alone = _dense_block_attention(
                 PatchSequence(
                     embeddings=x[lo:hi],
                     positions=pos[lo:hi],
@@ -198,26 +203,26 @@ class TestAttentionMetadata:
 
 class TestPackingReport:
     def test_identical_lengths_proxy_one(self):
-        report = packing_report(samples_of([5] * 8), capacity=10, batch_size=4)
+        report = report_of(samples_of([5] * 8), capacity=10, batch_size=4)
         assert report.useful_token_speedup_proxy == pytest.approx(1.0)
         assert report.packed_pad_fraction == 0.0
         assert report.naive_pad_fraction == 0.0
 
     def test_fixture_proxy_twenty_elevenths(self):
-        report = packing_report(samples_of([10, 1]), capacity=11, batch_size=2)
+        report = report_of(samples_of([10, 1]), capacity=11, batch_size=2)
         assert report.n_sequences == 1
         assert report.packed_pad_fraction == 0.0
         assert report.useful_token_speedup_proxy == pytest.approx(20.0 / 11.0, abs=1e-9)
 
     def test_empty_manifest(self):
-        report = packing_report([], capacity=10, batch_size=2)
+        report = report_of([], capacity=10, batch_size=2)
         assert report.n_samples == 0
         assert report.useful_token_speedup_proxy == 1.0
 
     def test_proxy_can_drop_below_one_on_tight_manifests(self):
         # Documented limitation: a manifest the naive baseline already
         # packs tightly, where fixed-capacity sequences waste more.
-        report = packing_report(samples_of([6, 5, 6, 5, 4, 4]), capacity=12, batch_size=2)
+        report = report_of(samples_of([6, 5, 6, 5, 4, 4]), capacity=12, batch_size=2)
         assert report.useful_token_speedup_proxy < 1.0
 
 
