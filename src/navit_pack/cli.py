@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from itertools import accumulate
+from typing import Callable, Iterable
 
 from . import __version__
 from .chat import (
@@ -36,9 +39,10 @@ from .objectives import (
     parse_group_line,
 )
 from .packing import (
+    PAD_POSITION,
     ManifestError,
+    PackedSequence,
     SampleTooLong,
-    build_attention_metadata,
     pack_ffd,
     packing_report,
     parse_manifest_line,
@@ -50,6 +54,9 @@ log = logging.getLogger("navit_pack")
 
 _CONVERSATION_KEYS = {"messages", "images"}
 _MESSAGE_KEYS = {"role", "parts"}
+
+# At most this many ids are named when samples exceed the capacity.
+_TOO_LONG_SHOWN = 10
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,35 @@ def _diag(message: str) -> None:
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+
+
+@lru_cache(maxsize=8)
+def _position_runs(capacity: int) -> tuple[str, list[int], str]:
+    """JSON text of the ids 0..capacity-1 and of capacity pad ids, unbracketed.
+
+    `ends[n]` is the length of the prefix of the id text that holds the
+    first n ids, so every segment's position ids are one slice of it.
+    """
+    ids = json.dumps(list(range(capacity)), separators=(",", ":"))[1:-1]
+    ends = list(accumulate((len(str(i)) + (i > 0) for i in range(capacity)), initial=0))
+    pads = json.dumps([PAD_POSITION] * capacity, separators=(",", ":"))[1:-1]
+    return ids, ends, pads
+
+
+def _sequence_line(seq: PackedSequence) -> str:
+    """The `pack` output line for `seq`, with its per-token position ids.
+
+    Byte-identical to `json.dumps` of `seq.to_json_dict()` plus the
+    `position_ids` of `build_attention_metadata(seq)`, but the ids are
+    sliced from pre-rendered text instead of built and encoded per token.
+    """
+    ids, ends, pads = _position_runs(seq.capacity)
+    parts = [ids[: ends[length]] for _, _, length in seq.segments]
+    if seq.pad_tokens:
+        width = len(str(PAD_POSITION)) + 1
+        parts.append(pads[: width * seq.pad_tokens - 1])
+    head = json.dumps(seq.to_json_dict(), separators=(",", ":"))
+    return f'{head[:-1]},"position_ids":[{",".join(parts)}]}}'
 
 
 def _plan_json(plan: ResizePlan) -> dict:
@@ -148,7 +184,11 @@ def cmd_pack(args: argparse.Namespace) -> int:
     try:
         sequences = pack_ffd(samples, config.capacity)
     except SampleTooLong as e:
-        _diag(f"samples exceed capacity {e.capacity}: {', '.join(e.ids)}")
+        shown = ", ".join(e.ids[:_TOO_LONG_SHOWN])
+        more = len(e.ids) - _TOO_LONG_SHOWN
+        if more > 0:
+            shown += f", ... ({more} more)"
+        _diag(f"{len(e.ids)} samples exceed capacity {e.capacity}: {shown}")
         return 1
     report = packing_report(samples, sequences, config.capacity, config.batch_size)
     log.info(
@@ -158,8 +198,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
         report.packed_pad_fraction,
     )
     for seq in sequences:
-        _, positions = build_attention_metadata(seq)
-        _emit({**seq.to_json_dict(), "position_ids": positions})
+        print(_sequence_line(seq))
     _emit(report.to_json_dict())
     return 0
 
@@ -340,6 +379,25 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _finite_float(low: float, inclusive: bool = True) -> Callable[[str], float]:
+    """Argparse type for a finite float that is >= low (or > low)."""
+
+    def parse(value: str) -> float:
+        try:
+            parsed = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+        if not math.isfinite(parsed):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if parsed < low or (parsed == low and not inclusive):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low:g}, got {value}"
+            )
+        return parsed
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="navit-pack",
@@ -409,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = prefs_sub.add_parser(name, help=help_text)
         p.add_argument("--groups", required=True, help="scored groups (JSONL)")
         p.add_argument(
-            "--min-score-variance", type=float, default=0.0,
+            "--min-score-variance", type=_finite_float(0.0), default=0.0,
             help="drop groups whose score variance is below this (difficulty filter)",
         )
         if name in ("pairs", "dpo"):
-            p.add_argument("--margin", type=float, default=0.0)
+            p.add_argument("--margin", type=_finite_float(0.0), default=0.0)
         if name == "dpo":
-            p.add_argument("--beta", type=float, default=0.1)
-            p.add_argument("--nll-weight", type=float, default=0.0)
+            p.add_argument("--beta", type=_finite_float(0.0, inclusive=False), default=0.1)
+            p.add_argument("--nll-weight", type=_finite_float(0.0), default=0.0)
         p.set_defaults(func=cmd_prefs)
 
     return parser
@@ -430,14 +488,25 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
+def _input_path(args: argparse.Namespace) -> str:
+    """The file a subcommand reads its input from."""
+    for name in ("manifest", "groups", "conversation"):
+        if hasattr(args, name):
+            return getattr(args, name)
+    return "<stdin>"
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        _diag(f"cannot open {e.filename}: {e.strerror}")
+    except OSError as e:
+        _diag(f"{e.filename}: {e.strerror}" if e.filename is not None else str(e))
+        return 1
+    except UnicodeDecodeError as e:
+        _diag(f"{_input_path(args)}: not UTF-8 text ({e.reason})")
         return 1
 
 

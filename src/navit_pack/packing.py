@@ -268,6 +268,10 @@ def build_attention_metadata(seq: PackedSequence) -> tuple[list[int], list[int]]
     the PAD_POSITION sentinel and belong to no block. The returned
     cumulative lengths bound the blocks consumed by block-diagonal
     attention and end where the real tokens do.
+
+    This is the reference for the `position_ids` field that `pack` emits:
+    the CLI slices that field from pre-rendered text, and its tests check
+    it byte for byte against these lists.
     """
     positions = []
     for _, _, length in seq.segments:

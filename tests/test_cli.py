@@ -7,7 +7,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+
+from navit_pack import cli
+from navit_pack.packing import (
+    PackedSequence,
+    SampleRecord,
+    build_attention_metadata,
+    pack_ffd,
+    packing_report,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -129,6 +140,169 @@ class TestPack:
         second = run_cli("pack", "--manifest", str(manifest), "--capacity", "900")
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestPackTooLong:
+    def test_diagnostic_names_count_and_first_ten(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            "".join(f'{{"id": "big{i:02d}", "text_tokens": 50}}\n' for i in range(13))
+            + '{"id": "ok", "text_tokens": 5}\n'
+        )
+        result = run_cli("pack", "--manifest", str(manifest), "--capacity", "10")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("13 samples exceed capacity 10: big00, big01,")
+        assert all(f"big{i:02d}" in line for i in range(10))
+        assert "big10" not in line and "big12" not in line
+        assert line.endswith("(3 more)")
+
+
+def oracle_line(seq):
+    """The sequence line as `pack` wrote it with per-token lists."""
+    _, positions = build_attention_metadata(seq)
+    return json.dumps({**seq.to_json_dict(), "position_ids": positions}, separators=(",", ":"))
+
+
+def sequence_of(capacity, lengths, sample_id="s"):
+    segments, offset = [], 0
+    for i, length in enumerate(lengths):
+        segments.append((f"{sample_id}{i}", offset, length))
+        offset += length
+    return PackedSequence(
+        capacity=capacity,
+        segments=tuple(segments),
+        pad_tokens=capacity - offset,
+        cumulative_lengths=(0, *(start + length for _, start, length in segments)),
+    )
+
+
+# Capacities on both sides of each change in digit count.
+DIGIT_CAPACITIES = [1, 9, 10, 11, 99, 100, 101, 1000, 10001]
+
+
+class TestSequenceLine:
+    @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
+    def test_one_segment_fills_capacity(self, capacity):
+        seq = sequence_of(capacity, [capacity])
+        assert seq.pad_tokens == 0
+        assert cli._sequence_line(seq) == oracle_line(seq)
+
+    @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
+    def test_all_pads(self, capacity):
+        seq = sequence_of(capacity, [])
+        assert cli._sequence_line(seq) == oracle_line(seq)
+
+    @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
+    def test_one_token_segments(self, capacity):
+        full = sequence_of(capacity, [1] * capacity)
+        assert cli._sequence_line(full) == oracle_line(full)
+        half = sequence_of(capacity, [1] * (capacity // 2))
+        assert cli._sequence_line(half) == oracle_line(half)
+
+    @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
+    def test_segments_ending_at_digit_boundaries(self, capacity):
+        # Segment lengths that end just before, at and after 10, 100, 1000.
+        lengths, used = [], 0
+        for n in (9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1):
+            if used + n <= capacity:
+                lengths.append(n)
+                used += n
+        seq = sequence_of(capacity, lengths)
+        assert cli._sequence_line(seq) == oracle_line(seq)
+
+    def test_escaped_sample_ids(self):
+        seq = sequence_of(12, [5, 4], sample_id='q"\\\u00e9\n')
+        assert cli._sequence_line(seq) == oracle_line(seq)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_oracle_property(self, data):
+        capacity = data.draw(st.integers(min_value=1, max_value=2500))
+        lengths, used = [], 0
+        for n in data.draw(st.lists(st.integers(min_value=1, max_value=capacity), max_size=30)):
+            if used + n <= capacity:
+                lengths.append(n)
+                used += n
+        seq = sequence_of(capacity, lengths)
+        assert cli._sequence_line(seq) == oracle_line(seq)
+
+    def test_pack_stdout_matches_oracle(self, tmp_path):
+        lengths = [1, 9, 10, 11, 99, 100, 101, 500, 1000, 1001, 3, 3, 3]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            "".join(f'{{"id": "s{i:02d}", "text_tokens": {n}}}\n' for i, n in enumerate(lengths))
+        )
+        result = run_cli("pack", "--manifest", str(manifest), "--capacity", "1101")
+        assert result.returncode == 0, result.stderr
+        samples = [SampleRecord.build(f"s{i:02d}", n) for i, n in enumerate(lengths)]
+        sequences = pack_ffd(samples, 1101)
+        report = packing_report(samples, sequences, 1101, 8)
+        expected = [oracle_line(seq) for seq in sequences]
+        expected.append(json.dumps(report.to_json_dict(), separators=(",", ":")))
+        assert result.stdout == "".join(line + "\n" for line in expected)
+
+
+class TestUnreadableInput:
+    def test_directory_as_manifest(self, tmp_path):
+        result = run_cli("pack", "--manifest", str(tmp_path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["plan", "pack"])
+    def test_non_utf8_manifest(self, tmp_path, command):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_bytes(b'{"id": "a", "text_tokens": 5}\n{"id": "\xff"}\n')
+        result = run_cli(command, "--manifest", str(manifest))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"{manifest}: not UTF-8 text")
+
+    def test_non_utf8_groups(self, tmp_path):
+        groups = tmp_path / "g.jsonl"
+        groups.write_bytes(b"\xfe\xff\n")
+        result = run_cli("prefs", "grpo", "--groups", str(groups))
+        assert result.returncode == 1
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"{groups}: not UTF-8 text")
+
+
+class TestFloatOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dpo", "--beta", "0"], "--beta: must be > 0"),
+            (["dpo", "--beta", "-0.5"], "--beta: must be > 0"),
+            (["dpo", "--beta", "inf"], "--beta: must be finite"),
+            (["dpo", "--beta", "x"], "--beta: invalid float value"),
+            (["pairs", "--margin", "-1"], "--margin: must be >= 0"),
+            (["dpo", "--margin", "nan"], "--margin: must be finite"),
+            (["grpo", "--min-score-variance", "nan"], "--min-score-variance: must be finite"),
+            (["pairs", "--min-score-variance", "-0.1"], "--min-score-variance: must be >= 0"),
+            (["dpo", "--nll-weight", "-0.3"], "--nll-weight: must be >= 0"),
+            (["dpo", "--nll-weight=-inf"], "--nll-weight: must be finite"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["prefs", argv[0], "--groups", "unused.jsonl", *argv[1:]])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {message}" in err
+
+    def test_range_edges_accepted(self, tmp_path):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(GROUPS)
+        result = run_cli(
+            "prefs", "dpo", "--groups", str(groups), "--beta", "1e-9", "--margin", "0",
+            "--nll-weight", "0", "--min-score-variance", "0",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
 
 class TestChat:
