@@ -5,72 +5,95 @@ position embeddings and block-diagonal packed attention, probabilistic
 visual tokens with an embedding table, first-fit-decreasing sequence
 packing with waste reporting, thinking-mode chat templating, and DPO /
 GRPO training objectives, all with oracle-backed verification.
+
+The names below are imported from their submodules on first access, so
+importing the package (or the CLI's data-path subcommands) does not
+load numpy or the encoder, objective and self-check modules.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .chat import (
-    ChatMessage,
-    ImagePart,
-    MalformedThinkBlock,
-    RenderedPrompt,
-    Role,
-    TextPart,
-    ThinkingOutput,
-    UnresolvedImageRef,
-    parse_thinking,
-    render,
-)
-from .encoder import (
-    AttentionParams,
-    DisabledRope,
-    LearnedPosTable,
-    PatchSequence,
-    RopeConfig,
-    apply_rope_2d,
-    block_diag_forward,
-    interpolate_pos_table,
-    rope_dot_relative,
-)
-from .errors import LengthMismatch, NonFiniteInput, ShapeMismatch
-from .geometry import (
-    BudgetInfeasible,
-    ImageSize,
-    Phase,
-    PixelBudget,
-    ResizePlan,
-    phase_budget,
-    plan_resize,
-    token_count,
-)
-from .objectives import (
-    AnswerKind,
-    DpoConfig,
-    DpoResult,
-    GroupTooSmall,
-    PreferenceGroup,
-    PreferencePair,
-    ScoredCandidate,
-    UnknownAnswerLetter,
-    UnparseableNumeric,
-    build_pairs,
-    dpo_loss,
-    grpo_advantages,
-    mcq_to_fill_in_blank,
-    verify_answer,
-)
-from .packing import (
-    ManifestError,
-    ManifestRecord,
-    NaiveBaseline,
-    PackedSequence,
-    PackingReport,
-    SampleRecord,
-    SampleTooLong,
-    build_attention_metadata,
-    naive_batch_waste,
-    pack_ffd,
-    packing_report,
-    parse_manifest_line,
-    sample_from_record,
-)
+_EXPORTS = {
+    "chat": (
+        "ChatMessage",
+        "ImagePart",
+        "MalformedThinkBlock",
+        "RenderedPrompt",
+        "Role",
+        "TextPart",
+        "ThinkingOutput",
+        "UnresolvedImageRef",
+        "parse_thinking",
+        "render",
+    ),
+    "encoder": (
+        "AttentionParams",
+        "DisabledRope",
+        "LearnedPosTable",
+        "PatchSequence",
+        "RopeConfig",
+        "apply_rope_2d",
+        "block_diag_forward",
+        "interpolate_pos_table",
+        "rope_dot_relative",
+    ),
+    "errors": ("LengthMismatch", "NonFiniteInput", "ShapeMismatch"),
+    "geometry": (
+        "BudgetInfeasible",
+        "ImageSize",
+        "Phase",
+        "PixelBudget",
+        "ResizePlan",
+        "phase_budget",
+        "plan_resize",
+        "token_count",
+    ),
+    "objectives": (
+        "AnswerKind",
+        "DpoConfig",
+        "DpoResult",
+        "GroupTooSmall",
+        "PreferenceGroup",
+        "PreferencePair",
+        "ScoredCandidate",
+        "UnknownAnswerLetter",
+        "UnparseableNumeric",
+        "build_pairs",
+        "dpo_loss",
+        "grpo_advantages",
+        "mcq_to_fill_in_blank",
+        "verify_answer",
+    ),
+    "packing": (
+        "ManifestError",
+        "ManifestRecord",
+        "NaiveBaseline",
+        "PackedSequence",
+        "PackingReport",
+        "SampleRecord",
+        "SampleTooLong",
+        "build_attention_metadata",
+        "naive_batch_waste",
+        "pack_ffd",
+        "packing_report",
+        "parse_manifest_line",
+        "sample_from_record",
+    ),
+}
+
+# Exported name -> the submodule that defines it.
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # the submodules themselves, as `navit_pack.packing`
+        return import_module(f".{name}", __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

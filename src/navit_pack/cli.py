@@ -17,27 +17,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import __version__
-from .chat import (
-    ChatMessage,
-    ImagePart,
-    MalformedThinkBlock,
-    Role,
-    TextPart,
-    UnresolvedImageRef,
-    parse_thinking,
-    render,
-)
 from .geometry import BudgetInfeasible, ImageSize, Phase, ResizePlan, phase_budget, plan_resize
-from .objectives import (
-    DpoConfig,
-    build_pairs,
-    dpo_loss,
-    grpo_advantages,
-    parse_group_line,
-)
 from .packing import (
     PAD_POSITION,
     ManifestError,
@@ -45,10 +28,16 @@ from .packing import (
     SampleTooLong,
     pack_ffd,
     packing_report,
+    parse_image_size,
     parse_manifest_line,
     sample_from_record,
 )
-from .selfcheck import CHECK_NAMES, run_checks
+
+if TYPE_CHECKING:
+    from .chat import ChatMessage
+
+# `chat`, `objectives` and `selfcheck` are imported by the subcommands that
+# use them, so `plan` and `pack` start without numpy.
 
 log = logging.getLogger("navit_pack")
 
@@ -57,6 +46,11 @@ _MESSAGE_KEYS = {"role", "parts"}
 
 # At most this many ids are named when samples exceed the capacity.
 _TOO_LONG_SHOWN = 10
+
+# `selfcheck.CHECK_NAMES`, spelled out so that building the parser does
+# not import `selfcheck` (and numpy).
+_CHECK_NAMES = ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt")
+_GRAD_CHECKS = ("vet-grad", "dpo-grad")
 
 
 @dataclass(frozen=True)
@@ -203,21 +197,33 @@ def cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
+def _list_field(obj: dict, key: str, where: str = "") -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{where}{key!r} must be a list")
+    return value
+
+
 def _parse_conversation(obj: dict) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
+    from .chat import ChatMessage, ImagePart, Role, TextPart
+
     if not isinstance(obj, dict):
         raise ValueError(f"conversation must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - _CONVERSATION_KEYS
     if unknown:
         raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
     sizes: dict[str, ImageSize] = {}
-    for i, img in enumerate(obj.get("images", [])):
+    for i, img in enumerate(_list_field(obj, "images")):
         if not isinstance(img, dict) or set(img) != {"id", "width", "height"}:
             raise ValueError(f"image {i} must have exactly id/width/height")
-        if img["id"] in sizes:
-            raise ValueError(f"duplicate image id {img['id']!r}")
-        sizes[img["id"]] = ImageSize(width=img["width"], height=img["height"])
+        image_id = img["id"]
+        if not isinstance(image_id, str) or not image_id:
+            raise ValueError(f"image {i}: 'id' must be a non-empty string")
+        if image_id in sizes:
+            raise ValueError(f"duplicate image id {image_id!r}")
+        sizes[image_id] = parse_image_size(img, i)
     messages = []
-    for i, msg in enumerate(obj.get("messages", [])):
+    for i, msg in enumerate(_list_field(obj, "messages")):
         if not isinstance(msg, dict):
             raise ValueError(f"message {i} must be an object")
         unknown = set(msg) - _MESSAGE_KEYS
@@ -228,7 +234,7 @@ def _parse_conversation(obj: dict) -> tuple[list[ChatMessage], dict[str, ImageSi
         except ValueError:
             raise ValueError(f"message {i}: invalid role {msg.get('role')!r}") from None
         parts = []
-        for j, part in enumerate(msg.get("parts", [])):
+        for j, part in enumerate(_list_field(msg, "parts", f"message {i}: ")):
             if not isinstance(part, dict) or len(part) != 1:
                 raise ValueError(f"message {i} part {j}: need exactly one of text/image")
             if "text" in part and isinstance(part["text"], str):
@@ -244,11 +250,15 @@ def _parse_conversation(obj: dict) -> tuple[list[ChatMessage], dict[str, ImageSi
 
 
 def cmd_chat(args: argparse.Namespace) -> int:
+    from .chat import UnresolvedImageRef, render
+
     config = CliConfig.from_args(args)
+    # Read outside the `try`: an unreadable or non-UTF-8 file is reported
+    # by `main`, like every other input file.
+    with open(args.conversation, "r", encoding="utf-8") as f:
+        text = f.read()
     try:
-        with open(args.conversation, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-        messages, sizes = _parse_conversation(obj)
+        messages, sizes = _parse_conversation(json.loads(text))
         budget = phase_budget(config.phase)
         plans = {image_id: plan_resize(size, budget) for image_id, size in sizes.items()}
         prompt = render(messages, args.thinking, plans)
@@ -269,8 +279,12 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    from .chat import MalformedThinkBlock, parse_thinking
+
     config = CliConfig.from_args(args)
-    raw = sys.stdin.read()
+    # Strict UTF-8 whatever the locale: under C/POSIX, sys.stdin would pass
+    # invalid bytes through as surrogates.
+    raw = sys.stdin.buffer.read().decode("utf-8")
     try:
         result = parse_thinking(raw, lenient=not config.strict_parse)
     except MalformedThinkBlock as e:
@@ -281,6 +295,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _run_and_report(seed: int, fault: str | None, only: tuple[str, ...] | None) -> int:
+    from .selfcheck import run_checks
+
     results = run_checks(seed, fault=fault, only=only)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -300,10 +316,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
     config = CliConfig.from_args(args)
-    return _run_and_report(config.seed, args.fault_inject, ("vet-grad", "dpo-grad"))
+    return _run_and_report(config.seed, args.fault_inject, _GRAD_CHECKS)
 
 
 def _read_groups(path: str):
+    from .objectives import parse_group_line
+
     failures = 0
     groups = []
     with open(path, "r", encoding="utf-8") as f:
@@ -319,6 +337,8 @@ def _read_groups(path: str):
 
 
 def cmd_prefs(args: argparse.Namespace) -> int:
+    from .objectives import DpoConfig, build_pairs, dpo_loss, grpo_advantages
+
     groups, failures = _read_groups(args.groups)
     if failures:
         return 1
@@ -444,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run all built-in correctness checks")
     verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     verify.add_argument(
-        "--fault-inject", choices=CHECK_NAMES, default=None,
+        "--fault-inject", choices=_CHECK_NAMES, default=None,
         help="(test only) make exactly this check fail",
     )
     verify.set_defaults(func=cmd_verify)
@@ -452,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     grad = sub.add_parser("grad-check", help="run only the gradient checks")
     grad.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     grad.add_argument(
-        "--fault-inject", choices=("vet-grad", "dpo-grad"), default=None,
+        "--fault-inject", choices=_GRAD_CHECKS, default=None,
         help="(test only) make exactly this check fail",
     )
     grad.set_defaults(func=cmd_grad_check)

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .geometry import ImageSize, PixelBudget, ResizePlan, plan_resize
 
 __all__ = [
@@ -31,6 +29,7 @@ __all__ = [
     "naive_batch_waste",
     "pack_ffd",
     "packing_report",
+    "parse_image_size",
     "parse_manifest_line",
     "sample_from_record",
 ]
@@ -196,6 +195,14 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     into the first open sequence with room. Deterministic for a given
     manifest. Raises SampleTooLong listing every sample that cannot fit
     at all, and ValueError on duplicate ids.
+
+    First fit is found with a max segment tree over the free tokens of
+    each bin, one leaf per possible bin: descending to the left child
+    whenever it has room reaches the leftmost bin with room in O(log n).
+    Bins not yet opened hold the full capacity, so they lie to the right
+    of every open bin and the leftmost of them is the next bin to open.
+    `linear_first_fit` in tests/test_packing.py is the plain scan over
+    the open bins that this must match exactly.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -209,25 +216,29 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
         raise SampleTooLong(too_long, capacity)
 
     order = sorted(samples, key=lambda s: (-s.total_tokens, s.id))
+    leaves = 1
+    while leaves < len(order):
+        leaves *= 2
+    # free[leaves + i] = free tokens in bin i; free[k] = max(free[2k], free[2k + 1]).
+    free = [capacity] * (2 * leaves)
     bins: list[list[SampleRecord]] = []
-    # remaining[i] = free tokens in bin i; vectorized first-fit scan keeps
-    # packing 10k+ samples fast without changing first-fit semantics.
-    remaining = np.empty(len(order), dtype=np.int64)
-    n_bins = 0
     for s in order:
         need = s.total_tokens
-        placed = False
-        if n_bins:
-            view = remaining[:n_bins]
-            i = int(np.argmax(view >= need))  # first bin with room, if any
-            if view[i] >= need:
-                bins[i].append(s)
-                view[i] -= need
-                placed = True
-        if not placed:
-            bins.append([s])
-            remaining[n_bins] = capacity - need
-            n_bins += 1
+        k = 1
+        while k < leaves:
+            k = 2 * k if free[2 * k] >= need else 2 * k + 1
+        i = k - leaves
+        if i == len(bins):
+            bins.append([])
+        bins[i].append(s)
+        free[k] -= need
+        k //= 2
+        while k:
+            room = max(free[2 * k], free[2 * k + 1])
+            if free[k] == room:
+                break
+            free[k] = room
+            k //= 2
 
     sequences = []
     for contents in bins:
@@ -350,12 +361,18 @@ def parse_manifest_line(line: str) -> ManifestRecord:
         unknown = set(img) - _IMAGE_KEYS
         if unknown:
             raise ManifestError(f"image {i}: unknown field {sorted(unknown)[0]!r}")
-        for key in ("width", "height"):
-            val = img.get(key)
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise ManifestError(f"image {i}: {key!r} must be a positive integer")
-        images.append(ImageSize(width=img["width"], height=img["height"]))
+        images.append(parse_image_size(img, i))
     return ManifestRecord(id=obj["id"], text_tokens=obj["text_tokens"], images=tuple(images))
+
+
+def parse_image_size(img: dict, index: int) -> ImageSize:
+    """The size of image `index` of a record: positive, non-bool integer
+    `width` and `height`. Manifests and conversations share this rule."""
+    for key in ("width", "height"):
+        val = img.get(key)
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise ManifestError(f"image {index}: {key!r} must be a positive integer")
+    return ImageSize(width=img["width"], height=img["height"])
 
 
 def sample_from_record(record: ManifestRecord, budget: PixelBudget) -> SampleRecord:

@@ -342,6 +342,48 @@ class TestChat:
         assert result.returncode == 1
         assert "nope" in result.stderr
 
+    def test_non_utf8_conversation(self, tmp_path):
+        conv = tmp_path / "c.json"
+        conv.write_bytes(b'{"messages": [{"role": "user", "parts": [{"text": "\xff"}]}]}')
+        result = run_cli("chat", "--conversation", str(conv))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{conv}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            ({"id": "img0", "width": "100", "height": 100}, "image 0: 'width' must be a positive integer"),
+            ({"id": ["img0"], "width": 100, "height": 100}, "image 0: 'id' must be a non-empty string"),
+            ({"id": "", "width": 100, "height": 100}, "image 0: 'id' must be a non-empty string"),
+            ({"id": "img0", "width": 100, "height": True}, "image 0: 'height' must be a positive integer"),
+            ({"id": "img0", "width": 0, "height": 100}, "image 0: 'width' must be a positive integer"),
+            ({"id": "img0", "width": 100, "height": 2.5}, "image 0: 'height' must be a positive integer"),
+        ],
+    )
+    def test_bad_image_entry(self, tmp_path, image, message):
+        conv = tmp_path / "c.json"
+        conv.write_text(json.dumps({**CONVERSATION, "images": [image]}))
+        result = run_cli("chat", "--conversation", str(conv))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{conv}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "conversation, message",
+        [
+            ({**CONVERSATION, "images": 5}, "'images' must be a list"),
+            ({"messages": {"role": "user"}}, "'messages' must be a list"),
+            ({"messages": [{"role": "user", "parts": None}]}, "message 0: 'parts' must be a list"),
+        ],
+    )
+    def test_non_list_field(self, tmp_path, conversation, message):
+        conv = tmp_path / "c.json"
+        conv.write_text(json.dumps(conversation))
+        result = run_cli("chat", "--conversation", str(conv))
+        assert result.returncode == 1
+        assert result.stderr == f"{conv}: {message}\n"
+
 
 class TestParse:
     def test_canonical(self):
@@ -364,6 +406,26 @@ class TestParse:
         result = run_cli("parse", "--lenient", stdin="<think>oops")
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"thinking": "oops", "answer": ""}
+
+    @staticmethod
+    def parse_bytes_in_c_locale(data):
+        return subprocess.run(
+            [sys.executable, "-m", "navit_pack", "parse"],
+            input=data,
+            capture_output=True,
+            env={**os.environ, "LC_ALL": "C"},
+        )
+
+    def test_invalid_utf8_stdin_rejected(self):
+        result = self.parse_bytes_in_c_locale(b"<think>a</think>\xff")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr == b"<stdin>: not UTF-8 text (invalid start byte)\n"
+
+    def test_utf8_stdin_in_c_locale(self):
+        result = self.parse_bytes_in_c_locale("<think>\u00e9\r\n</think>\u00fc".encode())
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {"thinking": "\u00e9\r\n", "answer": "\u00fc"}
 
 
 GROUPS = (
@@ -461,6 +523,45 @@ class TestVerify:
         assert result.returncode == 0
         assert "vet-grad" in result.stdout and "dpo-grad" in result.stdout
         assert "rope-relative" not in result.stdout
+
+
+class TestStartup:
+    def test_data_path_commands_do_not_import_numpy(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(MANIFEST)
+        conv = tmp_path / "c.json"
+        conv.write_text(json.dumps(CONVERSATION))
+        script = (
+            "import json, sys\n"
+            "from navit_pack import cli\n"
+            f"codes = [cli.main(['plan', '--manifest', {str(manifest)!r}]),\n"
+            f"         cli.main(['pack', '--manifest', {str(manifest)!r}]),\n"
+            f"         cli.main(['chat', '--conversation', {str(conv)!r}]),\n"
+            "         cli.main(['parse'])]\n"
+            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('navit_pack'))\n"
+            "print(json.dumps({'codes': codes, 'loaded': loaded}), file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], input="<think>a</think>b", capture_output=True, text=True
+        )
+        report = json.loads(result.stderr.splitlines()[-1])
+        assert report["codes"] == [0, 0, 0, 0]
+        assert report["loaded"] == [
+            "navit_pack",
+            "navit_pack.chat",
+            "navit_pack.cli",
+            "navit_pack.geometry",
+            "navit_pack.packing",
+        ]
+
+    def test_check_names_match_selfcheck(self, capsys):
+        from navit_pack.selfcheck import CHECK_NAMES
+
+        assert cli._CHECK_NAMES == CHECK_NAMES
+        assert set(cli._GRAD_CHECKS) <= set(CHECK_NAMES)
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert "{" + ",".join(CHECK_NAMES) + "}" in capsys.readouterr().out
 
 
 class TestManifestSchemaItself:

@@ -1,0 +1,50 @@
+"""The package namespace: names resolved from their submodules on first use."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import navit_pack
+
+
+def test_every_export_is_the_submodule_object():
+    for module, names in navit_pack._EXPORTS.items():
+        source = importlib.import_module(f"navit_pack.{module}")
+        for name in names:
+            assert getattr(navit_pack, name) is getattr(source, name), name
+
+
+def test_from_import_and_attribute_access():
+    from navit_pack import plan_resize
+    from navit_pack.geometry import plan_resize as defined
+
+    assert plan_resize is defined
+    assert navit_pack.block_diag_forward is importlib.import_module("navit_pack.encoder").block_diag_forward
+    assert navit_pack.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        navit_pack.no_such_name
+    with pytest.raises(ImportError):
+        from navit_pack import no_such_name  # noqa: F401
+
+
+def test_star_import_lists_the_exports():
+    namespace = {}
+    exec("from navit_pack import *", namespace)
+    exported = {n for names in navit_pack._EXPORTS.values() for n in names}
+    assert exported <= set(namespace)
+
+
+def test_import_loads_no_submodule_until_used():
+    script = (
+        "import json, sys, navit_pack\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('navit_pack'))\n"
+        "print(json.dumps([loaded, navit_pack.packing.__name__]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert json.loads(result.stdout) == [["navit_pack"], "navit_pack.packing"]

@@ -34,29 +34,34 @@ def report_of(samples, capacity, batch_size):
     return packing_report(samples, pack_ffd(samples, capacity), capacity, batch_size)
 
 
-def reference_ffd(lengths, capacity):
-    """Independent first-fit-decreasing simulation over (length, id) pairs."""
-    items = sorted(
-        [(n, f"s{i:03d}") for i, n in enumerate(lengths)], key=lambda t: (-t[0], t[1])
-    )
+def linear_first_fit(samples, capacity):
+    """First-fit decreasing by a plain scan of the open bins, left to right.
+
+    The oracle for `pack_ffd`'s segment tree: ids per bin, in bin order.
+    """
     bins = []
-    for length, sid in items:
+    for s in sorted(samples, key=lambda s: (-s.total_tokens, s.id)):
         for contents in bins:
-            if sum(n for n, _ in contents) + length <= capacity:
-                contents.append((length, sid))
+            if sum(x.total_tokens for x in contents) + s.total_tokens <= capacity:
+                contents.append(s)
                 break
         else:
-            bins.append([(length, sid)])
-    return [[sid for _, sid in contents] for contents in bins]
+            bins.append([s])
+    return [[s.id for s in contents] for contents in bins]
+
+
+def contents_of(sequences):
+    return [[sid for sid, _, _ in seq.segments] for seq in sequences]
 
 
 class TestPackFfd:
     def test_hand_traced_example(self):
-        seqs = pack_ffd(samples_of([7, 5, 4, 4, 2]), capacity=10)
-        contents = [[seg[0] for seg in s.segments] for s in seqs]
+        samples = samples_of([7, 5, 4, 4, 2])
+        seqs = pack_ffd(samples, capacity=10)
+        contents = contents_of(seqs)
         assert contents == [["s000", "s004"], ["s001", "s002"], ["s003"]]
         assert [s.pad_tokens for s in seqs] == [1, 1, 6]
-        assert contents == reference_ffd([7, 5, 4, 4, 2], 10)
+        assert contents == linear_first_fit(samples, 10)
 
     def test_exact_fit_single_sample(self):
         (seq,) = pack_ffd(samples_of([10]), capacity=10)
@@ -107,6 +112,59 @@ class TestPackFfd:
         opt = optimal_bin_count(lengths, capacity)
         assert len(seqs) <= math.ceil(11.0 / 9.0 * opt) + 1
         assert len(seqs) >= opt or not lengths
+
+
+class TestSegmentTreeFirstFit:
+    """`pack_ffd` gives exactly the bins of the linear first-fit oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(samples, capacity):
+        seqs = pack_ffd(samples, capacity)
+        assert contents_of(seqs) == linear_first_fit(samples, capacity)
+
+    def test_equal_lengths_ties_broken_by_id(self):
+        ids = [f"id{i}" for i in np.random.default_rng(1).permutation(30)]
+        samples = [SampleRecord.build(sid, 5) for sid in ids]
+        self.assert_matches_oracle(samples, 12)
+        assert contents_of(pack_ffd(samples, 12))[0] == ["id0", "id1"]
+
+    def test_capacity_one(self):
+        samples = samples_of([1] * 17)
+        self.assert_matches_oracle(samples, 1)
+        assert len(pack_ffd(samples, 1)) == 17
+
+    def test_samples_of_exactly_capacity(self):
+        samples = samples_of([10, 3, 10, 7, 10])
+        self.assert_matches_oracle(samples, 10)
+        assert [s.pad_tokens for s in pack_ffd(samples, 10)] == [0, 0, 0, 0]
+
+    def test_many_open_bins(self):
+        # 300 bins open with 49 free, then a run of small samples must go
+        # to the leftmost of them, and the leftmost only, every time.
+        lengths = [51] * 300 + [49] * 150 + [20] * 200 + [3] * 500 + [1] * 97
+        self.assert_matches_oracle(samples_of(lengths), 100)
+
+    def test_random_many_bins(self):
+        lengths = np.random.default_rng(2).integers(1, 300, 1500).tolist()
+        self.assert_matches_oracle(samples_of(lengths), 301)
+
+    @given(st.data())
+    def test_matches_linear_first_fit(self, data):
+        capacity = data.draw(st.integers(min_value=1, max_value=40), label="capacity")
+        lengths = data.draw(
+            st.lists(st.integers(min_value=1, max_value=capacity), max_size=80), label="lengths"
+        )
+        ids = data.draw(
+            st.lists(
+                st.text("abcd", min_size=1, max_size=4),
+                min_size=len(lengths),
+                max_size=len(lengths),
+                unique=True,
+            ),
+            label="ids",
+        )
+        samples = [SampleRecord.build(sid, n) for sid, n in zip(ids, lengths)]
+        self.assert_matches_oracle(samples, capacity)
 
 
 class TestOptimalBinCount:
