@@ -62,8 +62,11 @@ _EXPORTS = {
         "UnparseableNumeric",
         "build_pairs",
         "dpo_loss",
+        "dpo_losses",
         "grpo_advantages",
+        "grpo_advantages_rows",
         "mcq_to_fill_in_blank",
+        "pair_indices",
         "verify_answer",
     ),
     "packing": (

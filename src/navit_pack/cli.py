@@ -14,8 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -35,6 +34,7 @@ from .packing import (
 
 if TYPE_CHECKING:
     from .chat import ChatMessage
+    from .objectives import DpoConfig, PreferenceGroup
 
 # `chat`, `objectives` and `selfcheck` are imported by the subcommands that
 # use them, so `plan` and `pack` start without numpy.
@@ -53,32 +53,12 @@ _CHECK_NAMES = ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt"
 _GRAD_CHECKS = ("vet-grad", "dpo-grad")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Run knobs collected from the parsed arguments."""
-
-    phase: Phase = Phase.P2
-    capacity: int = 8192
-    batch_size: int = 8
-    seed: int = 0
-    strict_parse: bool = True
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        defaults = cls()
-        return cls(
-            phase=getattr(args, "phase", defaults.phase),
-            capacity=getattr(args, "capacity", defaults.capacity),
-            batch_size=getattr(args, "batch_size", defaults.batch_size),
-            seed=getattr(args, "seed", defaults.seed),
-            strict_parse=getattr(args, "strict", defaults.strict_parse),
-        )
+# Groups per array call in `prefs dpo` and `prefs grpo`. A bounded chunk
+# holds the columns and rendered lines of only a few hundred pairs at a
+# time: on a 5k-group file, one chunk for the whole file more than doubled
+# the `dpo` job's peak RSS (37 -> 82 MB), while chunks of 64 groups add
+# about 2 MB and run as fast.
+_PREFS_CHUNK = 64
 
 
 def _diag(message: str) -> None:
@@ -136,8 +116,7 @@ def _read_manifest_lines(path: str) -> Iterable[tuple[int, str]]:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    budget = phase_budget(config.phase)
+    budget = phase_budget(args.phase)
     failures = 0
     for lineno, line in _read_manifest_lines(args.manifest):
         try:
@@ -158,8 +137,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    budget = phase_budget(config.phase)
+    budget = phase_budget(args.phase)
     samples = []
     seen_ids: set[str] = set()
     failures = 0
@@ -176,7 +154,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     if failures:
         return 1
     try:
-        sequences = pack_ffd(samples, config.capacity)
+        sequences = pack_ffd(samples, args.capacity)
     except SampleTooLong as e:
         shown = ", ".join(e.ids[:_TOO_LONG_SHOWN])
         more = len(e.ids) - _TOO_LONG_SHOWN
@@ -184,7 +162,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
             shown += f", ... ({more} more)"
         _diag(f"{len(e.ids)} samples exceed capacity {e.capacity}: {shown}")
         return 1
-    report = packing_report(samples, sequences, config.capacity, config.batch_size)
+    report = packing_report(samples, sequences, args.capacity, args.batch_size)
     log.info(
         "packed %d samples into %d sequences (pad fraction %.4f)",
         report.n_samples,
@@ -252,14 +230,13 @@ def _parse_conversation(obj: dict) -> tuple[list[ChatMessage], dict[str, ImageSi
 def cmd_chat(args: argparse.Namespace) -> int:
     from .chat import UnresolvedImageRef, render
 
-    config = CliConfig.from_args(args)
     # Read outside the `try`: an unreadable or non-UTF-8 file is reported
     # by `main`, like every other input file.
     with open(args.conversation, "r", encoding="utf-8") as f:
         text = f.read()
     try:
         messages, sizes = _parse_conversation(json.loads(text))
-        budget = phase_budget(config.phase)
+        budget = phase_budget(args.phase)
         plans = {image_id: plan_resize(size, budget) for image_id, size in sizes.items()}
         prompt = render(messages, args.thinking, plans)
     except (ValueError, UnresolvedImageRef, BudgetInfeasible, json.JSONDecodeError) as e:
@@ -281,12 +258,11 @@ def cmd_chat(args: argparse.Namespace) -> int:
 def cmd_parse(args: argparse.Namespace) -> int:
     from .chat import MalformedThinkBlock, parse_thinking
 
-    config = CliConfig.from_args(args)
     # Strict UTF-8 whatever the locale: under C/POSIX, sys.stdin would pass
     # invalid bytes through as surrogates.
     raw = sys.stdin.buffer.read().decode("utf-8")
     try:
-        result = parse_thinking(raw, lenient=not config.strict_parse)
+        result = parse_thinking(raw, lenient=not args.strict)
     except MalformedThinkBlock as e:
         _diag(f"malformed think block: {e}")
         return 1
@@ -310,16 +286,15 @@ def _run_and_report(seed: int, fault: str | None, only: tuple[str, ...] | None) 
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    return _run_and_report(config.seed, args.fault_inject, None)
+    return _run_and_report(args.seed, args.fault_inject, None)
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    return _run_and_report(config.seed, args.fault_inject, _GRAD_CHECKS)
+    return _run_and_report(args.seed, args.fault_inject, _GRAD_CHECKS)
 
 
-def _read_groups(path: str):
+def _read_groups(path: str) -> tuple[list[tuple[int, PreferenceGroup]], int]:
+    """The groups of `path` with their line numbers, and the count of bad lines."""
     from .objectives import parse_group_line
 
     failures = 0
@@ -329,26 +304,116 @@ def _read_groups(path: str):
             if not line.strip():
                 continue
             try:
-                groups.append(parse_group_line(line))
+                groups.append((lineno, parse_group_line(line)))
             except ValueError as e:
                 _diag(f"{path}:{lineno}: {e}")
                 failures += 1
     return groups, failures
 
 
+def _report_not_finite(path: str, lineno: int, group: PreferenceGroup, what: str) -> None:
+    _diag(f"{path}:{lineno}: query {group.query_id!r}: {what} is not finite")
+
+
+def _dpo_text(
+    path: str, chunk: list[tuple[int, PreferenceGroup]], margin: float, cfg: DpoConfig
+) -> tuple[str, int]:
+    """The `prefs dpo` lines of `chunk` from one `dpo_losses` call, and the
+    number of groups left out because a value is not finite.
+
+    Each line is byte-identical to `json.dumps` of its record: for a
+    finite float, `repr` is the text `json.dumps` writes.
+    """
+    import numpy as np
+
+    from .objectives import dpo_losses, pair_indices
+
+    lp, lr, chosen, rejected = [], [], [], []
+    spans = []
+    for _, group in chunk:
+        candidates = group.candidates
+        pairs = pair_indices([c.score for c in candidates], margin)
+        base = len(lp)
+        lp.extend(c.logprob_policy for c in candidates)
+        lr.extend(c.logprob_reference for c in candidates)
+        chosen.extend(base + i for i, _ in pairs)
+        rejected.extend(base + j for _, j in pairs)
+        spans.append(pairs)
+    lp, lr = np.array(lp), np.array(lr)
+    c, r = np.array(chosen, dtype=np.intp), np.array(rejected, dtype=np.intp)
+    columns = dpo_losses(lp[c], lr[c], lp[r], lr[r], cfg)
+    finite = np.isfinite(columns).all(axis=0).tolist()
+    values = list(zip(*(column.tolist() for column in columns)))
+    lines = []
+    failures = start = 0
+    for (lineno, group), pairs in zip(chunk, spans):
+        end = start + len(pairs)
+        if not all(finite[start:end]):
+            _report_not_finite(path, lineno, group, "loss or gradient")
+            failures += 1
+        else:
+            head = f'{{"query_id":{json.dumps(group.query_id)},"chosen_index":'
+            for (i, j), (a, pc, pr, rc, rr) in zip(pairs, values[start:end]):
+                lines.append(
+                    f'{head}{i},"rejected_index":{j},"loss":{a!r},'
+                    f'"d_logprob_policy_chosen":{pc!r},"d_logprob_policy_rejected":{pr!r},'
+                    f'"d_logprob_reference_chosen":{rc!r},"d_logprob_reference_rejected":{rr!r}}}\n'
+                )
+        start = end
+    return "".join(lines), failures
+
+
+def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> tuple[str, int]:
+    """The `prefs grpo` lines of `chunk` from one `grpo_advantages_rows`
+    call per group size, and the number of groups left out because an
+    advantage is not finite. Lines are rendered as in `_dpo_text`."""
+    from .objectives import grpo_advantages_rows
+
+    by_size: dict[int, list[int]] = {}
+    for n, (_, group) in enumerate(chunk):
+        by_size.setdefault(len(group.candidates), []).append(n)
+    advantages: list[list[float]] = [[] for _ in chunk]
+    for members in by_size.values():
+        scores = [[c.score for c in chunk[n][1].candidates] for n in members]
+        for n, row in zip(members, grpo_advantages_rows(scores).tolist()):
+            advantages[n] = row
+    lines = []
+    failures = 0
+    for (lineno, group), row in zip(chunk, advantages):
+        if not all(map(math.isfinite, row)):
+            _report_not_finite(path, lineno, group, "advantage")
+            failures += 1
+            continue
+        values = ",".join(map(repr, row))
+        lines.append(f'{{"query_id":{json.dumps(group.query_id)},"advantages":[{values}]}}\n')
+    return "".join(lines), failures
+
+
 def cmd_prefs(args: argparse.Namespace) -> int:
-    from .objectives import DpoConfig, build_pairs, dpo_loss, grpo_advantages
+    from .objectives import DpoConfig, build_pairs
 
     groups, failures = _read_groups(args.groups)
     if failures:
         return 1
     if args.min_score_variance > 0.0:
-        kept = [g for g in groups if g.passes_difficulty_filter(args.min_score_variance)]
+        kept = []
+        for lineno, group in groups:
+            variance = group.score_variance()
+            if not math.isfinite(variance):
+                _report_not_finite(args.groups, lineno, group, "score variance")
+                failures += 1
+            elif variance >= args.min_score_variance:
+                kept.append((lineno, group))
         log.info("difficulty filter kept %d of %d groups", len(kept), len(groups))
         groups = kept
     if args.prefs_command == "pairs":
-        for group in groups:
-            for pair in build_pairs(group, args.margin):
+        for lineno, group in groups:
+            pairs = build_pairs(group, args.margin)
+            if not all(math.isfinite(pair.score_gap) for pair in pairs):
+                _report_not_finite(args.groups, lineno, group, "score gap")
+                failures += 1
+                continue
+            for pair in pairs:
                 _emit(
                     {
                         "query_id": group.query_id,
@@ -359,28 +424,17 @@ def cmd_prefs(args: argparse.Namespace) -> int:
                         "score_gap": pair.score_gap,
                     }
                 )
-    elif args.prefs_command == "dpo":
+        return 1 if failures else 0
+    if args.prefs_command == "dpo":
         cfg = DpoConfig(beta=args.beta, nll_weight=args.nll_weight)
-        for group in groups:
-            for pair in build_pairs(group, args.margin):
-                result = dpo_loss(pair.chosen, pair.rejected, cfg)
-                _emit(
-                    {
-                        "query_id": group.query_id,
-                        "chosen_index": pair.chosen_index,
-                        "rejected_index": pair.rejected_index,
-                        "loss": result.loss,
-                        "d_logprob_policy_chosen": result.d_logprob_policy_chosen,
-                        "d_logprob_policy_rejected": result.d_logprob_policy_rejected,
-                        "d_logprob_reference_chosen": result.d_logprob_reference_chosen,
-                        "d_logprob_reference_rejected": result.d_logprob_reference_rejected,
-                    }
-                )
+        chunk_text = partial(_dpo_text, margin=args.margin, cfg=cfg)
     else:
-        for group in groups:
-            advantages = grpo_advantages([c.score for c in group.candidates])
-            _emit({"query_id": group.query_id, "advantages": advantages})
-    return 0
+        chunk_text = _grpo_text
+    for start in range(0, len(groups), _PREFS_CHUNK):
+        text, bad = chunk_text(args.groups, groups[start : start + _PREFS_CHUNK])
+        sys.stdout.write(text)
+        failures += bad
+    return 1 if failures else 0
 
 
 def _phase(value: str) -> Phase:

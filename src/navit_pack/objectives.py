@@ -7,6 +7,12 @@ multiple-choice to fill-in-the-blank conversion. Sequence log
 probabilities arrive as scalars per candidate; there is no token-level
 machinery here.
 
+The objectives are computed over arrays: `dpo_losses` takes one column
+per logprob input and `grpo_advantages_rows` one row per group. The
+scalar forms `dpo_loss` (one pair) and `grpo_advantages` (one group) are
+one-row views of them, so both run the same arithmetic. `pair_indices`
+holds the pair-order rule that `build_pairs` applies to a group.
+
 Functional forms and defaults are pinned in docs/objectives.md.
 """
 
@@ -17,12 +23,15 @@ import json
 import math
 import string
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .chat import ThinkingOutput
 from .errors import NonFiniteInput
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "AnswerKind",
@@ -37,8 +46,11 @@ __all__ = [
     "GRPO_EPSILON",
     "build_pairs",
     "dpo_loss",
+    "dpo_losses",
     "grpo_advantages",
+    "grpo_advantages_rows",
     "mcq_to_fill_in_blank",
+    "pair_indices",
     "parse_group_line",
     "verify_answer",
 ]
@@ -90,8 +102,10 @@ class PreferenceGroup:
             raise ValueError(f"group {self.query_id!r} has duplicate responses")
 
     def score_variance(self) -> float:
+        """Population variance of the scores; inf or nan when it overflows."""
         scores = np.array([c.score for c in self.candidates])
-        return float(scores.var())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(scores.var())
 
     def passes_difficulty_filter(self, min_score_variance: float) -> bool:
         """Offline difficulty filter: keep groups whose scores actually
@@ -131,62 +145,98 @@ class DpoResult:
     d_logprob_reference_rejected: float
 
 
-def build_pairs(group: PreferenceGroup, margin: float = 0.0) -> list[PreferencePair]:
-    """Every ordered pair whose score gap exceeds `margin`.
+def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int, int]]:
+    """Every ordered index pair `(i, j)` with `scores[i] - scores[j] > margin`.
 
-    Pairs come out sorted by descending gap, ties by (chosen, rejected)
-    index, so output order is deterministic.
+    Pairs come out sorted by descending gap, ties by `(i, j)`, so output
+    order is deterministic.
     """
     if margin < 0.0:
         raise ValueError(f"margin must be non-negative, got {margin}")
+    # `sj - si` is exactly the negated gap, so an ascending sort puts the
+    # largest gap first.
+    ranked = sorted(
+        (sj - si, i, j)
+        for i, si in enumerate(scores)
+        for j, sj in enumerate(scores)
+        if si - sj > margin
+    )
+    return [(i, j) for _, i, j in ranked]
+
+
+def build_pairs(group: PreferenceGroup, margin: float = 0.0) -> list[PreferencePair]:
+    """The preference pairs of `group` in `pair_indices` order."""
+    candidates = group.candidates
     pairs = []
-    for i, chosen in enumerate(group.candidates):
-        for j, rejected in enumerate(group.candidates):
-            gap = chosen.score - rejected.score
-            if gap > margin:
-                pairs.append(PreferencePair(i, j, chosen, rejected, gap))
-    pairs.sort(key=lambda p: (-p.score_gap, p.chosen_index, p.rejected_index))
+    for i, j in pair_indices([c.score for c in candidates], margin):
+        chosen, rejected = candidates[i], candidates[j]
+        pairs.append(PreferencePair(i, j, chosen, rejected, chosen.score - rejected.score))
     return pairs
 
 
-def _log_sigmoid(z: float) -> float:
-    # log(sigmoid(z)) = -log(1 + exp(-z)), stable for large |z|
-    return -np.logaddexp(0.0, -z)
+def dpo_losses(
+    lp_c: ArrayLike, lr_c: ArrayLike, lp_r: ArrayLike, lr_r: ArrayLike, cfg: DpoConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Preference loss -log sigmoid(beta * margin) + nll_weight * (-lp_chosen),
+    one entry per pair.
+
+    Takes the policy (`lp_*`) and reference (`lr_*`) logprobs of the chosen
+    (`*_c`) and rejected (`*_r`) candidates, and returns the loss and its
+    partials in the field order of `DpoResult`. The margin is the
+    policy-minus-reference logprob gap between chosen and rejected.
+    Gradients are the true partials of the loss in all four logprobs (the
+    reference enters the margin as given data; nothing is re-estimated).
+    Entries whose inputs overflow come out inf or nan, without a warning.
+    """
+    lp_c, lr_c, lp_r, lr_r = (np.asarray(x, dtype=np.float64) for x in (lp_c, lr_c, lp_r, lr_r))
+    beta, nll = cfg.beta, cfg.nll_weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
+        # -log sigmoid(z) = log(1 + exp(-z)), stable for large |z|
+        loss = np.logaddexp(0.0, -z) + nll * (-lp_c)
+        # d(-log sigmoid(z))/dz = -sigmoid(-z); each branch is computed for
+        # every entry, and the one not taken may overflow.
+        g = np.where(z < 40, -beta / (1.0 + np.exp(z)), -beta * np.exp(-z))
+        return loss, g - nll, -g, -g, g
 
 
 def dpo_loss(chosen: ScoredCandidate, rejected: ScoredCandidate, cfg: DpoConfig) -> DpoResult:
-    """Preference loss -log sigmoid(beta * margin) + nll_weight * (-lp_chosen).
-
-    The margin is the policy-minus-reference logprob gap between chosen
-    and rejected. Gradients are the true partials of the loss in all four
-    logprobs (the reference enters the margin as given data; nothing is
-    re-estimated).
-    """
-    lp_c, lr_c = chosen.logprob_policy, chosen.logprob_reference
-    lp_r, lr_r = rejected.logprob_policy, rejected.logprob_reference
-    m = (lp_c - lr_c) - (lp_r - lr_r)
-    z = cfg.beta * m
-    loss = -_log_sigmoid(z) + cfg.nll_weight * (-lp_c)
-    # d(-log sigmoid(z))/dz = -sigmoid(-z)
-    g = -cfg.beta / (1.0 + np.exp(z)) if z < 40 else -cfg.beta * np.exp(-z)
-    return DpoResult(
-        loss=float(loss),
-        d_logprob_policy_chosen=float(g - cfg.nll_weight),
-        d_logprob_policy_rejected=float(-g),
-        d_logprob_reference_chosen=float(-g),
-        d_logprob_reference_rejected=float(g),
+    """`dpo_losses` for one chosen/rejected pair."""
+    columns = dpo_losses(
+        chosen.logprob_policy,
+        chosen.logprob_reference,
+        rejected.logprob_policy,
+        rejected.logprob_reference,
+        cfg,
     )
+    return DpoResult(*(float(c) for c in columns))
+
+
+def grpo_advantages_rows(rewards: ArrayLike) -> np.ndarray:
+    """Group-standardized advantages (r - mean) / (population std + eps) of
+    each row of a `(groups, k)` reward array.
+
+    A row whose variance overflows has no usable standardization; its
+    advantages are nan, without a warning.
+    """
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] < 2:
+        raise GroupTooSmall(f"need rows of >= 2 rewards, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise NonFiniteInput("rewards contain non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = r.std(axis=1)
+        advantages = (r - r.mean(axis=1, keepdims=True)) / (std + GRPO_EPSILON)[:, None]
+    advantages[~np.isfinite(std)] = np.nan
+    return advantages
 
 
 def grpo_advantages(rewards: Sequence[float]) -> list[float]:
-    """Group-standardized advantages: (r - mean) / (population std + eps)."""
+    """`grpo_advantages_rows` for one group of rewards."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 1 or r.shape[0] < 2:
         raise GroupTooSmall(f"need >= 2 rewards, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise NonFiniteInput("rewards contain non-finite entries")
-    centered = r - r.mean()
-    return [float(a) for a in centered / (r.std() + GRPO_EPSILON)]
+    return grpo_advantages_rows(r[None, :])[0].tolist()
 
 
 class AnswerKind(enum.Enum):

@@ -367,11 +367,16 @@ def parse_manifest_line(line: str) -> ManifestRecord:
 
 def parse_image_size(img: dict, index: int) -> ImageSize:
     """The size of image `index` of a record: positive, non-bool integer
-    `width` and `height`. Manifests and conversations share this rule."""
+    `width` and `height` within float range, since planning scales them
+    as floats. Manifests and conversations share this rule."""
     for key in ("width", "height"):
         val = img.get(key)
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ManifestError(f"image {index}: {key!r} must be a positive integer")
+        try:
+            float(val)
+        except OverflowError:
+            raise ManifestError(f"image {index}: {key!r} is too large") from None
     return ImageSize(width=img["width"], height=img["height"])
 
 

@@ -6,12 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from navit_pack import cli
+from navit_pack.objectives import (
+    DpoConfig,
+    build_pairs,
+    dpo_loss,
+    grpo_advantages,
+    parse_group_line,
+)
 from navit_pack.packing import (
     PackedSequence,
     SampleRecord,
@@ -81,6 +89,17 @@ class TestPlan:
         assert result.returncode == 1
         assert ":2:" in result.stderr
         assert "width" in result.stderr
+
+    @pytest.mark.parametrize("command", ["plan", "pack"])
+    def test_side_beyond_float_range(self, tmp_path, command):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            '{"id": "a", "text_tokens": 1}\n'
+            f'{{"id": "wide", "text_tokens": 1, "images": [{{"width": {10**330}, "height": 5}}]}}\n'
+        )
+        result = run_cli(command, "--manifest", str(manifest))
+        assert result.returncode == 1
+        assert result.stderr == f"{manifest}:2: image 0: 'width' is too large\n"
 
     def test_missing_file(self):
         result = run_cli("plan", "--manifest", "/nonexistent/m.jsonl")
@@ -359,6 +378,7 @@ class TestChat:
             ({"id": "img0", "width": 100, "height": True}, "image 0: 'height' must be a positive integer"),
             ({"id": "img0", "width": 0, "height": 100}, "image 0: 'width' must be a positive integer"),
             ({"id": "img0", "width": 100, "height": 2.5}, "image 0: 'height' must be a positive integer"),
+            ({"id": "img0", "width": 10**330, "height": 100}, "image 0: 'width' is too large"),
         ],
     )
     def test_bad_image_entry(self, tmp_path, image, message):
@@ -495,6 +515,136 @@ class TestPrefs:
         assert [line["query_id"] for line in lines] == ["q1"]
 
 
+def groups_jsonl(sizes, seed, flat=()):
+    """Scored groups of the given sizes; groups whose index is in `flat`
+    have all-equal scores, so they yield no pairs."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for g, k in enumerate(sizes):
+        scores = np.zeros(k) if g in flat else rng.integers(0, 5, size=k) / 4.0
+        reference = rng.uniform(-60.0, -0.5, size=k)
+        policy = reference + rng.normal(0.0, rng.choice([0.1, 2.0, 30.0]), size=k)
+        candidates = [
+            {"response": f"r{j}", "logprob_policy": float(policy[j]),
+             "logprob_reference": float(reference[j]), "score": float(scores[j])}
+            for j in range(k)
+        ]
+        lines.append(json.dumps({"query_id": f'q{g}"é', "candidates": candidates}) + "\n")
+    return "".join(lines)
+
+
+def prefs_oracle(text, command, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0):
+    """Expected `prefs dpo` / `prefs grpo` stdout, one `json.dumps` per line."""
+    out = []
+    for line in text.splitlines():
+        group = parse_group_line(line)
+        if min_score_variance > 0.0 and not group.passes_difficulty_filter(min_score_variance):
+            continue
+        if command == "grpo":
+            advantages = grpo_advantages([c.score for c in group.candidates])
+            out.append({"query_id": group.query_id, "advantages": advantages})
+            continue
+        for pair in build_pairs(group, margin):
+            result = dpo_loss(pair.chosen, pair.rejected, DpoConfig(beta, nll_weight))
+            out.append(
+                {
+                    "query_id": group.query_id,
+                    "chosen_index": pair.chosen_index,
+                    "rejected_index": pair.rejected_index,
+                    "loss": result.loss,
+                    "d_logprob_policy_chosen": result.d_logprob_policy_chosen,
+                    "d_logprob_policy_rejected": result.d_logprob_policy_rejected,
+                    "d_logprob_reference_chosen": result.d_logprob_reference_chosen,
+                    "d_logprob_reference_rejected": result.d_logprob_reference_rejected,
+                }
+            )
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in out)
+
+
+_SMALL = [2, 3, 4, 5, 6, 7, 8]
+
+
+class TestPrefsChunked:
+    """`prefs dpo` and `prefs grpo` compute a chunk of groups per array
+    call; their stdout must equal the per-pair and per-group oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            groups_jsonl([_SMALL[g % 7] for g in range(64)], 1),
+            groups_jsonl([_SMALL[g % 7] for g in range(65)], 2),
+            groups_jsonl([_SMALL[g % 7] for g in range(140)], 3, flat=range(64, 128)),
+            groups_jsonl([2 + (g * 17) % 39 for g in range(150)], 4),
+        ],
+        ids=["empty", "64", "65", "no-pairs-chunk", "sizes-2-40"],
+    )
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("dpo", {}),
+            ("dpo", {"beta": 2.5, "nll_weight": 0.3, "margin": 0.25}),
+            ("dpo", {"beta": 300.0}),
+            ("grpo", {}),
+            ("grpo", {"min_score_variance": 0.05}),
+        ],
+    )
+    def test_matches_oracle(self, tmp_path, capsys, text, command, options):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(text, encoding="utf-8")
+        argv = ["prefs", command, "--groups", str(groups)]
+        for name, value in options.items():
+            argv += ["--" + name.replace("_", "-"), repr(value)]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == prefs_oracle(text, command, **options)
+
+
+def candidates_json(*rows):
+    return json.dumps(
+        {
+            "query_id": "q2",
+            "candidates": [
+                {"response": f"r{j}", "logprob_policy": lp, "logprob_reference": lr, "score": s}
+                for j, (lp, lr, s) in enumerate(rows)
+            ],
+        }
+    )
+
+
+class TestPrefsNonFinite:
+    """Finite inputs whose results overflow: the group gets a diagnostic
+    and no line, the others are written, and no numpy warning shows."""
+
+    @pytest.mark.parametrize(
+        "argv, bad_group, what",
+        [
+            (["dpo"], candidates_json((-1e308, 1e308, 1.0), (-1.0, -1.0, 0.0)), "loss or gradient"),
+            (["dpo", "--nll-weight", "2"], candidates_json((-1e308, -1e308, 1.0), (-1.0, -1.0, 0.0)),
+             "loss or gradient"),
+            (["pairs"], candidates_json((-1.0, -1.0, 1e308), (-1.0, -1.0, -1e308)), "score gap"),
+            (["grpo"], candidates_json((-1.0, -1.0, 1e308), (-1.0, -1.0, -1e308)), "advantage"),
+            (["pairs", "--min-score-variance", "0.1"],
+             candidates_json((-1.0, -1.0, 1e308), (-1.0, -1.0, -1e308)), "score variance"),
+        ],
+        ids=["dpo-margin", "dpo-nll", "pairs-gap", "grpo-variance", "filter-variance"],
+    )
+    def test_group_reported_and_skipped(self, tmp_path, argv, bad_group, what):
+        good = GROUPS.strip()
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(f"{good}\n{bad_group}\n{good.replace('q1', 'q3')}\n")
+        result = run_cli("prefs", argv[0], "--groups", str(groups), *argv[1:])
+        assert result.returncode == 1
+        assert result.stderr == f"{groups}:2: query 'q2': {what} is not finite\n"
+        lines = [json.loads(line) for line in result.stdout.splitlines()]
+        assert {line["query_id"] for line in lines} == {"q1", "q3"}
+        alone = tmp_path / "alone.jsonl"
+        alone.write_text(f"{good}\n")
+        expected = run_cli("prefs", argv[0], "--groups", str(alone), *argv[1:]).stdout
+        assert result.stdout == expected + expected.replace('"q1"', '"q3"')
+
+
 class TestVerify:
     def test_passes_and_is_deterministic(self):
         first = run_cli("verify", "--seed", "3")
@@ -575,23 +725,28 @@ class TestManifestSchemaItself:
 
 
 class TestCliConfig:
-    def test_invalid_knobs_rejected(self):
-        from navit_pack.cli import CliConfig
+    def test_invalid_knobs_rejected(self, capsys):
+        for option in ("--capacity", "--batch-size"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["pack", "--manifest", "unused.jsonl", option, "0"])
+            assert exit_info.value.code == 2
+            assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
 
-        with pytest.raises(ValueError):
-            CliConfig(capacity=0)
-        with pytest.raises(ValueError):
-            CliConfig(batch_size=0)
-
-    def test_defaults(self):
-        from navit_pack.cli import CliConfig
-        from navit_pack.geometry import Phase
-
-        cfg = CliConfig()
-        assert cfg.phase is Phase.P2
-        assert cfg.capacity == 8192
-        assert cfg.batch_size == 8
-        assert cfg.strict_parse is True
+    def test_defaults(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(MANIFEST)
+        default = run_cli("pack", "--manifest", str(manifest))
+        explicit = run_cli(
+            "pack", "--manifest", str(manifest), "--phase", "p2", "--capacity", "8192",
+            "--batch-size", "8",
+        )
+        assert default.returncode == 0 and default.stderr == ""
+        assert default.stdout == explicit.stdout
+        lines = [json.loads(line) for line in default.stdout.splitlines()]
+        assert {line["capacity"] for line in lines} == {8192}
+        parsed = run_cli("parse", stdin="<think>a")
+        assert parsed.returncode == 1
+        assert parsed.stderr.startswith("malformed think block")
 
     def test_log_env_var_enables_info_logging(self, tmp_path):
         manifest = tmp_path / "m.jsonl"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import finite_difference, rel_err
 from navit_pack.chat import ThinkingOutput
@@ -20,7 +21,9 @@ from navit_pack.objectives import (
     UnparseableNumeric,
     build_pairs,
     dpo_loss,
+    dpo_losses,
     grpo_advantages,
+    grpo_advantages_rows,
     mcq_to_fill_in_blank,
     parse_group_line,
     verify_answer,
@@ -194,7 +197,86 @@ class TestDpoLoss:
             DpoConfig(beta=1.0, nll_weight=-0.1)
 
 
+def math_dpo(lp_c, lr_c, lp_r, lr_r, beta, nll):
+    """Loss and partials from the pinned form with plain `math`: softplus
+    and sigmoid in their overflow-free forms, no shared code."""
+    z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
+    softplus = max(-z, 0.0) + math.log1p(math.exp(-abs(z)))  # log(1 + e^-z)
+    if z >= 0:
+        sigmoid_neg = math.exp(-z) / (1.0 + math.exp(-z))
+    else:
+        sigmoid_neg = 1.0 / (1.0 + math.exp(z))
+    g = -beta * sigmoid_neg
+    return softplus + nll * (-lp_c), g - nll, -g, -g, g
+
+
+class TestDpoLosses:
+    @pytest.mark.parametrize("nll", [0.0, 0.25])
+    def test_matches_math_reference_on_both_sides_of_z_40(self, nll):
+        rng = np.random.default_rng(11)
+        n = 4000
+        lp_c, lr_c, lp_r, lr_r = rng.uniform(-60.0, 0.0, (4, n))
+        beta = 2.0
+        cfg = DpoConfig(beta=beta, nll_weight=nll)
+        columns = dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg)
+        z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
+        assert (z < 40).sum() > 100 and (z >= 40).sum() > 100
+        for k in range(n):
+            want = math_dpo(lp_c[k], lr_c[k], lp_r[k], lr_r[k], beta, cfg.nll_weight)
+            for got, expected in zip((c[k] for c in columns), want):
+                assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0), (k, got, expected)
+
+    def test_scalar_form_is_one_row(self):
+        rng = np.random.default_rng(12)
+        cfg = DpoConfig(beta=3.0, nll_weight=0.1)
+        lps = rng.uniform(-30.0, 0.0, (4, 50))
+        columns = dpo_losses(*lps, cfg)
+        for k in range(50):
+            result = dpo_loss(
+                candidate(lps[0, k], lps[1, k]), candidate(lps[2, k], lps[3, k], "y"), cfg
+            )
+            assert [result.loss, result.d_logprob_policy_chosen, result.d_logprob_policy_rejected,
+                    result.d_logprob_reference_chosen, result.d_logprob_reference_rejected] == [
+                c[k] for c in columns
+            ]
+
+    def test_overflow_is_non_finite_without_warning(self):
+        with np.errstate(all="raise"):
+            loss, *grads = dpo_losses([-1e308], [1e308], [0.0], [0.0], DpoConfig())
+        assert loss[0] == math.inf
+        assert all(np.isfinite(g[0]) for g in grads)
+
+
 class TestGrpoAdvantages:
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(2, 40)),
+            elements=st.floats(-1e308, 1e308, allow_nan=False),
+        )
+    )
+    def test_rows_equal_one_dimensional_bit_for_bit(self, rewards):
+        rows = grpo_advantages_rows(rewards)
+        expected = np.array([grpo_advantages(row) for row in rewards])
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_rows_of_repeated_group(self):
+        rewards = np.tile([3.0, 1.0, 2.0, 0.5, 7.25, 1.0, 1.0, 4.0, 2.0], (5, 1))
+        rows = grpo_advantages_rows(rewards)
+        assert (rows == grpo_advantages(rewards[0])).all()
+
+    def test_overflowing_variance_gives_nan_without_warning(self):
+        with np.errstate(all="raise"):
+            rows = grpo_advantages_rows([[1e308, -1e308], [1.0, 0.0]])
+        assert np.isnan(rows[0]).all()
+        assert rows[1].tolist() == grpo_advantages([1.0, 0.0])
+
+    def test_rows_need_two_columns(self):
+        with pytest.raises(GroupTooSmall):
+            grpo_advantages_rows([[1.0], [2.0]])
+        with pytest.raises(GroupTooSmall):
+            grpo_advantages_rows([1.0, 2.0])
+
     def test_symmetric_binary_rewards(self):
         advantages = grpo_advantages([1.0, 0.0, 1.0, 0.0])
         np.testing.assert_allclose(advantages, [1.0, -1.0, 1.0, -1.0], atol=1e-7)
