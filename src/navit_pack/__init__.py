@@ -48,7 +48,6 @@ _EXPORTS = {
         "ResizePlan",
         "phase_budget",
         "plan_resize",
-        "token_count",
     ),
     "objectives": (
         "AnswerKind",

@@ -25,6 +25,9 @@ from .packing import (
     ManifestError,
     PackedSequence,
     SampleTooLong,
+    _entry,
+    _list,
+    _record,
     pack_ffd,
     packing_report,
     parse_image_size,
@@ -43,6 +46,10 @@ log = logging.getLogger("navit_pack")
 
 _CONVERSATION_KEYS = {"messages", "images"}
 _MESSAGE_KEYS = {"role", "parts"}
+
+# The largest `pack --capacity`: a sequence line holds `capacity` position
+# ids, and `_position_runs` renders all of them up front.
+_MAX_CAPACITY = 2**20
 
 # At most this many ids are named when samples exceed the capacity.
 _TOO_LONG_SHOWN = 10
@@ -108,7 +115,8 @@ def _plan_json(plan: ResizePlan) -> dict:
     }
 
 
-def _read_manifest_lines(path: str) -> Iterable[tuple[int, str]]:
+def _read_lines(path: str) -> Iterable[tuple[int, str]]:
+    """The non-blank lines of `path` with their line numbers."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
@@ -118,7 +126,7 @@ def _read_manifest_lines(path: str) -> Iterable[tuple[int, str]]:
 def cmd_plan(args: argparse.Namespace) -> int:
     budget = phase_budget(args.phase)
     failures = 0
-    for lineno, line in _read_manifest_lines(args.manifest):
+    for lineno, line in _read_lines(args.manifest):
         try:
             record = parse_manifest_line(line)
         except ManifestError as e:
@@ -141,14 +149,14 @@ def cmd_pack(args: argparse.Namespace) -> int:
     samples = []
     seen_ids: set[str] = set()
     failures = 0
-    for lineno, line in _read_manifest_lines(args.manifest):
+    for lineno, line in _read_lines(args.manifest):
         try:
             record = parse_manifest_line(line)
             if record.id in seen_ids:
                 raise ManifestError(f"duplicate sample id {record.id!r}")
             seen_ids.add(record.id)
             samples.append(sample_from_record(record, budget))
-        except (ManifestError, BudgetInfeasible, ValueError) as e:
+        except ValueError as e:
             _diag(f"{args.manifest}:{lineno}: {e}")
             failures += 1
     if failures:
@@ -156,11 +164,11 @@ def cmd_pack(args: argparse.Namespace) -> int:
     try:
         sequences = pack_ffd(samples, args.capacity)
     except SampleTooLong as e:
-        shown = ", ".join(e.ids[:_TOO_LONG_SHOWN])
+        shown = ", ".join(map(repr, e.ids[:_TOO_LONG_SHOWN]))
         more = len(e.ids) - _TOO_LONG_SHOWN
         if more > 0:
             shown += f", ... ({more} more)"
-        _diag(f"{len(e.ids)} samples exceed capacity {e.capacity}: {shown}")
+        _diag(f"{args.manifest}: {len(e.ids)} samples exceed capacity {e.capacity}: {shown}")
         return 1
     report = packing_report(samples, sequences, args.capacity, args.batch_size)
     log.info(
@@ -175,55 +183,39 @@ def cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _list_field(obj: dict, key: str, where: str = "") -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{where}{key!r} must be a list")
-    return value
-
-
-def _parse_conversation(obj: dict) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
+def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
     from .chat import ChatMessage, ImagePart, Role, TextPart
 
-    if not isinstance(obj, dict):
-        raise ValueError(f"conversation must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - _CONVERSATION_KEYS
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
+    obj = _record(json.loads(text), _CONVERSATION_KEYS, "conversation")
     sizes: dict[str, ImageSize] = {}
-    for i, img in enumerate(_list_field(obj, "images")):
-        if not isinstance(img, dict) or set(img) != {"id", "width", "height"}:
-            raise ValueError(f"image {i} must have exactly id/width/height")
+    for i, img in enumerate(_list(obj, "images")):
+        if not isinstance(img, dict) or img.keys() != {"id", "width", "height"}:
+            raise ManifestError(f"image {i} must have exactly id/width/height")
         image_id = img["id"]
         if not isinstance(image_id, str) or not image_id:
-            raise ValueError(f"image {i}: 'id' must be a non-empty string")
+            raise ManifestError(f"image {i}: 'id' must be a non-empty string")
         if image_id in sizes:
-            raise ValueError(f"duplicate image id {image_id!r}")
+            raise ManifestError(f"duplicate image id {image_id!r}")
         sizes[image_id] = parse_image_size(img, i)
     messages = []
-    for i, msg in enumerate(_list_field(obj, "messages")):
-        if not isinstance(msg, dict):
-            raise ValueError(f"message {i} must be an object")
-        unknown = set(msg) - _MESSAGE_KEYS
-        if unknown:
-            raise ValueError(f"message {i}: unknown field {sorted(unknown)[0]!r}")
+    for i, msg in enumerate(_list(obj, "messages")):
+        _entry(msg, _MESSAGE_KEYS, "message", i)
         try:
             role = Role(msg.get("role"))
         except ValueError:
-            raise ValueError(f"message {i}: invalid role {msg.get('role')!r}") from None
+            raise ManifestError(f"message {i}: invalid role {msg.get('role')!r}") from None
         parts = []
-        for j, part in enumerate(_list_field(msg, "parts", f"message {i}: ")):
-            if not isinstance(part, dict) or len(part) != 1:
-                raise ValueError(f"message {i} part {j}: need exactly one of text/image")
-            if "text" in part and isinstance(part["text"], str):
+        for j, part in enumerate(_list(msg, "parts", f"message {i}: ")):
+            fields = part.keys() if isinstance(part, dict) else ()
+            if fields == {"text"} and isinstance(part["text"], str):
                 parts.append(TextPart(part["text"]))
-            elif "image" in part and isinstance(part["image"], str):
+            elif fields == {"image"} and isinstance(part["image"], str):
                 parts.append(ImagePart(part["image"]))
             else:
-                raise ValueError(f"message {i} part {j}: need exactly one of text/image")
+                raise ManifestError(f"message {i} part {j}: need exactly one of text/image")
         messages.append(ChatMessage(role=role, parts=tuple(parts)))
     if not messages:
-        raise ValueError("conversation has no messages")
+        raise ManifestError("conversation has no messages")
     return messages, sizes
 
 
@@ -235,11 +227,11 @@ def cmd_chat(args: argparse.Namespace) -> int:
     with open(args.conversation, "r", encoding="utf-8") as f:
         text = f.read()
     try:
-        messages, sizes = _parse_conversation(json.loads(text))
+        messages, sizes = _parse_conversation(text)
         budget = phase_budget(args.phase)
         plans = {image_id: plan_resize(size, budget) for image_id, size in sizes.items()}
         prompt = render(messages, args.thinking, plans)
-    except (ValueError, UnresolvedImageRef, BudgetInfeasible, json.JSONDecodeError) as e:
+    except (ValueError, UnresolvedImageRef) as e:
         _diag(f"{args.conversation}: {e}")
         return 1
     sys.stdout.write(prompt.flat_text())
@@ -299,15 +291,12 @@ def _read_groups(path: str) -> tuple[list[tuple[int, PreferenceGroup]], int]:
 
     failures = 0
     groups = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                groups.append((lineno, parse_group_line(line)))
-            except ValueError as e:
-                _diag(f"{path}:{lineno}: {e}")
-                failures += 1
+    for lineno, line in _read_lines(path):
+        try:
+            groups.append((lineno, parse_group_line(line)))
+        except ValueError as e:
+            _diag(f"{path}:{lineno}: {e}")
+            failures += 1
     return groups, failures
 
 
@@ -453,6 +442,13 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _capacity(value: str) -> int:
+    parsed = _positive_int(value)
+    if parsed > _MAX_CAPACITY:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_CAPACITY}, got {value}")
+    return parsed
+
+
 def _finite_float(low: float, inclusive: bool = True) -> Callable[[str], float]:
     """Argparse type for a finite float that is >= low (or > low)."""
 
@@ -489,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     pack = sub.add_parser("pack", help="pack a manifest into fixed-capacity sequences")
     pack.add_argument("--manifest", required=True, help="sample manifest (JSONL)")
     pack.add_argument("--phase", type=_phase, default=Phase.P2)
-    pack.add_argument("--capacity", type=_positive_int, default=8192)
+    pack.add_argument("--capacity", type=_capacity, default=8192)
     pack.add_argument("--batch-size", type=_positive_int, default=8)
     pack.set_defaults(func=cmd_pack)
 

@@ -24,7 +24,6 @@ __all__ = [
     "phase_budget",
     "plan_resize",
     "relative_distortion",
-    "token_count",
 ]
 
 # Targets whose aspect ratio is off from the source by more than this
@@ -93,7 +92,6 @@ class ResizePlan:
     target: ImageSize
     grid_rows: int
     grid_cols: int
-    token_count: int
 
     def __post_init__(self) -> None:
         if self.grid_rows < 1 or self.grid_cols < 1:
@@ -102,11 +100,11 @@ class ResizePlan:
             raise ValueError("target sides must be whole multiples of the patch size")
         if self.target.width // self.grid_cols != self.target.height // self.grid_rows:
             raise ValueError("row and column patch sizes differ")
-        if self.token_count != self.grid_rows * self.grid_cols:
-            raise ValueError(
-                f"token_count {self.token_count} != grid "
-                f"{self.grid_rows}x{self.grid_cols}"
-            )
+
+    @property
+    def token_count(self) -> int:
+        """Number of patch tokens the planned target produces."""
+        return self.grid_rows * self.grid_cols
 
 
 def phase_budget(phase: Phase) -> PixelBudget:
@@ -120,11 +118,6 @@ def phase_budget(phase: Phase) -> PixelBudget:
     if phase in (Phase.P2, Phase.P3):
         return PixelBudget(min_pixels=448**2, max_pixels=1792**2, patch_size=16)
     raise ValueError(f"unknown phase: {phase!r}")
-
-
-def token_count(plan: ResizePlan) -> int:
-    """Number of patch tokens the planned target produces."""
-    return plan.grid_rows * plan.grid_cols
 
 
 def clamp_scale(source: ImageSize, budget: PixelBudget) -> float:
@@ -204,6 +197,12 @@ def _scan_all_rows(
     return best
 
 
+def _short(value: float, spec: str = "") -> str:
+    """`value` as a diagnostic writes it: in exponent form (`1e+300`) above
+    1e15, so that a huge side or factor stays a few characters long."""
+    return f"{value:.3g}" if value > 1e15 else format(value, spec)
+
+
 def plan_resize(
     source: ImageSize,
     budget: PixelBudget,
@@ -255,13 +254,12 @@ def plan_resize(
     distortion = relative_distortion(rows, cols, aspect)
     if distortion > max_distortion:
         raise BudgetInfeasible(
-            f"best grid {rows}x{cols} distorts aspect by {distortion:.3f}x "
-            f"(> {max_distortion}) for source {source.width}x{source.height}"
+            f"best grid {rows}x{cols} distorts aspect by {_short(distortion, '.3f')}x "
+            f"(> {max_distortion}) for source {_short(source.width)}x{_short(source.height)}"
         )
     return ResizePlan(
         source=source,
         target=ImageSize(width=cols * budget.patch_size, height=rows * budget.patch_size),
         grid_rows=rows,
         grid_cols=cols,
-        token_count=rows * cols,
     )

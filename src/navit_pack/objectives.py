@@ -19,7 +19,6 @@ Functional forms and defaults are pinned in docs/objectives.md.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import string
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ import numpy as np
 
 from .chat import ThinkingOutput
 from .errors import NonFiniteInput
+from .packing import ManifestError, _entry, _json_record, _list, _name, _number
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -311,42 +311,22 @@ def mcq_to_fill_in_blank(
 
 
 _GROUP_KEYS = {"query_id", "candidates"}
-_CANDIDATE_KEYS = {"response", "logprob_policy", "logprob_reference", "score"}
+_NUMBER_KEYS = ("logprob_policy", "logprob_reference", "score")
+_CANDIDATE_KEYS = {"response", *_NUMBER_KEYS}
 
 
 def parse_group_line(line: str) -> PreferenceGroup:
     """Parse one scored-group JSONL record, rejecting unknown fields by name."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ValueError(f"record must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - _GROUP_KEYS
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
-    if not isinstance(obj.get("query_id"), str) or not obj["query_id"]:
-        raise ValueError("missing or invalid 'query_id' (non-empty string required)")
-    raw = obj.get("candidates")
-    if not isinstance(raw, list):
-        raise ValueError("'candidates' must be a list")
+    obj = _json_record(line, _GROUP_KEYS)
+    query_id = _name(obj, "query_id")
     candidates = []
-    for i, cand in enumerate(raw):
-        if not isinstance(cand, dict):
-            raise ValueError(f"candidate {i} must be an object")
-        unknown = set(cand) - _CANDIDATE_KEYS
-        if unknown:
-            raise ValueError(f"candidate {i}: unknown field {sorted(unknown)[0]!r}")
-        missing = _CANDIDATE_KEYS - set(cand)
-        if missing:
-            raise ValueError(f"candidate {i}: missing field {sorted(missing)[0]!r}")
+    for i, cand in enumerate(_list(obj, "candidates", required=True)):
+        _entry(cand, _CANDIDATE_KEYS, "candidate", i)
+        if cand.keys() != _CANDIDATE_KEYS:
+            missing = min(_CANDIDATE_KEYS - cand.keys())
+            raise ManifestError(f"candidate {i}: missing field {missing!r}")
         if not isinstance(cand["response"], str):
-            raise ValueError(f"candidate {i}: 'response' must be a string")
-        values = {}
-        for key in ("logprob_policy", "logprob_reference", "score"):
-            val = cand[key]
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ValueError(f"candidate {i}: {key!r} must be a number")
-            values[key] = float(val)
-        candidates.append(ScoredCandidate(response=cand["response"], **values))
-    return PreferenceGroup(query_id=obj["query_id"], candidates=tuple(candidates))
+            raise ManifestError(f"candidate {i}: 'response' must be a string")
+        numbers = [_number(cand, key, "candidate", i) for key in _NUMBER_KEYS]
+        candidates.append(ScoredCandidate(cand["response"], *numbers))
+    return PreferenceGroup(query_id=query_id, candidates=tuple(candidates))

@@ -6,13 +6,20 @@ itself this module produces the attention metadata that keeps packed
 samples independent (position ids restarting per segment, cumulative
 block boundaries) and a waste report comparing against the naive padded
 baseline.
+
+Every input record goes through one set of field checks kept here
+(`_json_record`, `_record`, `_entry`, `_list`, `_name`, `_is_int`,
+`_number`, `_float`): manifest lines, scored groups
+(`objectives.parse_group_line`) and conversations (`cli`). A failed check
+raises ManifestError naming the place of the fault ("candidate 2: "),
+which is formatted only then, so a valid record costs no formatting.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 from .geometry import ImageSize, PixelBudget, ResizePlan, plan_resize
 
@@ -53,7 +60,7 @@ class SampleTooLong(ValueError):
 
 
 class ManifestError(ValueError):
-    """A manifest record is malformed."""
+    """An input record is malformed."""
 
 
 @dataclass(frozen=True)
@@ -71,31 +78,16 @@ class SampleRecord:
 
     id: str
     text_tokens: int
-    image_plans: tuple[ResizePlan, ...]
-    total_tokens: int
+    image_plans: tuple[ResizePlan, ...] = ()
+    total_tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = self.text_tokens + sum(p.token_count for p in self.image_plans)
-        if self.total_tokens != expected:
-            raise ValueError(
-                f"total_tokens {self.total_tokens} != text + image tokens {expected}"
-            )
-        if self.total_tokens < 1:
+        total = self.text_tokens + sum(p.token_count for p in self.image_plans)
+        object.__setattr__(self, "total_tokens", total)
+        if total < 1:
             raise ValueError(f"sample {self.id!r} has zero tokens")
         if self.text_tokens < 0:
             raise ValueError(f"sample {self.id!r} has negative text_tokens")
-
-    @classmethod
-    def build(
-        cls, id: str, text_tokens: int, image_plans: Iterable[ResizePlan] = ()
-    ) -> "SampleRecord":
-        plans = tuple(image_plans)
-        return cls(
-            id=id,
-            text_tokens=text_tokens,
-            image_plans=plans,
-            total_tokens=text_tokens + sum(p.token_count for p in plans),
-        )
 
 
 @dataclass(frozen=True)
@@ -103,15 +95,11 @@ class PackedSequence:
     """One fixed-capacity sequence of contiguous sample segments.
 
     `segments` are (sample id, start offset, length) triples laid out
-    back to back from offset 0; `cumulative_lengths` are the prefix sums
-    of the segment lengths starting at 0, so they delimit the attention
-    blocks and end where padding begins.
+    back to back from offset 0; the rest of the capacity is padding.
     """
 
     capacity: int
     segments: tuple[tuple[str, int, int], ...]
-    pad_tokens: int
-    cumulative_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -125,20 +113,22 @@ class PackedSequence:
             if not 1 <= length <= self.capacity:
                 raise ValueError(f"segment {sample_id!r} has invalid length {length}")
             used += length
-        if used + self.pad_tokens != self.capacity:
-            raise ValueError(
-                f"lengths {used} + pads {self.pad_tokens} != capacity {self.capacity}"
-            )
-        expected_cumulative = (0, *(s + l for _, s, l in self.segments))
-        if self.cumulative_lengths != expected_cumulative:
-            raise ValueError(
-                f"cumulative_lengths {self.cumulative_lengths} != prefix sums "
-                f"{expected_cumulative}"
-            )
+        if used > self.capacity:
+            raise ValueError(f"lengths {used} exceed capacity {self.capacity}")
 
     @property
     def used_tokens(self) -> int:
-        return self.capacity - self.pad_tokens
+        return sum(length for _, _, length in self.segments)
+
+    @property
+    def pad_tokens(self) -> int:
+        return self.capacity - self.used_tokens
+
+    @property
+    def cumulative_lengths(self) -> tuple[int, ...]:
+        """Prefix sums of the segment lengths from 0: they delimit the
+        attention blocks and end where padding begins."""
+        return (0, *(start + length for _, start, length in self.segments))
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,14 +168,7 @@ class PackingReport:
     useful_token_speedup_proxy: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_sequences": self.n_sequences,
-            "capacity": self.capacity,
-            "packed_pad_fraction": self.packed_pad_fraction,
-            "naive_pad_fraction": self.naive_pad_fraction,
-            "useful_token_speedup_proxy": self.useful_token_speedup_proxy,
-        }
+        return asdict(self)
 
 
 def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSequence]:
@@ -247,14 +230,7 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
         for s in contents:
             segments.append((s.id, offset, s.total_tokens))
             offset += s.total_tokens
-        sequences.append(
-            PackedSequence(
-                capacity=capacity,
-                segments=tuple(segments),
-                pad_tokens=capacity - offset,
-                cumulative_lengths=(0, *(seg[1] + seg[2] for seg in segments)),
-            )
-        )
+        sequences.append(PackedSequence(capacity=capacity, segments=tuple(segments)))
     return sequences
 
 
@@ -263,12 +239,10 @@ def naive_batch_waste(samples: Sequence[SampleRecord], batch_size: int) -> Naive
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     total_slots = 0
-    useful = 0
     for start in range(0, len(samples), batch_size):
         batch = samples[start : start + batch_size]
-        width = max(s.total_tokens for s in batch)
-        total_slots += width * len(batch)
-        useful += sum(s.total_tokens for s in batch)
+        total_slots += max(s.total_tokens for s in batch) * len(batch)
+    useful = sum(s.total_tokens for s in samples)
     return NaiveBaseline(total_slots=total_slots, pad_tokens=total_slots - useful)
 
 
@@ -329,6 +303,75 @@ def packing_report(
     )
 
 
+def _record(value: object, allowed: set[str], what: str = "record") -> dict:
+    """`value` as a top-level JSON object holding only `allowed` fields."""
+    if not isinstance(value, dict):
+        raise ManifestError(f"{what} must be a JSON object, got {type(value).__name__}")
+    if not value.keys() <= allowed:
+        raise ManifestError(f"unknown field {min(value.keys() - allowed)!r}")
+    return value
+
+
+def _json_record(line: str, allowed: set[str]) -> dict:
+    """One JSONL line as a record holding only `allowed` fields."""
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ManifestError(f"invalid JSON: {e}") from e
+    except ValueError as e:  # an integer beyond Python's digit limit
+        raise ManifestError(str(e)) from e
+    return _record(value, allowed)
+
+
+def _entry(value: object, allowed: set[str], what: str, index: int) -> dict:
+    """Item `index` of a list of `what`s, as an object with only `allowed` fields."""
+    if not isinstance(value, dict):
+        raise ManifestError(f"{what} {index} must be an object")
+    if not value.keys() <= allowed:
+        unknown = min(value.keys() - allowed)
+        raise ManifestError(f"{what} {index}: unknown field {unknown!r}")
+    return value
+
+
+def _list(obj: dict, key: str, where: str = "", required: bool = False) -> list:
+    """The list field `key` of `obj`; empty when an optional one is absent."""
+    value = obj.get(key, None if required else [])
+    if not isinstance(value, list):
+        raise ManifestError(f"{where}{key!r} must be a list")
+    return value
+
+
+def _name(obj: dict, key: str) -> str:
+    """The required non-empty string field `key` of `obj`."""
+    value = obj.get(key)
+    if not isinstance(value, str) or not value:
+        raise ManifestError(f"missing or invalid {key!r} (non-empty string required)")
+    return value
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: `bool` is an `int` to Python, not to JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float(value: int | float, key: str, what: str, index: int) -> float:
+    """`value` as a float; an integer beyond float range does not convert."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ManifestError(f"{what} {index}: {key!r} is too large") from None
+
+
+def _number(obj: dict, key: str, what: str, index: int) -> float:
+    """The JSON number field `key` of item `index` of a list of `what`s."""
+    value = obj[key]
+    if isinstance(value, float):
+        return value
+    if not _is_int(value):
+        raise ManifestError(f"{what} {index}: {key!r} must be a number")
+    return _float(value, key, what, index)
+
+
 def parse_manifest_line(line: str) -> ManifestRecord:
     """Parse one manifest JSONL record.
 
@@ -336,33 +379,17 @@ def parse_manifest_line(line: str) -> ManifestRecord:
     [{"width": int, "height": int}]}, with "images" optional. Unknown
     keys are rejected by name.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"invalid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ManifestError(f"record must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - _MANIFEST_KEYS
-    if unknown:
-        raise ManifestError(f"unknown field {sorted(unknown)[0]!r}")
-    if "id" not in obj or not isinstance(obj["id"], str) or not obj["id"]:
-        raise ManifestError("missing or invalid 'id' (non-empty string required)")
-    if "text_tokens" not in obj or not isinstance(obj["text_tokens"], int) or isinstance(obj["text_tokens"], bool):
+    obj = _json_record(line, _MANIFEST_KEYS)
+    record_id = _name(obj, "id")
+    text_tokens = obj.get("text_tokens")
+    if not _is_int(text_tokens):
         raise ManifestError("missing or invalid 'text_tokens' (integer required)")
-    if obj["text_tokens"] < 0:
+    if text_tokens < 0:
         raise ManifestError("'text_tokens' must be non-negative")
     images = []
-    raw_images = obj.get("images", [])
-    if not isinstance(raw_images, list):
-        raise ManifestError("'images' must be a list")
-    for i, img in enumerate(raw_images):
-        if not isinstance(img, dict):
-            raise ManifestError(f"image {i} must be an object")
-        unknown = set(img) - _IMAGE_KEYS
-        if unknown:
-            raise ManifestError(f"image {i}: unknown field {sorted(unknown)[0]!r}")
-        images.append(parse_image_size(img, i))
-    return ManifestRecord(id=obj["id"], text_tokens=obj["text_tokens"], images=tuple(images))
+    for i, img in enumerate(_list(obj, "images")):
+        images.append(parse_image_size(_entry(img, _IMAGE_KEYS, "image", i), i))
+    return ManifestRecord(id=record_id, text_tokens=text_tokens, images=tuple(images))
 
 
 def parse_image_size(img: dict, index: int) -> ImageSize:
@@ -371,16 +398,13 @@ def parse_image_size(img: dict, index: int) -> ImageSize:
     as floats. Manifests and conversations share this rule."""
     for key in ("width", "height"):
         val = img.get(key)
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        if not _is_int(val) or val < 1:
             raise ManifestError(f"image {index}: {key!r} must be a positive integer")
-        try:
-            float(val)
-        except OverflowError:
-            raise ManifestError(f"image {index}: {key!r} is too large") from None
+        _float(val, key, "image", index)
     return ImageSize(width=img["width"], height=img["height"])
 
 
 def sample_from_record(record: ManifestRecord, budget: PixelBudget) -> SampleRecord:
     """Plan the record's images under `budget` and total up its tokens."""
     plans = tuple(plan_resize(size, budget) for size in record.images)
-    return SampleRecord.build(record.id, record.text_tokens, plans)
+    return SampleRecord(record.id, record.text_tokens, plans)

@@ -295,7 +295,7 @@ def check_ffd_opt(seed: int, fault: bool = False, manifests: int = 40) -> CheckR
     for _ in range(manifests):
         lengths = [int(rng.integers(1, capacity + 1)) for _ in range(int(rng.integers(1, 11)))]
         samples = [
-            packing.SampleRecord.build(f"s{i:02d}", length)
+            packing.SampleRecord(f"s{i:02d}", length)
             for i, length in enumerate(lengths)
         ]
         sequences = packing.pack_ffd(samples, capacity)

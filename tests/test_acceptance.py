@@ -68,7 +68,7 @@ def synthetic_manifest(n, seed, capacity=8192):
         if rng.random() < 0.3:
             size = ImageSize(int(rng.integers(64, 1025)), int(rng.integers(64, 1025)))
             plans = (plan_resize(size, budget),)
-        samples.append(SampleRecord.build(f"s{i:05d}", text, plans))
+        samples.append(SampleRecord(f"s{i:05d}", text, plans))
     assert all(s.total_tokens <= capacity for s in samples)
     return samples
 
@@ -315,7 +315,7 @@ def test_c07_packing_soundness():
                 for _ in range(int(rng.integers(1, 11)))
             ]
             seqs = pack_ffd(
-                [SampleRecord.build(f"s{i}", n) for i, n in enumerate(lengths)], small_cap
+                [SampleRecord(f"s{i}", n) for i, n in enumerate(lengths)], small_cap
             )
             opt = optimal_bin_count(lengths, small_cap)
             assert len(seqs) <= math.ceil(11.0 / 9.0 * opt) + 1
@@ -330,7 +330,7 @@ def test_c08_waste_reduction():
         assert report.packed_pad_fraction < report.naive_pad_fraction
         assert report.useful_token_speedup_proxy > 1.0
 
-        fixture = [SampleRecord.build("a", 10), SampleRecord.build("b", 1)]
+        fixture = [SampleRecord("a", 10), SampleRecord("b", 1)]
         fixture_report = packing_report(
             fixture, pack_ffd(fixture, 11), capacity=11, batch_size=2
         )

@@ -101,6 +101,25 @@ class TestPlan:
         assert result.returncode == 1
         assert result.stderr == f"{manifest}:2: image 0: 'width' is too large\n"
 
+    def test_distortion_diagnostic_stays_short(self, tmp_path):
+        # Sides and factors above 1e15 are written in exponent form; the
+        # 10**300-wide image used to give a 684-character line.
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            '{"id": "a", "text_tokens": 1, "images": [{"width": 10000, "height": 3}]}\n'
+            f'{{"id": "b", "text_tokens": 1, "images": [{{"width": {10**300}, "height": 3}}]}}\n'
+        )
+        result = run_cli("plan", "--manifest", str(manifest))
+        assert result.returncode == 1
+        where = f"{manifest}"
+        assert result.stderr.splitlines() == [
+            f"{where}:1: image 0: best grid 1x1617 distorts aspect by 2.061x (> 2.0) "
+            "for source 10000x3",
+            f"{where}:2: image 0: best grid 1x12544 distorts aspect by 2.66e+295x (> 2.0) "
+            "for source 1e+300x3",
+        ]
+        assert all(len(line) - len(where) < 200 for line in result.stderr.splitlines())
+
     def test_missing_file(self):
         result = run_cli("plan", "--manifest", "/nonexistent/m.jsonl")
         assert result.returncode == 1
@@ -134,6 +153,35 @@ class TestPack:
         result = run_cli("pack", "--manifest", str(manifest), "--capacity", "10")
         assert result.returncode == 1
         assert "huge" in result.stderr
+
+    def test_zero_token_record_names_line(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "text_tokens": 2}\n{"id": "z", "text_tokens": 0}\n')
+        result = run_cli("pack", "--manifest", str(manifest))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{manifest}:2: sample 'z' has zero tokens\n"
+
+    def test_capacity_maximum_accepted(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "text_tokens": 3}\n')
+        assert cli.main(["pack", "--manifest", str(manifest), "--capacity", str(2**20)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        sequence, report = (json.loads(line) for line in out.splitlines())
+        assert sequence["pad_tokens"] == 2**20 - 3
+        assert len(sequence["position_ids"]) == 2**20
+        validator("packed_sequence_line").validate({**sequence, "position_ids": []})
+        validator("packing_report").validate(report)
+
+    @pytest.mark.parametrize("capacity", [2**20 + 1, 99999999999])
+    def test_capacity_above_maximum_is_usage_error(self, capsys, capacity):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["pack", "--manifest", "unused.jsonl", "--capacity", str(capacity)])
+        assert exit_info.value.code == 2
+        assert (
+            f"argument --capacity: must be <= 1048576, got {capacity}" in capsys.readouterr().err
+        )
 
     def test_duplicate_id_rejected(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
@@ -172,8 +220,8 @@ class TestPackTooLong:
         assert result.returncode == 1
         assert result.stdout == ""
         (line,) = result.stderr.splitlines()
-        assert line.startswith("13 samples exceed capacity 10: big00, big01,")
-        assert all(f"big{i:02d}" in line for i in range(10))
+        assert line.startswith(f"{manifest}: 13 samples exceed capacity 10: 'big00', 'big01',")
+        assert all(f"'big{i:02d}'" in line for i in range(10))
         assert "big10" not in line and "big12" not in line
         assert line.endswith("(3 more)")
 
@@ -189,12 +237,7 @@ def sequence_of(capacity, lengths, sample_id="s"):
     for i, length in enumerate(lengths):
         segments.append((f"{sample_id}{i}", offset, length))
         offset += length
-    return PackedSequence(
-        capacity=capacity,
-        segments=tuple(segments),
-        pad_tokens=capacity - offset,
-        cumulative_lengths=(0, *(start + length for _, start, length in segments)),
-    )
+    return PackedSequence(capacity=capacity, segments=tuple(segments))
 
 
 # Capacities on both sides of each change in digit count.
@@ -255,7 +298,7 @@ class TestSequenceLine:
         )
         result = run_cli("pack", "--manifest", str(manifest), "--capacity", "1101")
         assert result.returncode == 0, result.stderr
-        samples = [SampleRecord.build(f"s{i:02d}", n) for i, n in enumerate(lengths)]
+        samples = [SampleRecord(f"s{i:02d}", n) for i, n in enumerate(lengths)]
         sequences = pack_ffd(samples, 1101)
         report = packing_report(samples, sequences, 1101, 8)
         expected = [oracle_line(seq) for seq in sequences]

@@ -15,7 +15,6 @@ from navit_pack.geometry import (
     ResizePlan,
     phase_budget,
     plan_resize,
-    token_count,
 )
 
 SMALL = PixelBudget(min_pixels=64**2, max_pixels=160**2, patch_size=16)
@@ -122,9 +121,8 @@ class TestPlanResize:
             target=ImageSize(cols * 16, rows * 16),
             grid_rows=rows,
             grid_cols=cols,
-            token_count=rows * cols,
         )
-        assert token_count(plan) == expected
+        assert plan.token_count == expected
 
     def test_extreme_sliver_rejected(self):
         with pytest.raises(BudgetInfeasible):

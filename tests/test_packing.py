@@ -27,7 +27,7 @@ from navit_pack.selfcheck import _dense_block_attention, optimal_bin_count
 
 
 def samples_of(lengths):
-    return [SampleRecord.build(f"s{i:03d}", n) for i, n in enumerate(lengths)]
+    return [SampleRecord(f"s{i:03d}", n) for i, n in enumerate(lengths)]
 
 
 def report_of(samples, capacity, batch_size):
@@ -79,7 +79,7 @@ class TestPackFfd:
         assert err.value.ids == ["s001", "s003"]
 
     def test_duplicate_ids_rejected(self):
-        dup = [SampleRecord.build("same", 3), SampleRecord.build("same", 4)]
+        dup = [SampleRecord("same", 3), SampleRecord("same", 4)]
         with pytest.raises(ValueError, match="duplicate"):
             pack_ffd(dup, capacity=10)
 
@@ -124,7 +124,7 @@ class TestSegmentTreeFirstFit:
 
     def test_equal_lengths_ties_broken_by_id(self):
         ids = [f"id{i}" for i in np.random.default_rng(1).permutation(30)]
-        samples = [SampleRecord.build(sid, 5) for sid in ids]
+        samples = [SampleRecord(sid, 5) for sid in ids]
         self.assert_matches_oracle(samples, 12)
         assert contents_of(pack_ffd(samples, 12))[0] == ["id0", "id1"]
 
@@ -163,7 +163,7 @@ class TestSegmentTreeFirstFit:
             ),
             label="ids",
         )
-        samples = [SampleRecord.build(sid, n) for sid, n in zip(ids, lengths)]
+        samples = [SampleRecord(sid, n) for sid, n in zip(ids, lengths)]
         self.assert_matches_oracle(samples, capacity)
 
 
@@ -209,20 +209,13 @@ class TestNaiveBaseline:
 
 class TestAttentionMetadata:
     def test_two_segments_with_padding(self):
-        seq = PackedSequence(
-            capacity=6,
-            segments=(("a", 0, 3), ("b", 3, 2)),
-            pad_tokens=1,
-            cumulative_lengths=(0, 3, 5),
-        )
+        seq = PackedSequence(capacity=6, segments=(("a", 0, 3), ("b", 3, 2)))
         cumulative, positions = build_attention_metadata(seq)
         assert positions == [0, 1, 2, 0, 1, PAD_POSITION]
         assert cumulative == [0, 3, 5]
 
     def test_full_sequence(self):
-        seq = PackedSequence(
-            capacity=4, segments=(("a", 0, 4),), pad_tokens=0, cumulative_lengths=(0, 4)
-        )
+        seq = PackedSequence(capacity=4, segments=(("a", 0, 4),))
         cumulative, positions = build_attention_metadata(seq)
         assert positions == [0, 1, 2, 3]
         assert cumulative == [0, 4]
@@ -333,27 +326,15 @@ class TestManifestParsing:
 class TestPackedSequenceValidation:
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
-            PackedSequence(
-                capacity=6,
-                segments=(("a", 0, 2), ("b", 3, 2)),
-                pad_tokens=1,
-                cumulative_lengths=(0, 2, 5),
-            )
+            PackedSequence(capacity=6, segments=(("a", 0, 2), ("b", 3, 2)))
 
-    def test_wrong_pad_count_rejected(self):
-        with pytest.raises(ValueError):
-            PackedSequence(
-                capacity=6,
-                segments=(("a", 0, 2),),
-                pad_tokens=1,
-                cumulative_lengths=(0, 2),
-            )
+    def test_lengths_beyond_capacity_rejected(self):
+        with pytest.raises(ValueError, match="lengths 7 exceed capacity 6"):
+            PackedSequence(capacity=6, segments=(("a", 0, 4), ("b", 4, 3)))
 
-    def test_wrong_cumulative_rejected(self):
-        with pytest.raises(ValueError):
-            PackedSequence(
-                capacity=6,
-                segments=(("a", 0, 2), ("b", 2, 2)),
-                pad_tokens=2,
-                cumulative_lengths=(0, 2, 5),
-            )
+    def test_derived_fields(self):
+        seq = PackedSequence(capacity=9, segments=(("a", 0, 4), ("b", 4, 3)))
+        assert (seq.used_tokens, seq.pad_tokens) == (7, 2)
+        assert seq.cumulative_lengths == (0, 4, 7)
+        empty = PackedSequence(capacity=3, segments=())
+        assert (empty.pad_tokens, empty.cumulative_lengths) == (3, (0,))
