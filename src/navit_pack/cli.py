@@ -186,7 +186,11 @@ def cmd_pack(args: argparse.Namespace) -> int:
 def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
     from .chat import ChatMessage, ImagePart, Role, TextPart
 
-    obj = _record(json.loads(text), _CONVERSATION_KEYS, "conversation")
+    try:
+        value = json.loads(text)
+    except RecursionError as e:  # nesting deeper than the decoder can follow
+        raise ManifestError(f"invalid JSON: {e}") from None
+    obj = _record(value, _CONVERSATION_KEYS, "conversation")
     sizes: dict[str, ImageSize] = {}
     for i, img in enumerate(_list(obj, "images")):
         if not isinstance(img, dict) or img.keys() != {"id", "width", "height"}:
@@ -436,7 +440,11 @@ def _phase(value: str) -> Phase:
 
 
 def _positive_int(value: str) -> int:
-    parsed = int(value)
+    # argparse would name this function in its own "invalid ... value" text.
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return parsed

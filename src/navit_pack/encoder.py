@@ -28,9 +28,9 @@ __all__ = [
     "rope_dot_relative",
 ]
 
-# Most score entries one query tile of block_diag_forward holds (8 MiB of
+# Most score entries one query tile of block_diag_forward holds (1 MiB of
 # float64), whatever the block length.
-_TILE_ENTRIES = 1 << 20
+_TILE_ENTRIES = 1 << 17
 
 
 class DisabledRope(RuntimeError):
@@ -272,8 +272,11 @@ def block_diag_forward(
     the sum of squared block lengths rather than the square of the
     sequence length, and each sample's output rows equal an isolated
     forward on that sample. Query rows go in tiles of at most
-    `_TILE_ENTRIES` scores, which bounds the working memory of a long
-    block. An empty sequence gives an empty (0, d_model) result.
+    `_TILE_ENTRIES` (2^17) scores, which bounds the working memory of a
+    long block. The 1/sqrt(d_head) scale is folded into the queries once,
+    and each row is normalised by its softmax sum after the value
+    product, so a tile's n x n scores take no multiply or divide pass.
+    An empty sequence gives an empty (0, d_model) result.
     """
     x = np.asarray(packed.embeddings, dtype=np.float64)
     if x.shape[1] != weights.d_model:
@@ -286,8 +289,10 @@ def block_diag_forward(
     if rope.enabled:
         q = apply_rope_2d(q, packed.positions, rope)
         k = apply_rope_2d(k, packed.positions, rope)
+    # In place: `q` is a fresh array, and a scaled copy would add its size
+    # to peak memory.
+    q *= 1.0 / np.sqrt(weights.d_head)
 
-    scale = 1.0 / np.sqrt(weights.d_head)
     heads = np.empty_like(v)
     b = packed.sample_boundaries
     for lo, hi in zip(b[:-1], b[1:]):
@@ -296,9 +301,7 @@ def block_diag_forward(
         for start in range(lo, hi, tile_rows):
             stop = min(start + tile_rows, hi)
             scores = q[start:stop] @ k_block.T
-            scores *= scale
             scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
-            scores /= scores.sum(axis=1, keepdims=True)
-            heads[start:stop] = scores @ v_block
+            heads[start:stop] = (scores @ v_block) / scores.sum(axis=1, keepdims=True)
     return heads @ weights.wo

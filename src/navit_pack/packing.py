@@ -316,7 +316,7 @@ def _json_record(line: str, allowed: set[str]) -> dict:
     """One JSONL line as a record holding only `allowed` fields."""
     try:
         value = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"invalid JSON: {e}") from e
     except ValueError as e:  # an integer beyond Python's digit limit
         raise ManifestError(str(e)) from e

@@ -58,14 +58,29 @@ class ProbVisualToken:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = self.probs
-        if p.ndim != 1:
-            raise ShapeMismatch(f"probs must be a vector, got shape {p.shape}")
-        if p.min() < 0.0:
-            raise ValueError(f"probabilities must be non-negative, min is {p.min()}")
-        total = p.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        if self.probs.ndim != 1:
+            raise ShapeMismatch(f"probs must be a vector, got shape {self.probs.shape}")
+        _check_probs(self.probs[None, :])
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    """Raise unless each row of `probs` (rows, vocab) is a distribution.
+
+    Every entry must be >= 0 and every row must sum to 1 within 1e-9. The
+    error names the first bad row's minimum or sum; a row whose sum is
+    NaN or infinite raises `NonFiniteInput`.
+    """
+    lows = probs.min(axis=1)
+    totals = probs.sum(axis=1)
+    bad = ~((lows >= 0.0) & (np.abs(totals - 1.0) <= 1e-9))
+    if not bad.any():
+        return
+    row = probs[int(np.argmax(bad))]
+    if row.min() < 0.0:
+        raise ValueError(f"probabilities must be non-negative, min is {row.min()}")
+    total = row.sum()
+    error = ValueError if np.isfinite(total) else NonFiniteInput
+    raise error(f"probabilities must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -95,16 +110,22 @@ class VisualEmbeddingTable:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # One temporary, then in place: at encode sizes (4096 x 64) a fresh
+    # array per step took longer than the arithmetic on it.
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken]:
     """Map each feature row to its distribution over visual words.
 
     Row i is softmax(features_i @ projection / temperature), computed with
-    max subtraction so large logits stay finite.
+    max subtraction so large logits stay finite. The whole probability
+    array is checked once, with the rule `ProbVisualToken` applies to one
+    row, and each token holds a view of its row. Logits that overflow to
+    infinity give NaN probabilities and raise `NonFiniteInput`.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -116,8 +137,18 @@ def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken
         )
     if not np.isfinite(f).all():
         raise NonFiniteInput("features contain non-finite entries")
-    probs = _softmax_rows(f @ head.projection / head.temperature)
-    return [ProbVisualToken(probs=row) for row in probs]
+    logits = f @ head.projection
+    logits /= head.temperature
+    probs = _softmax_rows(logits)
+    _check_probs(probs)
+    # Each row was checked with its array: skip the per-row __post_init__.
+    new, set_field = object.__new__, object.__setattr__
+    tokens = []
+    for row in probs:
+        token = new(ProbVisualToken)
+        set_field(token, "probs", row)
+        tokens.append(token)
+    return tokens
 
 
 def vet_embed(token: ProbVisualToken, vet: VisualEmbeddingTable) -> np.ndarray:

@@ -183,6 +183,13 @@ class TestPack:
             f"argument --capacity: must be <= 1048576, got {capacity}" in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("option", ["--capacity", "--batch-size"])
+    def test_non_integer_is_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["pack", "--manifest", "unused.jsonl", option, "x"])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_duplicate_id_rejected(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text(

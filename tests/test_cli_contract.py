@@ -229,6 +229,21 @@ def test_mutated_records_keep_the_contract(command, rng):
             _validate(schema, _strict_loads(line))
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_deeply_nested_line_is_a_diagnostic(command, tmp_path):
+    # Deeper than the JSON decoder can recurse: a RecursionError inside it.
+    kind, argv, _ = COMMANDS[command]
+    path = tmp_path / f"{kind}.json"
+    path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, f"--{kind}", str(path)])
+    where = f"{path}:" if kind == "conversation" else f"{path}:1:"
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith(f"{where} invalid JSON: ")
+    assert err.getvalue().count("\n") == 1
+
+
 def test_corpus_reaches_both_outcomes():
     # The generator must produce runs that succeed as well as runs that
     # fail, for every subcommand, or the contract test checks only half.

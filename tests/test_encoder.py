@@ -20,8 +20,9 @@ from navit_pack.encoder import (
     interpolate_pos_table,
     rope_dot_relative,
 )
+from navit_pack import encoder
 from navit_pack.errors import ShapeMismatch
-from navit_pack.selfcheck import _dense_block_attention
+from navit_pack.selfcheck import _dense_block_attention, check_pack_equiv
 
 
 def plain_attention(x, params):
@@ -304,7 +305,7 @@ class TestBlockDiagonal:
     @pytest.mark.parametrize("enabled", [False, True])
     def test_long_block_spans_row_tiles(self, enabled):
         n = 1500
-        assert math.ceil(n / (_TILE_ENTRIES // n)) == 3
+        assert math.ceil(n / (_TILE_ENTRIES // n)) == 18
         rng = np.random.default_rng(15)
         params = AttentionParams.random(8, 8, rng)
         rope = RopeConfig(d_head=8, enabled=enabled)
@@ -341,6 +342,34 @@ class TestBlockDiagonal:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("later_tiles", [1.0, 1.01])
+    def test_verify_catches_a_later_tile_bug(self, monkeypatch, later_tiles):
+        # A copy of block_diag_forward whose row sums are off by a factor on
+        # every tile after a block's first: 1.0 is the faithful copy.
+        def forward(packed, weights, rope):
+            x = packed.embeddings
+            q, k, v = x @ weights.wq, x @ weights.wk, x @ weights.wv
+            if rope.enabled:
+                q = apply_rope_2d(q, packed.positions, rope)
+                k = apply_rope_2d(k, packed.positions, rope)
+            q = q / np.sqrt(weights.d_head)
+            heads = np.empty_like(v)
+            b = packed.sample_boundaries
+            for lo, hi in zip(b[:-1], b[1:]):
+                tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
+                for start in range(lo, hi, tile_rows):
+                    stop = min(start + tile_rows, hi)
+                    scores = q[start:stop] @ k[lo:hi].T
+                    scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+                    total = scores.sum(axis=1, keepdims=True)
+                    if start > lo:
+                        total = total * later_tiles
+                    heads[start:stop] = (scores @ v[lo:hi]) / total
+            return heads @ weights.wo
+
+        monkeypatch.setattr(encoder, "block_diag_forward", forward)
+        assert check_pack_equiv(0).passed == (later_tiles == 1.0)
 
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5))
     def test_packed_equivalence_property(self, lengths):

@@ -9,6 +9,7 @@ from navit_pack.vet import (
     ProbVisualToken,
     VisualEmbeddingTable,
     VisualHead,
+    _check_probs,
     head_forward,
     vet_embed,
     vet_embed_grad,
@@ -69,6 +70,13 @@ class TestHeadForward:
         head = VisualHead(projection=np.eye(2))
         with pytest.raises(NonFiniteInput):
             head_forward(np.array([[np.nan, 0.0]]), head)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_logits_rejected(self):
+        # Finite features whose logits overflow: inf - inf gives NaN rows.
+        head = VisualHead(projection=np.array([[2.0, 1.0]]))
+        with pytest.raises(NonFiniteInput, match="must sum to 1, got .*nan"):
+            head_forward(np.array([[0.5], [1e308]]), head)
 
     def test_shape_mismatch(self):
         head = VisualHead(projection=np.eye(3))
@@ -145,6 +153,17 @@ class TestVetEmbed:
             ProbVisualToken(probs=np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             ProbVisualToken(probs=np.array([1.5, -0.5]))
+
+    def test_nan_token_rejected(self):
+        with pytest.raises(NonFiniteInput):
+            ProbVisualToken(probs=np.array([np.nan, np.nan]))
+
+    def test_array_check_names_first_bad_row(self):
+        probs = np.array([[0.5, 0.5], [1.5, -0.5], [0.7, 0.7]])
+        with pytest.raises(ValueError, match=r"^probabilities must be non-negative, min is -0\.5$"):
+            _check_probs(probs)
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got .*1\.4"):
+            _check_probs(probs[[0, 2, 1]])
 
     def test_random_table_init_bounds(self):
         table = VisualEmbeddingTable.random(np.random.default_rng(0))
