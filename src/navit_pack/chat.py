@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .geometry import ResizePlan
+from .packing import _quoted
 
 __all__ = [
     "ChatMessage",
@@ -54,7 +55,7 @@ class UnresolvedImageRef(KeyError):
 
     def __init__(self, image_id: str):
         self.image_id = image_id
-        super().__init__(f"no resize plan for image {image_id!r}")
+        super().__init__(f"no resize plan for image {_quoted(image_id)}")
 
 
 class MalformedThinkBlock(ValueError):

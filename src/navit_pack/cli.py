@@ -26,8 +26,9 @@ from .packing import (
     PackedSequence,
     SampleTooLong,
     _entry,
+    _json_record,
     _list,
-    _record,
+    _quoted,
     pack_ffd,
     packing_report,
     parse_image_size,
@@ -153,7 +154,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
         try:
             record = parse_manifest_line(line)
             if record.id in seen_ids:
-                raise ManifestError(f"duplicate sample id {record.id!r}")
+                raise ManifestError(f"duplicate sample id {_quoted(record.id)}")
             seen_ids.add(record.id)
             samples.append(sample_from_record(record, budget))
         except ValueError as e:
@@ -164,7 +165,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     try:
         sequences = pack_ffd(samples, args.capacity)
     except SampleTooLong as e:
-        shown = ", ".join(map(repr, e.ids[:_TOO_LONG_SHOWN]))
+        shown = ", ".join(map(_quoted, e.ids[:_TOO_LONG_SHOWN]))
         more = len(e.ids) - _TOO_LONG_SHOWN
         if more > 0:
             shown += f", ... ({more} more)"
@@ -186,11 +187,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
 def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
     from .chat import ChatMessage, ImagePart, Role, TextPart
 
-    try:
-        value = json.loads(text)
-    except RecursionError as e:  # nesting deeper than the decoder can follow
-        raise ManifestError(f"invalid JSON: {e}") from None
-    obj = _record(value, _CONVERSATION_KEYS, "conversation")
+    obj = _json_record(text, _CONVERSATION_KEYS, "conversation")
     sizes: dict[str, ImageSize] = {}
     for i, img in enumerate(_list(obj, "images")):
         if not isinstance(img, dict) or img.keys() != {"id", "width", "height"}:
@@ -199,7 +196,7 @@ def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSi
         if not isinstance(image_id, str) or not image_id:
             raise ManifestError(f"image {i}: 'id' must be a non-empty string")
         if image_id in sizes:
-            raise ManifestError(f"duplicate image id {image_id!r}")
+            raise ManifestError(f"duplicate image id {_quoted(image_id)}")
         sizes[image_id] = parse_image_size(img, i)
     messages = []
     for i, msg in enumerate(_list(obj, "messages")):
@@ -207,7 +204,7 @@ def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSi
         try:
             role = Role(msg.get("role"))
         except ValueError:
-            raise ManifestError(f"message {i}: invalid role {msg.get('role')!r}") from None
+            raise ManifestError(f"message {i}: invalid role {_quoted(msg.get('role'))}") from None
         parts = []
         for j, part in enumerate(_list(msg, "parts", f"message {i}: ")):
             fields = part.keys() if isinstance(part, dict) else ()
@@ -304,8 +301,13 @@ def _read_groups(path: str) -> tuple[list[tuple[int, PreferenceGroup]], int]:
     return groups, failures
 
 
+def _negated(text: str) -> str:
+    """`repr(-x)` from `repr(x)` for a finite float `x`: the sign flipped."""
+    return text[1:] if text[0] == "-" else "-" + text
+
+
 def _report_not_finite(path: str, lineno: int, group: PreferenceGroup, what: str) -> None:
-    _diag(f"{path}:{lineno}: query {group.query_id!r}: {what} is not finite")
+    _diag(f"{path}:{lineno}: query {_quoted(group.query_id)}: {what} is not finite")
 
 
 def _dpo_text(
@@ -315,7 +317,12 @@ def _dpo_text(
     number of groups left out because a value is not finite.
 
     Each line is byte-identical to `json.dumps` of its record: for a
-    finite float, `repr` is the text `json.dumps` writes.
+    finite float, `repr` is the text `json.dumps` writes. Of the five
+    numbers on a line only the loss, `g - nll_weight` and `g` (the last
+    partial) go through `repr`. The two partials that are `-g` are written
+    as the text of `g` with its sign flipped (`_negated`), which is
+    `repr(-g)` for every finite float, ±0.0 included. With `nll_weight`
+    +0.0, `g - nll_weight` is `g` bit for bit and shares its text too.
     """
     import numpy as np
 
@@ -324,19 +331,21 @@ def _dpo_text(
     lp, lr, chosen, rejected = [], [], [], []
     spans = []
     for _, group in chunk:
-        candidates = group.candidates
-        pairs = pair_indices([c.score for c in candidates], margin)
+        pairs = pair_indices(group.scores, margin)
         base = len(lp)
-        lp.extend(c.logprob_policy for c in candidates)
-        lr.extend(c.logprob_reference for c in candidates)
+        lp.extend(group.logprob_policy)
+        lr.extend(group.logprob_reference)
         chosen.extend(base + i for i, _ in pairs)
         rejected.extend(base + j for _, j in pairs)
         spans.append(pairs)
     lp, lr = np.array(lp), np.array(lr)
     c, r = np.array(chosen, dtype=np.intp), np.array(rejected, dtype=np.intp)
-    columns = dpo_losses(lp[c], lr[c], lp[r], lr[r], cfg)
-    finite = np.isfinite(columns).all(axis=0).tolist()
-    values = list(zip(*(column.tolist() for column in columns)))
+    loss, d_policy_chosen, _, _, g = dpo_losses(lp[c], lr[c], lp[r], lr[r], cfg)
+    # `-g` is finite exactly when `g` is.
+    finite = (np.isfinite(loss) & np.isfinite(d_policy_chosen) & np.isfinite(g)).tolist()
+    # g - (-0.0) turns g = -0.0 into 0.0, so only +0.0 leaves g as it is.
+    same = cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0
+    loss, d_policy_chosen, g = loss.tolist(), d_policy_chosen.tolist(), g.tolist()
     lines = []
     failures = start = 0
     for (lineno, group), pairs in zip(chunk, spans):
@@ -346,11 +355,16 @@ def _dpo_text(
             failures += 1
         else:
             head = f'{{"query_id":{json.dumps(group.query_id)},"chosen_index":'
-            for (i, j), (a, pc, pr, rc, rr) in zip(pairs, values[start:end]):
+            for (i, j), value, d_chosen, d_rejected in zip(
+                pairs, loss[start:end], d_policy_chosen[start:end], g[start:end]
+            ):
+                g_str = repr(d_rejected)
+                neg = _negated(g_str)
+                pc_str = g_str if same else repr(d_chosen)
                 lines.append(
-                    f'{head}{i},"rejected_index":{j},"loss":{a!r},'
-                    f'"d_logprob_policy_chosen":{pc!r},"d_logprob_policy_rejected":{pr!r},'
-                    f'"d_logprob_reference_chosen":{rc!r},"d_logprob_reference_rejected":{rr!r}}}\n'
+                    f'{head}{i},"rejected_index":{j},"loss":{value!r},'
+                    f'"d_logprob_policy_chosen":{pc_str},"d_logprob_policy_rejected":{neg},'
+                    f'"d_logprob_reference_chosen":{neg},"d_logprob_reference_rejected":{g_str}}}\n'
                 )
         start = end
     return "".join(lines), failures
@@ -359,15 +373,16 @@ def _dpo_text(
 def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> tuple[str, int]:
     """The `prefs grpo` lines of `chunk` from one `grpo_advantages_rows`
     call per group size, and the number of groups left out because an
-    advantage is not finite. Lines are rendered as in `_dpo_text`."""
+    advantage is not finite. Lines are rendered with `repr` as in
+    `_dpo_text`."""
     from .objectives import grpo_advantages_rows
 
     by_size: dict[int, list[int]] = {}
     for n, (_, group) in enumerate(chunk):
-        by_size.setdefault(len(group.candidates), []).append(n)
+        by_size.setdefault(len(group.scores), []).append(n)
     advantages: list[list[float]] = [[] for _ in chunk]
     for members in by_size.values():
-        scores = [[c.score for c in chunk[n][1].candidates] for n in members]
+        scores = [chunk[n][1].scores for n in members]
         for n, row in zip(members, grpo_advantages_rows(scores).tolist()):
             advantages[n] = row
     lines = []

@@ -13,22 +13,28 @@ scalar forms `dpo_loss` (one pair) and `grpo_advantages` (one group) are
 one-row views of them, so both run the same arithmetic. `pair_indices`
 holds the pair-order rule that `build_pairs` applies to a group.
 
+A `PreferenceGroup` holds its candidates as columns (responses, policy
+and reference logprobs, scores), which `parse_group_line` fills straight
+from each decoded line, since DPO and GRPO read only the three float
+columns. Its `candidates` are a view that builds one `ScoredCandidate`
+per candidate, for `build_pairs` and callers that want objects.
+
 Functional forms and defaults are pinned in docs/objectives.md.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import string
 from dataclasses import dataclass
+from math import isfinite
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .chat import ThinkingOutput
-from .errors import NonFiniteInput
-from .packing import ManifestError, _entry, _json_record, _list, _name, _number
+from .errors import LengthMismatch, NonFiniteInput
+from .packing import ManifestError, _entry, _json_record, _list, _name, _number, _quoted
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -81,31 +87,64 @@ class ScoredCandidate:
 
     def __post_init__(self) -> None:
         for name in ("logprob_policy", "logprob_reference", "score"):
-            if not math.isfinite(getattr(self, name)):
+            if not isfinite(getattr(self, name)):
                 raise NonFiniteInput(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
 class PreferenceGroup:
-    """Scored candidate responses for one query."""
+    """Scored candidate responses for one query, held as columns.
+
+    Entry k of `responses`, `logprob_policy`, `logprob_reference` and
+    `scores` belongs to candidate k: the objectives read the three float
+    columns as they are. The constructor checks equal column lengths,
+    finite floats, at least two candidates and distinct responses.
+    `candidates` is a view that builds one `ScoredCandidate` per
+    candidate from the columns on demand.
+    """
 
     query_id: str
-    candidates: tuple[ScoredCandidate, ...]
+    responses: tuple[str, ...]
+    logprob_policy: tuple[float, ...]
+    logprob_reference: tuple[float, ...]
+    scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.candidates) < 2:
-            raise GroupTooSmall(
-                f"group {self.query_id!r} has {len(self.candidates)} candidates, need >= 2"
-            )
-        responses = [c.response for c in self.candidates]
-        if len(set(responses)) != len(responses):
-            raise ValueError(f"group {self.query_id!r} has duplicate responses")
+        n = len(self.responses)
+        if not n == len(self.logprob_policy) == len(self.logprob_reference) == len(self.scores):
+            raise LengthMismatch(f"group {_quoted(self.query_id)} has columns of unequal length")
+        columns = (self.logprob_policy, self.logprob_reference, self.scores)
+        for name, column in zip(_NUMBER_KEYS, columns):
+            if not all(map(isfinite, column)):
+                raise NonFiniteInput(f"{name} must be finite")
+        if n < 2:
+            raise GroupTooSmall(f"group {_quoted(self.query_id)} has {n} candidates, need >= 2")
+        if len(set(self.responses)) != n:
+            raise ValueError(f"group {_quoted(self.query_id)} has duplicate responses")
+
+    @classmethod
+    def from_candidates(
+        cls, query_id: str, candidates: Sequence[ScoredCandidate]
+    ) -> PreferenceGroup:
+        """The group of `candidates`, split into columns."""
+        return cls(
+            query_id,
+            tuple(c.response for c in candidates),
+            tuple(c.logprob_policy for c in candidates),
+            tuple(c.logprob_reference for c in candidates),
+            tuple(c.score for c in candidates),
+        )
+
+    @property
+    def candidates(self) -> tuple[ScoredCandidate, ...]:
+        """One `ScoredCandidate` per candidate, built from the columns."""
+        columns = (self.responses, self.logprob_policy, self.logprob_reference, self.scores)
+        return tuple(map(ScoredCandidate, *columns))
 
     def score_variance(self) -> float:
         """Population variance of the scores; inf or nan when it overflows."""
-        scores = np.array([c.score for c in self.candidates])
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(scores.var())
+            return float(np.var(self.scores))
 
     def passes_difficulty_filter(self, min_score_variance: float) -> bool:
         """Offline difficulty filter: keep groups whose scores actually
@@ -168,7 +207,7 @@ def build_pairs(group: PreferenceGroup, margin: float = 0.0) -> list[PreferenceP
     """The preference pairs of `group` in `pair_indices` order."""
     candidates = group.candidates
     pairs = []
-    for i, j in pair_indices([c.score for c in candidates], margin):
+    for i, j in pair_indices(group.scores, margin):
         chosen, rejected = candidates[i], candidates[j]
         pairs.append(PreferencePair(i, j, chosen, rejected, chosen.score - rejected.score))
     return pairs
@@ -316,17 +355,35 @@ _CANDIDATE_KEYS = {"response", *_NUMBER_KEYS}
 
 
 def parse_group_line(line: str) -> PreferenceGroup:
-    """Parse one scored-group JSONL record, rejecting unknown fields by name."""
+    """Parse one scored-group JSONL record, rejecting unknown fields by name.
+
+    Each candidate is checked in full, types then finiteness, before the
+    next one, and the group's size and distinct responses last, so a line
+    with several faults reports the first of them in that order. A float
+    from the decoder needs only its finiteness checked; any other value
+    goes through `_number`.
+    """
     obj = _json_record(line, _GROUP_KEYS)
     query_id = _name(obj, "query_id")
-    candidates = []
+    responses, policy, reference, scores = [], [], [], []
     for i, cand in enumerate(_list(obj, "candidates", required=True)):
-        _entry(cand, _CANDIDATE_KEYS, "candidate", i)
-        if cand.keys() != _CANDIDATE_KEYS:
+        if type(cand) is not dict or cand.keys() != _CANDIDATE_KEYS:
+            _entry(cand, _CANDIDATE_KEYS, "candidate", i)
             missing = min(_CANDIDATE_KEYS - cand.keys())
             raise ManifestError(f"candidate {i}: missing field {missing!r}")
-        if not isinstance(cand["response"], str):
+        response = cand["response"]
+        if type(response) is not str:
             raise ManifestError(f"candidate {i}: 'response' must be a string")
-        numbers = [_number(cand, key, "candidate", i) for key in _NUMBER_KEYS]
-        candidates.append(ScoredCandidate(cand["response"], *numbers))
-    return PreferenceGroup(query_id=query_id, candidates=tuple(candidates))
+        lp, lr, score = cand["logprob_policy"], cand["logprob_reference"], cand["score"]
+        if type(lp) is not float or type(lr) is not float or type(score) is not float:
+            lp, lr, score = [_number(cand, key, "candidate", i) for key in _NUMBER_KEYS]
+        if not (isfinite(lp) and isfinite(lr) and isfinite(score)):
+            key = next(k for k, v in zip(_NUMBER_KEYS, (lp, lr, score)) if not isfinite(v))
+            raise NonFiniteInput(f"{key} must be finite")
+        responses.append(response)
+        policy.append(lp)
+        reference.append(lr)
+        scores.append(score)
+    return PreferenceGroup(
+        query_id, tuple(responses), tuple(policy), tuple(reference), tuple(scores)
+    )

@@ -13,6 +13,8 @@ Every input record goes through one set of field checks kept here
 (`objectives.parse_group_line`) and conversations (`cli`). A failed check
 raises ManifestError naming the place of the fault ("candidate 2: "),
 which is formatted only then, so a valid record costs no formatting.
+A diagnostic that echoes a string from the input quotes it with
+`_quoted`, which bounds its length.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ __all__ = [
 
 # Position id assigned to padding slots; pads belong to no attention block.
 PAD_POSITION = -1
+
+# The longest quotation of an input value in a diagnostic, `...` included,
+# so that a diagnostic stays one short line whatever the input holds.
+_QUOTE_LIMIT = 64
 
 _MANIFEST_KEYS = {"id", "text_tokens", "images"}
 _IMAGE_KEYS = {"width", "height"}
@@ -85,9 +91,9 @@ class SampleRecord:
         total = self.text_tokens + sum(p.token_count for p in self.image_plans)
         object.__setattr__(self, "total_tokens", total)
         if total < 1:
-            raise ValueError(f"sample {self.id!r} has zero tokens")
+            raise ValueError(f"sample {_quoted(self.id)} has zero tokens")
         if self.text_tokens < 0:
-            raise ValueError(f"sample {self.id!r} has negative text_tokens")
+            raise ValueError(f"sample {_quoted(self.id)} has negative text_tokens")
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     seen: set[str] = set()
     for s in samples:
         if s.id in seen:
-            raise ValueError(f"duplicate sample id {s.id!r}")
+            raise ValueError(f"duplicate sample id {_quoted(s.id)}")
         seen.add(s.id)
     too_long = [s.id for s in samples if s.total_tokens > capacity]
     if too_long:
@@ -303,24 +309,34 @@ def packing_report(
     )
 
 
+def _quoted(value: object) -> str:
+    """`repr(value)` for a diagnostic that echoes an id, field name, role
+    or image reference read from the input. A repr longer than
+    _QUOTE_LIMIT is cut to its first _QUOTE_LIMIT - 3 characters and `...`."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return text[: _QUOTE_LIMIT - 3] + "..."
+
+
 def _record(value: object, allowed: set[str], what: str = "record") -> dict:
     """`value` as a top-level JSON object holding only `allowed` fields."""
     if not isinstance(value, dict):
         raise ManifestError(f"{what} must be a JSON object, got {type(value).__name__}")
     if not value.keys() <= allowed:
-        raise ManifestError(f"unknown field {min(value.keys() - allowed)!r}")
+        raise ManifestError(f"unknown field {_quoted(min(value.keys() - allowed))}")
     return value
 
 
-def _json_record(line: str, allowed: set[str]) -> dict:
-    """One JSONL line as a record holding only `allowed` fields."""
+def _json_record(line: str, allowed: set[str], what: str = "record") -> dict:
+    """The JSON text `line` as a `what` holding only `allowed` fields."""
     try:
         value = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"invalid JSON: {e}") from e
     except ValueError as e:  # an integer beyond Python's digit limit
         raise ManifestError(str(e)) from e
-    return _record(value, allowed)
+    return _record(value, allowed, what)
 
 
 def _entry(value: object, allowed: set[str], what: str, index: int) -> dict:
@@ -329,7 +345,7 @@ def _entry(value: object, allowed: set[str], what: str, index: int) -> dict:
         raise ManifestError(f"{what} {index} must be an object")
     if not value.keys() <= allowed:
         unknown = min(value.keys() - allowed)
-        raise ManifestError(f"{what} {index}: unknown field {unknown!r}")
+        raise ManifestError(f"{what} {index}: unknown field {_quoted(unknown)}")
     return value
 
 

@@ -125,7 +125,8 @@ def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken
     max subtraction so large logits stay finite. The whole probability
     array is checked once, with the rule `ProbVisualToken` applies to one
     row, and each token holds a view of its row. Logits that overflow to
-    infinity give NaN probabilities and raise `NonFiniteInput`.
+    infinity give NaN probabilities and raise `NonFiniteInput`, without a
+    numpy warning.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -137,9 +138,9 @@ def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken
         )
     if not np.isfinite(f).all():
         raise NonFiniteInput("features contain non-finite entries")
-    logits = f @ head.projection
-    logits /= head.temperature
-    probs = _softmax_rows(logits)
+    # Overflowing logits surface as the NonFiniteInput below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _softmax_rows(f @ head.projection / head.temperature)
     _check_probs(probs)
     # Each row was checked with its array: skip the per-row __post_init__.
     new, set_field = object.__new__, object.__setattr__

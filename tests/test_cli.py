@@ -440,6 +440,21 @@ class TestChat:
         assert result.stderr == f"{conv}: {message}\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{bad", "invalid JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)"),
+            ("[1]", "conversation must be a JSON object, got list"),
+        ],
+    )
+    def test_unreadable_conversation(self, tmp_path, text, message):
+        conv = tmp_path / "c.json"
+        conv.write_text(text)
+        result = run_cli("chat", "--conversation", str(conv))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"{conv}: {message}\n"
+
+    @pytest.mark.parametrize(
         "conversation, message",
         [
             ({**CONVERSATION, "images": 5}, "'images' must be a list"),
@@ -649,6 +664,67 @@ class TestPrefsChunked:
         out, err = capsys.readouterr()
         assert err == ""
         assert out == prefs_oracle(text, command, **options)
+
+    @pytest.mark.parametrize("nll_weight", [0.0, -0.0, 0.5])
+    def test_saturated_pair_writes_signed_zeros(self, tmp_path, capsys, nll_weight):
+        # z = beta * margin = 1000 > 745: exp(-z) is 0, so g is -0.0 and the
+        # two partials that are -g print as 0.0.
+        text = candidates_json((0.0, -100.0, 1.0), (0.0, 0.0, 0.0)) + "\n"
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(text, encoding="utf-8")
+        argv = ["prefs", "dpo", "--groups", str(groups), "--beta", "10"]
+        assert cli.main([*argv, "--nll-weight", repr(nll_weight)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == prefs_oracle(text, "dpo", beta=10.0, nll_weight=nll_weight)
+        assert '"d_logprob_policy_rejected":0.0,"d_logprob_reference_chosen":0.0,' in out
+        assert out.endswith('"d_logprob_reference_rejected":-0.0}\n')
+
+
+class TestNegatedRepr:
+    """`prefs dpo` writes -g as the text of g with its sign flipped."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_equals_repr_of_negation(self, x):
+        assert cli._negated(repr(x)) == repr(-x)
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    )
+    def test_edge_values(self, x):
+        assert cli._negated(repr(x)) == repr(-x)
+
+
+class TestLongInputEchoes:
+    """A diagnostic quotes an input string through `_quoted`: a repr over
+    64 characters is cut to its first 61 and `...`."""
+
+    def test_long_unknown_key(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "a", "text_tokens": 1, "k" * 5000: 0}) + "\n")
+        result = run_cli("plan", "--manifest", str(manifest))
+        assert result.returncode == 1
+        assert result.stderr == f"{manifest}:1: unknown field '{'k' * 60}...\n"
+
+    def test_long_query_id_of_overflowing_group(self, tmp_path):
+        line = json.loads(candidates_json((-1e308, 1e308, 1.0), (-1.0, -1.0, 0.0)))
+        line["query_id"] = "Q" * 5000
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(json.dumps(line) + "\n")
+        result = run_cli("prefs", "dpo", "--groups", str(groups))
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"{groups}:1: query '{'Q' * 60}...: loss or gradient is not finite\n"
+        )
+
+    @pytest.mark.parametrize("length, shown", [(62, "'" + "s" * 62 + "'"), (63, "'" + "s" * 60 + "...")])
+    def test_cap_boundary(self, tmp_path, length, shown):
+        manifest = tmp_path / "m.jsonl"
+        record = json.dumps({"id": "s" * length, "text_tokens": 1})
+        manifest.write_text(f"{record}\n{record}\n")
+        result = run_cli("pack", "--manifest", str(manifest))
+        assert result.returncode == 1
+        assert result.stderr == f"{manifest}:2: duplicate sample id {shown}\n"
 
 
 def candidates_json(*rows):

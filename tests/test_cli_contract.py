@@ -2,7 +2,8 @@
 
 Valid manifest, group and conversation records are built from a seeded
 `random.Random`, then one value in them is mutated: a key dropped, an
-unknown key added, a value swapped for another JSON type, a huge integer,
+unknown key added (its name possibly 5,000 characters long), a value
+swapped for another JSON type, a huge integer, a 5,000-character string,
 or a JSON `NaN`. `plan`, `pack`, `chat` and `prefs pairs|dpo|grpo` then
 run in-process through `cli.main`, and each run must end one of two ways:
 exit 0 with schema-valid output and nothing on stderr, or exit 1 with
@@ -34,7 +35,9 @@ SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 # limit), so it cannot go through `json.dumps`: written in as raw text.
 _MANY_DIGITS = "\x00many-digits\x00"
 HUGE_INTS = (2**64, 10**300, 10**400, _MANY_DIGITS)
-MUTATIONS = ("none", "drop", "add", "swap", "huge", "nan")
+# Longer than any diagnostic line may be: an echo of it must be cut.
+LONG = "L" * 5000
+MUTATIONS = ("none", "drop", "add", "swap", "huge", "long", "nan")
 _ALPHABET = "ab01 _-é\n\""
 
 
@@ -112,13 +115,15 @@ def mutate(record, rng):
         del parent[key]
         return record
     if kind == "add" and isinstance(value, dict):
-        value[rng.choice(["bogus", "", "Id", "images2"])] = _json_value(rng)
+        value[rng.choice(["bogus", "", "Id", "images2", LONG])] = _json_value(rng)
         return record
     if kind == "add" and isinstance(value, list):
         value.append(_json_value(rng))
         return record
     if kind == "huge":
         replacement = rng.choice(HUGE_INTS)
+    elif kind == "long":
+        replacement = LONG
     elif kind == "nan":
         replacement = float("nan")
     else:

@@ -1,5 +1,6 @@
 """Preference pairs, DPO loss and gradients, GRPO advantages, scoring."""
 
+import json
 import math
 
 import numpy as np
@@ -31,12 +32,9 @@ from navit_pack.objectives import (
 
 
 def group_of(scores, query_id="q"):
-    return PreferenceGroup(
-        query_id=query_id,
-        candidates=tuple(
-            ScoredCandidate(f"resp{i}", -1.0 - i, -1.5 - i, float(s))
-            for i, s in enumerate(scores)
-        ),
+    return PreferenceGroup.from_candidates(
+        query_id,
+        [ScoredCandidate(f"resp{i}", -1.0 - i, -1.5 - i, float(s)) for i, s in enumerate(scores)],
     )
 
 
@@ -87,10 +85,7 @@ class TestBuildPairs:
 
     def test_duplicate_responses_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            PreferenceGroup(
-                query_id="q",
-                candidates=(candidate(0, 0, "same"), candidate(0, 0, "same")),
-            )
+            PreferenceGroup.from_candidates("q", [candidate(0, 0, "same"), candidate(0, 0, "same")])
 
     def test_difficulty_filter_uses_score_variance(self):
         spread = group_of([1.0, 0.0])
@@ -413,3 +408,133 @@ class TestGroupParsing:
     def test_malformed_lines(self, line, needle):
         with pytest.raises(ValueError, match=needle):
             parse_group_line(line)
+
+
+def cand(response="a", lp=-1.0, lr=-1.5, score=1.0, **extra):
+    return {"response": response, "logprob_policy": lp, "logprob_reference": lr, "score": score,
+            **extra}
+
+
+def group_line(*candidates):
+    return json.dumps({"query_id": "q", "candidates": list(candidates)})
+
+
+NAN, INF = float("nan"), float("inf")
+B = cand("b", score=0.0)
+
+
+class TestGroupDiagnostics:
+    """Each malformed line gets the diagnostic text and class it got from
+    the parser that built one `ScoredCandidate` per candidate: each
+    candidate's type checks before its finiteness check, candidate i in
+    full before candidate i + 1, and the group's size and duplicate
+    responses last."""
+
+    @pytest.mark.parametrize(
+        "line, diagnostic",
+        [
+            (group_line(1, B), "ManifestError: candidate 0 must be an object"),
+            (group_line(cand(rank=1), B), "ManifestError: candidate 0: unknown field 'rank'"),
+            (group_line({"response": "a", "logprob_policy": 0, "score": 0}, B),
+             "ManifestError: candidate 0: missing field 'logprob_reference'"),
+            (group_line({"response": "a", "logprob_policy": 0, "score": 0, "x": 1}, B),
+             "ManifestError: candidate 0: unknown field 'x'"),
+            (group_line(cand(response=3), B), "ManifestError: candidate 0: 'response' must be a string"),
+            (group_line(cand(response=None)), "ManifestError: candidate 0: 'response' must be a string"),
+            (group_line(cand(lp="x"), B), "ManifestError: candidate 0: 'logprob_policy' must be a number"),
+            (group_line(cand(lr=None), B),
+             "ManifestError: candidate 0: 'logprob_reference' must be a number"),
+            (group_line(cand(score=True), B), "ManifestError: candidate 0: 'score' must be a number"),
+            (group_line(cand(score=[1]), B), "ManifestError: candidate 0: 'score' must be a number"),
+            (group_line(cand(lp=10**400), B), "ManifestError: candidate 0: 'logprob_policy' is too large"),
+            (group_line(cand(score=-10**400), B), "ManifestError: candidate 0: 'score' is too large"),
+            (group_line(cand(lp=NAN), B), "NonFiniteInput: logprob_policy must be finite"),
+            (group_line(cand(lr=NAN), B), "NonFiniteInput: logprob_reference must be finite"),
+            (group_line(cand(score=NAN), B), "NonFiniteInput: score must be finite"),
+            (group_line(cand(lp=INF), B), "NonFiniteInput: logprob_policy must be finite"),
+            (group_line(cand(lr=-INF), B), "NonFiniteInput: logprob_reference must be finite"),
+            (group_line(cand(score=INF), B), "NonFiniteInput: score must be finite"),
+            (group_line(cand(), cand("b", lp=1e999)), "NonFiniteInput: logprob_policy must be finite"),
+            # Order within a candidate: fields in order, types before finiteness.
+            (group_line(cand(score=NAN, lp=NAN), B), "NonFiniteInput: logprob_policy must be finite"),
+            (group_line(cand(lp=NAN, score="x"), B), "ManifestError: candidate 0: 'score' must be a number"),
+            # Order across candidates: candidate 0 in full first.
+            (group_line(cand(lp=NAN), cand("b", score=True)),
+             "NonFiniteInput: logprob_policy must be finite"),
+            (group_line(cand(lp=NAN), 1), "NonFiniteInput: logprob_policy must be finite"),
+            (group_line(cand(lp=True), cand("b", lp=NAN)),
+             "ManifestError: candidate 0: 'logprob_policy' must be a number"),
+            # Size and duplicates last.
+            (group_line(cand(score=NAN)), "NonFiniteInput: score must be finite"),
+            (group_line(cand()), "GroupTooSmall: group 'q' has 1 candidates, need >= 2"),
+            (group_line(), "GroupTooSmall: group 'q' has 0 candidates, need >= 2"),
+            (group_line(cand(), cand()), "ValueError: group 'q' has duplicate responses"),
+            (group_line(cand(), cand(), cand("b", score="x")),
+             "ManifestError: candidate 2: 'score' must be a number"),
+            (group_line(cand(), cand(), cand("b", score=NAN)), "NonFiniteInput: score must be finite"),
+            # The record itself.
+            ('{"query_id": "q", "candidates": {}}', "ManifestError: 'candidates' must be a list"),
+            ('{"query_id": "q"}', "ManifestError: 'candidates' must be a list"),
+            (json.dumps({"candidates": [cand(), B]}),
+             "ManifestError: missing or invalid 'query_id' (non-empty string required)"),
+            (json.dumps({"query_id": "", "candidates": [cand(), B]}),
+             "ManifestError: missing or invalid 'query_id' (non-empty string required)"),
+            (json.dumps({"query_id": 7, "candidates": [cand(), B]}),
+             "ManifestError: missing or invalid 'query_id' (non-empty string required)"),
+            (json.dumps({"query_id": "q", "candidates": [cand(), B], "extra": 1}),
+             "ManifestError: unknown field 'extra'"),
+            ("[1]", "ManifestError: record must be a JSON object, got list"),
+            ("junk", "ManifestError: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+    )
+    def test_diagnostic_text(self, line, diagnostic):
+        with pytest.raises(ValueError) as info:
+            parse_group_line(line)
+        assert f"{type(info.value).__name__}: {info.value}" == diagnostic
+
+    def test_long_query_id_is_cut(self):
+        line = json.dumps({"query_id": "Q" * 5000, "candidates": [cand()]})
+        with pytest.raises(GroupTooSmall) as info:
+            parse_group_line(line)
+        assert str(info.value) == f"group '{'Q' * 60}... has 1 candidates, need >= 2"
+
+
+class TestGroupColumns:
+    def test_columns_of_a_parsed_line(self):
+        group = parse_group_line(group_line(cand(lp=-2, score=1), cand("b", lr=-3.25, score=0.5)))
+        assert group.responses == ("a", "b")
+        assert group.logprob_policy == (-2.0, -1.0)
+        assert group.logprob_reference == (-1.5, -3.25)
+        assert group.scores == (1.0, 0.5)
+        assert all(type(x) is float for x in group.logprob_policy + group.scores)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_candidates_view_equals_the_columns(self, rows):
+        group = parse_group_line(
+            group_line(*(cand(f"r{k}", lp, lr, s) for k, (lp, lr, s) in enumerate(rows)))
+        )
+        assert group.candidates == tuple(
+            ScoredCandidate(f"r{k}", lp, lr, s) for k, (lp, lr, s) in enumerate(rows)
+        )
+        assert PreferenceGroup.from_candidates("q", group.candidates) == group
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="unequal length"):
+            PreferenceGroup("q", ("a", "b"), (0.0, 0.0), (0.0,), (1.0, 0.0))
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    def test_non_finite_column_rejected(self, field):
+        columns = [("a", "b"), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        columns[field] = (0.0, NAN)
+        with pytest.raises(NonFiniteInput, match="must be finite"):
+            PreferenceGroup("q", *columns)

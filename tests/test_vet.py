@@ -71,7 +71,6 @@ class TestHeadForward:
         with pytest.raises(NonFiniteInput):
             head_forward(np.array([[np.nan, 0.0]]), head)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_logits_rejected(self):
         # Finite features whose logits overflow: inf - inf gives NaN rows.
         head = VisualHead(projection=np.array([[2.0, 1.0]]))
