@@ -46,14 +46,12 @@ if TYPE_CHECKING:
 log = logging.getLogger("navit_pack")
 
 _CONVERSATION_KEYS = {"messages", "images"}
+_CHAT_IMAGE_KEYS = {"id", "width", "height"}
 _MESSAGE_KEYS = {"role", "parts"}
 
 # The largest `pack --capacity`: a sequence line holds `capacity` position
 # ids, and `_position_runs` renders all of them up front.
 _MAX_CAPACITY = 2**20
-
-# At most this many ids are named when samples exceed the capacity.
-_TOO_LONG_SHOWN = 10
 
 # `selfcheck.CHECK_NAMES`, spelled out so that building the parser does
 # not import `selfcheck` (and numpy).
@@ -165,11 +163,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     try:
         sequences = pack_ffd(samples, args.capacity)
     except SampleTooLong as e:
-        shown = ", ".join(map(_quoted, e.ids[:_TOO_LONG_SHOWN]))
-        more = len(e.ids) - _TOO_LONG_SHOWN
-        if more > 0:
-            shown += f", ... ({more} more)"
-        _diag(f"{args.manifest}: {len(e.ids)} samples exceed capacity {e.capacity}: {shown}")
+        _diag(f"{args.manifest}: {e}")
         return 1
     report = packing_report(samples, sequences, args.capacity, args.batch_size)
     log.info(
@@ -190,9 +184,8 @@ def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSi
     obj = _json_record(text, _CONVERSATION_KEYS, "conversation")
     sizes: dict[str, ImageSize] = {}
     for i, img in enumerate(_list(obj, "images")):
-        if not isinstance(img, dict) or img.keys() != {"id", "width", "height"}:
-            raise ManifestError(f"image {i} must have exactly id/width/height")
-        image_id = img["id"]
+        _entry(img, _CHAT_IMAGE_KEYS, "image", i)
+        image_id = img.get("id")
         if not isinstance(image_id, str) or not image_id:
             raise ManifestError(f"image {i}: 'id' must be a non-empty string")
         if image_id in sizes:
@@ -454,15 +447,24 @@ def _phase(value: str) -> Phase:
         ) from None
 
 
-def _positive_int(value: str) -> int:
-    # argparse would name this function in its own "invalid ... value" text.
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return parsed
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """Argparse type for an integer that is >= low."""
+
+    def parse(value: str) -> int:
+        # argparse would name this function in its own "invalid ... value" text.
+        try:
+            parsed = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if parsed < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return parsed
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
 def _capacity(value: str) -> int:
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     parse.set_defaults(func=cmd_parse)
 
     verify = sub.add_parser("verify", help="run all built-in correctness checks")
-    verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    verify.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
     verify.add_argument(
         "--fault-inject", choices=_CHECK_NAMES, default=None,
         help="(test only) make exactly this check fail",
@@ -543,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     grad = sub.add_parser("grad-check", help="run only the gradient checks")
-    grad.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    grad.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
     grad.add_argument(
         "--fault-inject", choices=_GRAD_CHECKS, default=None,
         help="(test only) make exactly this check fail",

@@ -162,38 +162,29 @@ def relative_distortion(rows: int, cols: int, source_aspect: float) -> float:
     return source_aspect / grid_aspect
 
 
-def _feasible(rows: int, cols: int, budget: PixelBudget) -> bool:
-    pixels = rows * cols * budget.patch_size**2
-    return budget.min_pixels <= pixels <= budget.max_pixels
+def _best_grid(
+    rows: range, budget: PixelBudget, ideal_rows: float, ideal_cols: float, aspect: float
+) -> tuple[tuple[float, float, int, int], int, int] | None:
+    """The feasible grid with a row count in `rows` that `grid_key` ranks
+    best, as (key, rows, cols), or None when none of them fits the budget.
 
-
-def _scan_all_rows(
-    budget: PixelBudget, ideal_rows: float, ideal_cols: float, source_aspect: float
-) -> tuple[int, int] | None:
-    """Exact search over every feasible grid, minimizing grid_key.
-
-    For each row count only the column counts nearest the ideal (clamped
-    into the feasible range) can minimize the key, so two candidates per
-    row suffice. Used when the local snap finds nothing safe; covers
-    narrow budgets where the snapped grid and all its neighbours miss
-    the pixel interval.
+    For one row count the column counts that fit form an interval, and
+    the squared distance to the ideal is smallest at the one nearest
+    `ideal_cols`: its floor or ceiling clamped into the interval. Only
+    those two can tie on distance, so they are the only candidates.
     """
     patch_area = budget.patch_size**2
-    max_rows = budget.max_pixels // patch_area
-    best: tuple[int, int] | None = None
-    best_key: tuple[float, float, int, int] | None = None
-    for rows in range(1, max_rows + 1):
-        c_lo = max(1, -(-budget.min_pixels // (rows * patch_area)))  # ceil div
-        c_hi = budget.max_pixels // (rows * patch_area)
+    floor_cols, ceil_cols = math.floor(ideal_cols), math.ceil(ideal_cols)
+    best = None
+    for r in rows:
+        c_lo = max(1, -(-budget.min_pixels // (r * patch_area)))  # ceil div
+        c_hi = budget.max_pixels // (r * patch_area)
         if c_lo > c_hi:
             continue
-        for cols in {
-            min(max(math.floor(ideal_cols), c_lo), c_hi),
-            min(max(math.ceil(ideal_cols), c_lo), c_hi),
-        }:
-            key = grid_key(rows, cols, ideal_rows, ideal_cols, source_aspect)
-            if best_key is None or key < best_key:
-                best, best_key = (rows, cols), key
+        for c in {min(max(floor_cols, c_lo), c_hi), min(max(ceil_cols, c_lo), c_hi)}:
+            key = grid_key(r, c, ideal_rows, ideal_cols, aspect)
+            if best is None or key < best[0]:
+                best = key, r, c
     return best
 
 
@@ -203,59 +194,43 @@ def _short(value: float, spec: str = "") -> str:
     return f"{value:.3g}" if value > 1e15 else format(value, spec)
 
 
-def plan_resize(
-    source: ImageSize,
-    budget: PixelBudget,
-    max_distortion: float = DEFAULT_MAX_DISTORTION,
-) -> ResizePlan:
+def plan_resize(source: ImageSize, budget: PixelBudget) -> ResizePlan:
     """Plan an aspect-preserving resize of `source` into `budget`.
 
-    Both sides are multiplied by the single clamp scale, then snapped to
-    whole patches: each side rounds to the nearest patch multiple, and if
-    that grid misses the pixel interval one side moves by a patch. Among
-    the feasible grids the one ranked best by `grid_key` wins, so results
-    are deterministic and match an exhaustive search under the same key.
+    Both sides are multiplied by the single clamp scale, which gives a
+    real-valued ideal grid. The feasible grid that `grid_key` ranks best
+    wins: the same grid an exhaustive search under that key finds. For
+    each row count only two column counts can win, the floor and the
+    ceiling of the ideal column count, each clamped into the column
+    counts that fit the budget at that row count. The search first tries
+    the row counts from one below the ideal's floor to one above its
+    ceiling. Every other row count is at least 2 from the ideal, so only
+    when those give no grid within squared distance 4 does it try every
+    row count.
 
     Raises BudgetInfeasible when no grid fits the budget at all, or when
-    the best grid's aspect ratio is off by more than `max_distortion`
-    (degenerate slivers).
+    the best grid's aspect ratio is off by more than
+    DEFAULT_MAX_DISTORTION (degenerate slivers).
     """
     ideal_rows, ideal_cols = _ideal_grid(source, budget)
     aspect = source.aspect
-
-    row_candidates = range(max(1, math.floor(ideal_rows) - 1), math.ceil(ideal_rows) + 2)
-    col_candidates = range(max(1, math.floor(ideal_cols) - 1), math.ceil(ideal_cols) + 2)
-    best: tuple[int, int] | None = None
-    best_key: tuple[float, float, int, int] | None = None
-    for rows in row_candidates:
-        for cols in col_candidates:
-            if not _feasible(rows, cols, budget):
-                continue
-            key = grid_key(rows, cols, ideal_rows, ideal_cols, aspect)
-            if best_key is None or key < best_key:
-                best, best_key = (rows, cols), key
-
-    # Grids outside the local window sit >= 2 patches from the ideal on
-    # some side (squared distance >= 4), so a local winner closer than
-    # that is globally optimal. Otherwise fall back to the full scan.
-    if best is None or best_key is None or best_key[0] >= 4.0:
-        scanned = _scan_all_rows(budget, ideal_rows, ideal_cols, aspect)
-        if scanned is not None:
-            scanned_key = grid_key(*scanned, ideal_rows, ideal_cols, aspect)
-            if best_key is None or scanned_key < best_key:
-                best, best_key = scanned, scanned_key
+    near = range(max(1, math.floor(ideal_rows) - 1), math.ceil(ideal_rows) + 2)
+    best = _best_grid(near, budget, ideal_rows, ideal_cols, aspect)
+    if best is None or best[0][0] >= 4.0:
+        all_rows = range(1, budget.max_pixels // budget.patch_size**2 + 1)
+        best = _best_grid(all_rows, budget, ideal_rows, ideal_cols, aspect)
     if best is None:
         raise BudgetInfeasible(
             f"no patch grid with side {budget.patch_size} fits "
             f"[{budget.min_pixels}, {budget.max_pixels}] pixels"
         )
 
-    rows, cols = best
-    distortion = relative_distortion(rows, cols, aspect)
-    if distortion > max_distortion:
+    (_, distortion, _, _), rows, cols = best
+    if distortion > DEFAULT_MAX_DISTORTION:
         raise BudgetInfeasible(
             f"best grid {rows}x{cols} distorts aspect by {_short(distortion, '.3f')}x "
-            f"(> {max_distortion}) for source {_short(source.width)}x{_short(source.height)}"
+            f"(> {DEFAULT_MAX_DISTORTION}) for source "
+            f"{_short(source.width)}x{_short(source.height)}"
         )
     return ResizePlan(
         source=source,

@@ -50,19 +50,25 @@ PAD_POSITION = -1
 # so that a diagnostic stays one short line whatever the input holds.
 _QUOTE_LIMIT = 64
 
+# At most this many ids are named when samples exceed the capacity.
+_TOO_LONG_SHOWN = 10
+
 _MANIFEST_KEYS = {"id", "text_tokens", "images"}
 _IMAGE_KEYS = {"width", "height"}
 
 
 class SampleTooLong(ValueError):
-    """One or more samples exceed the sequence capacity."""
+    """One or more samples exceed the sequence capacity. `ids` lists them
+    all; the message names only the first _TOO_LONG_SHOWN."""
 
     def __init__(self, ids: Sequence[str], capacity: int):
         self.ids = list(ids)
         self.capacity = capacity
-        super().__init__(
-            f"samples exceed capacity {capacity}: {', '.join(self.ids)}"
-        )
+        shown = ", ".join(map(_quoted, self.ids[:_TOO_LONG_SHOWN]))
+        more = len(self.ids) - _TOO_LONG_SHOWN
+        if more > 0:
+            shown += f", ... ({more} more)"
+        super().__init__(f"{len(self.ids)} samples exceed capacity {capacity}: {shown}")
 
 
 class ManifestError(ValueError):

@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 
+# Random fixtures per check; pack-equiv's last packing is one _LONG_BLOCK.
+_GRAD_INSTANCES = 30
+_ROPE_DRAWS = 1000
+_PACK_TRIALS = 26
+_FFD_MANIFESTS = 40
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -101,11 +108,11 @@ def _vet_loss(
     return float(sum(vet.vet_embed(t, vet_table) @ upstream for t in tokens))
 
 
-def check_vet_grad(seed: int, fault: bool = False, instances: int = 30) -> CheckResult:
+def check_vet_grad(seed: int, fault: bool = False) -> CheckResult:
     rng = np.random.default_rng([seed, 1])
     tol = 1e-5
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(_GRAD_INSTANCES):
         n = int(rng.integers(1, 4))
         d_model = int(rng.integers(2, 5))
         vocab = int(rng.integers(3, 7))
@@ -141,15 +148,15 @@ def check_vet_grad(seed: int, fault: bool = False, instances: int = 30) -> Check
     return CheckResult(
         name="vet-grad",
         passed=worst < tol,
-        detail=f"max rel err {worst:.3e} over {instances} instances (tol {tol:.0e})",
+        detail=f"max rel err {worst:.3e} over {_GRAD_INSTANCES} instances (tol {tol:.0e})",
     )
 
 
-def check_dpo_grad(seed: int, fault: bool = False, instances: int = 30) -> CheckResult:
+def check_dpo_grad(seed: int, fault: bool = False) -> CheckResult:
     rng = np.random.default_rng([seed, 2])
     tol = 1e-6
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(_GRAD_INSTANCES):
         lps = rng.uniform(-5.0, 5.0, 4)
         cfg = objectives.DpoConfig(
             beta=float(rng.uniform(0.05, 2.0)), nll_weight=float(rng.uniform(0.0, 1.0))
@@ -178,18 +185,18 @@ def check_dpo_grad(seed: int, fault: bool = False, instances: int = 30) -> Check
     return CheckResult(
         name="dpo-grad",
         passed=worst < tol,
-        detail=f"max rel err {worst:.3e} over {instances} instances (tol {tol:.0e})",
+        detail=f"max rel err {worst:.3e} over {_GRAD_INSTANCES} instances (tol {tol:.0e})",
     )
 
 
-def check_rope_relative(seed: int, fault: bool = False, draws: int = 1000) -> CheckResult:
+def check_rope_relative(seed: int, fault: bool = False) -> CheckResult:
     rng = np.random.default_rng([seed, 3])
     config = encoder.RopeConfig(d_head=8)
-    q = rng.normal(0.0, 1.0, (draws, config.d_head))
-    k = rng.normal(0.0, 1.0, (draws, config.d_head))
-    p_q = rng.integers(0, 64, (draws, 2))
-    p_k = rng.integers(0, 64, (draws, 2))
-    t = rng.integers(0, 64, (draws, 2))
+    q = rng.normal(0.0, 1.0, (_ROPE_DRAWS, config.d_head))
+    k = rng.normal(0.0, 1.0, (_ROPE_DRAWS, config.d_head))
+    p_q = rng.integers(0, 64, (_ROPE_DRAWS, 2))
+    p_k = rng.integers(0, 64, (_ROPE_DRAWS, 2))
+    t = rng.integers(0, 64, (_ROPE_DRAWS, 2))
 
     dots = np.einsum(
         "ij,ij->i", encoder.apply_rope_2d(q, p_q, config), encoder.apply_rope_2d(k, p_k, config)
@@ -208,7 +215,7 @@ def check_rope_relative(seed: int, fault: bool = False, draws: int = 1000) -> Ch
     worst_norm = float(np.abs(norms_in - norms_out).max())
 
     identity_ok = np.array_equal(
-        encoder.apply_rope_2d(q, np.zeros((draws, 2), dtype=int), config), q
+        encoder.apply_rope_2d(q, np.zeros((_ROPE_DRAWS, 2), dtype=int), config), q
     )
     passed = worst_shift < 1e-9 and worst_norm < 1e-12 and identity_ok
     return CheckResult(
@@ -218,7 +225,7 @@ def check_rope_relative(seed: int, fault: bool = False, draws: int = 1000) -> Ch
             f"translation dev {worst_shift:.3e} (tol 1e-09), "
             f"norm dev {worst_norm:.3e} (tol 1e-12), "
             f"zero-position identity {'exact' if identity_ok else 'BROKEN'}, "
-            f"{draws} draws"
+            f"{_ROPE_DRAWS} draws"
         ),
     )
 
@@ -263,15 +270,15 @@ def _dense_block_attention(
 _LONG_BLOCK = 400
 
 
-def check_pack_equiv(seed: int, fault: bool = False, trials: int = 26) -> CheckResult:
+def check_pack_equiv(seed: int, fault: bool = False) -> CheckResult:
     rng = np.random.default_rng([seed, 4])
     tol = 1e-6
     d_model, d_head = 8, 8
     worst = 0.0
-    for trial in range(trials):
+    for trial in range(_PACK_TRIALS):
         rope = encoder.RopeConfig(d_head=d_head, enabled=bool(trial % 2))
         weights = encoder.AttentionParams.random(d_model, d_head, rng)
-        if trial == trials - 1:
+        if trial == _PACK_TRIALS - 1:
             lengths = [_LONG_BLOCK]
         else:
             lengths = [int(rng.integers(1, 25)) for _ in range(int(rng.integers(1, 9)))]
@@ -293,15 +300,15 @@ def check_pack_equiv(seed: int, fault: bool = False, trials: int = 26) -> CheckR
         name="pack-equiv",
         passed=worst < tol,
         detail=f"max abs dev {worst:.3e} from dense masked attention over "
-        f"{trials} packings (tol {tol:.0e})",
+        f"{_PACK_TRIALS} packings (tol {tol:.0e})",
     )
 
 
-def check_ffd_opt(seed: int, fault: bool = False, manifests: int = 40) -> CheckResult:
+def check_ffd_opt(seed: int, fault: bool = False) -> CheckResult:
     rng = np.random.default_rng([seed, 5])
     capacity = 12
     worst_margin = -math.inf
-    for _ in range(manifests):
+    for _ in range(_FFD_MANIFESTS):
         lengths = [int(rng.integers(1, capacity + 1)) for _ in range(int(rng.integers(1, 11)))]
         samples = [
             packing.SampleRecord(f"s{i:02d}", length)
@@ -324,7 +331,7 @@ def check_ffd_opt(seed: int, fault: bool = False, manifests: int = 40) -> CheckR
     return CheckResult(
         name="ffd-opt",
         passed=True,
-        detail=f"within ceil(11/9 opt)+1 on {manifests} manifests "
+        detail=f"within ceil(11/9 opt)+1 on {_FFD_MANIFESTS} manifests "
         f"(worst slack {-worst_margin})",
     )
 

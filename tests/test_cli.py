@@ -440,6 +440,29 @@ class TestChat:
         assert result.stderr == f"{conv}: {message}\n"
 
     @pytest.mark.parametrize(
+        "chat_image, plan_image",
+        [
+            ({"id": "img0", "width": 100, "height": 100, "x": 1},
+             {"width": 100, "height": 100, "x": 1}),
+            (["img0", 100, 100], [100, 100]),
+            ({"id": "img0", "width": 100}, {"width": 100}),
+        ],
+        ids=["extra-key", "not-an-object", "missing-height"],
+    )
+    def test_image_faults_read_as_in_plan(self, tmp_path, chat_image, plan_image):
+        conv = tmp_path / "c.json"
+        conv.write_text(json.dumps({**CONVERSATION, "images": [chat_image]}))
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "a", "text_tokens": 1, "images": [plan_image]}))
+        chat = run_cli("chat", "--conversation", str(conv))
+        plan = run_cli("plan", "--manifest", str(manifest))
+        assert chat.returncode == plan.returncode == 1
+        assert chat.stderr.removeprefix(f"{conv}: ") == plan.stderr.removeprefix(
+            f"{manifest}:1: "
+        )
+        assert chat.stderr.startswith(f"{conv}: image 0")
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("{bad", "invalid JSON: Expecting property name enclosed in double quotes: "
@@ -799,6 +822,14 @@ class TestVerify:
         assert result.returncode == 0
         assert "vet-grad" in result.stdout and "dpo-grad" in result.stdout
         assert "rope-relative" not in result.stdout
+
+    @pytest.mark.parametrize("command", ["verify", "grad-check"])
+    def test_negative_seed_is_usage_error(self, command):
+        result = run_cli(command, "--seed", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "argument --seed: must be >= 0, got -1" in result.stderr
 
 
 class TestStartup:

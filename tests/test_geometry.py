@@ -202,6 +202,38 @@ class TestOracleEquivalence:
                     continue
                 assert (plan.grid_rows, plan.grid_cols) == oracle_plan_fast(w, h, budget)
 
+    @given(
+        w=st.integers(min_value=1, max_value=100_000),
+        h=st.integers(min_value=1, max_value=100_000),
+        patch=st.integers(min_value=1, max_value=32),
+        lo_patches=st.integers(min_value=1, max_value=4096),
+        extra_patches=st.one_of(st.just(0), st.integers(min_value=0, max_value=4096)),
+        lo_offset=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        hi_offset=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        one_value=st.booleans(),
+    )
+    def test_random_budgets(
+        self, w, h, patch, lo_patches, extra_patches, lo_offset, hi_offset, one_value
+    ):
+        # Bounds are whole patch areas plus offsets below one patch area, so
+        # the draws cover one-value budgets, budgets that only a few
+        # (possibly distorted) grids fit, and budgets that no grid fits.
+        area = patch * patch
+        min_pixels = lo_patches * area + int(lo_offset * area)
+        max_pixels = min(lo_patches + extra_patches, 4096) * area + int(hi_offset * area)
+        if one_value or max_pixels < min_pixels:
+            max_pixels = min_pixels
+        budget = PixelBudget(min_pixels=min_pixels, max_pixels=max_pixels, patch_size=patch)
+        expected = oracle_plan(w, h, budget)
+        try:
+            plan = plan_resize(ImageSize(w, h), budget)
+        except BudgetInfeasible:
+            if expected is not None:
+                ideal = oracle_ideal(w, h, budget)
+                assert oracle_key(*expected, *ideal, w / h)[1] > 2.0
+            return
+        assert (plan.grid_rows, plan.grid_cols) == expected
+
 
 class TestInvariants:
     @given(

@@ -78,6 +78,14 @@ class TestPackFfd:
             pack_ffd(samples_of([3, 12, 5, 20]), capacity=10)
         assert err.value.ids == ["s001", "s003"]
 
+    def test_too_long_message_is_bounded(self):
+        with pytest.raises(SampleTooLong) as err:
+            pack_ffd(samples_of([20] * 13 + [3]), capacity=10)
+        ids = [f"s{i:03d}" for i in range(13)]
+        assert err.value.ids == ids
+        shown = ", ".join(f"'{i}'" for i in ids[:10])
+        assert str(err.value) == f"13 samples exceed capacity 10: {shown}, ... (3 more)"
+
     def test_duplicate_ids_rejected(self):
         dup = [SampleRecord("same", 3), SampleRecord("same", 4)]
         with pytest.raises(ValueError, match="duplicate"):
