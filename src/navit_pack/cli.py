@@ -2,21 +2,18 @@
 
 Data goes to stdout, diagnostics to stderr; exit status is 0 exactly
 when no diagnostic was emitted. All subcommands are deterministic given
-their inputs and --seed, so repeated runs are byte-identical. Set
-NAVIT_PACK_LOG=debug|info|warning|error to adjust log verbosity.
+their inputs and --seed, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from . import __version__
 from .geometry import BudgetInfeasible, ImageSize, Phase, ResizePlan, phase_budget, plan_resize
@@ -24,10 +21,12 @@ from .packing import (
     PAD_POSITION,
     ManifestError,
     PackedSequence,
+    SampleRecord,
     SampleTooLong,
     _entry,
     _json_record,
     _list,
+    _plan_images,
     _quoted,
     pack_ffd,
     packing_report,
@@ -43,7 +42,7 @@ if TYPE_CHECKING:
 # `chat`, `objectives` and `selfcheck` are imported by the subcommands that
 # use them, so `plan` and `pack` start without numpy.
 
-log = logging.getLogger("navit_pack")
+T = TypeVar("T")
 
 _CONVERSATION_KEYS = {"messages", "images"}
 _CHAT_IMAGE_KEYS = {"id", "width", "height"}
@@ -67,7 +66,14 @@ _GRAD_CHECKS = ("vet-grad", "dpo-grad")
 _PREFS_CHUNK = 64
 
 
+# Diagnostics written since `main` started the current command. The exit
+# status is derived from it, so no subcommand counts its own failures.
+_diagnostics = 0
+
+
 def _diag(message: str) -> None:
+    global _diagnostics
+    _diagnostics += 1
     print(message, file=sys.stderr)
 
 
@@ -114,68 +120,59 @@ def _plan_json(plan: ResizePlan) -> dict:
     }
 
 
-def _read_lines(path: str) -> Iterable[tuple[int, str]]:
-    """The non-blank lines of `path` with their line numbers."""
+def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
+    """`(lineno, parse(line))` for each non-blank line of `path`.
+
+    A line whose `parse` raises `ValueError` is reported as
+    `path:lineno: message` and skipped.
+    """
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                yield lineno, line
+            if not line.strip():
+                continue
+            try:
+                value = parse(line)
+            except ValueError as e:
+                _diag(f"{path}:{lineno}: {e}")
+                continue
+            yield lineno, value
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> None:
     budget = phase_budget(args.phase)
-    failures = 0
-    for lineno, line in _read_lines(args.manifest):
-        try:
-            record = parse_manifest_line(line)
-        except ManifestError as e:
-            _diag(f"{args.manifest}:{lineno}: {e}")
-            failures += 1
-            continue
+    for lineno, record in _records(args.manifest, parse_manifest_line):
         for index, size in enumerate(record.images):
             try:
                 plan = plan_resize(size, budget)
             except BudgetInfeasible as e:
                 _diag(f"{args.manifest}:{lineno}: image {index}: {e}")
-                failures += 1
                 continue
             _emit({"id": record.id, "image_index": index, **_plan_json(plan)})
-    return 1 if failures else 0
 
 
-def cmd_pack(args: argparse.Namespace) -> int:
+def cmd_pack(args: argparse.Namespace) -> None:
     budget = phase_budget(args.phase)
-    samples = []
     seen_ids: set[str] = set()
-    failures = 0
-    for lineno, line in _read_lines(args.manifest):
-        try:
-            record = parse_manifest_line(line)
-            if record.id in seen_ids:
-                raise ManifestError(f"duplicate sample id {_quoted(record.id)}")
-            seen_ids.add(record.id)
-            samples.append(sample_from_record(record, budget))
-        except ValueError as e:
-            _diag(f"{args.manifest}:{lineno}: {e}")
-            failures += 1
-    if failures:
-        return 1
+
+    def sample(line: str) -> SampleRecord:
+        record = parse_manifest_line(line)
+        if record.id in seen_ids:
+            raise ManifestError(f"duplicate sample id {_quoted(record.id)}")
+        seen_ids.add(record.id)
+        return sample_from_record(record, budget)
+
+    samples = [s for _, s in _records(args.manifest, sample)]
+    if _diagnostics:
+        return
     try:
         sequences = pack_ffd(samples, args.capacity)
     except SampleTooLong as e:
         _diag(f"{args.manifest}: {e}")
-        return 1
+        return
     report = packing_report(samples, sequences, args.capacity, args.batch_size)
-    log.info(
-        "packed %d samples into %d sequences (pad fraction %.4f)",
-        report.n_samples,
-        report.n_sequences,
-        report.packed_pad_fraction,
-    )
     for seq in sequences:
         print(_sequence_line(seq))
     _emit(report.to_json_dict())
-    return 0
 
 
 def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
@@ -213,7 +210,7 @@ def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSi
     return messages, sizes
 
 
-def cmd_chat(args: argparse.Namespace) -> int:
+def cmd_chat(args: argparse.Namespace) -> None:
     from .chat import UnresolvedImageRef, render
 
     # Read outside the `try`: an unreadable or non-UTF-8 file is reported
@@ -222,12 +219,11 @@ def cmd_chat(args: argparse.Namespace) -> int:
         text = f.read()
     try:
         messages, sizes = _parse_conversation(text)
-        budget = phase_budget(args.phase)
-        plans = {image_id: plan_resize(size, budget) for image_id, size in sizes.items()}
+        plans = dict(zip(sizes, _plan_images(sizes.values(), phase_budget(args.phase))))
         prompt = render(messages, args.thinking, plans)
     except (ValueError, UnresolvedImageRef) as e:
         _diag(f"{args.conversation}: {e}")
-        return 1
+        return
     sys.stdout.write(prompt.flat_text())
     if args.sidecar:
         sidecar = {
@@ -238,10 +234,9 @@ def cmd_chat(args: argparse.Namespace) -> int:
         with open(args.sidecar, "w", encoding="utf-8") as f:
             json.dump(sidecar, f, separators=(",", ":"))
             f.write("\n")
-    return 0
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> None:
     from .chat import MalformedThinkBlock, parse_thinking
 
     # Strict UTF-8 whatever the locale: under C/POSIX, sys.stdin would pass
@@ -251,15 +246,15 @@ def cmd_parse(args: argparse.Namespace) -> int:
         result = parse_thinking(raw, lenient=not args.strict)
     except MalformedThinkBlock as e:
         _diag(f"malformed think block: {e}")
-        return 1
+        return
     _emit(result.to_json_dict())
-    return 0
 
 
-def _run_and_report(seed: int, fault: str | None, only: tuple[str, ...] | None) -> int:
+def cmd_verify(args: argparse.Namespace) -> None:
+    """`verify` and `grad-check`: run the checks in `args.only` (all if None)."""
     from .selfcheck import run_checks
 
-    results = run_checks(seed, fault=fault, only=only)
+    results = run_checks(args.seed, fault=args.fault_inject, only=args.only)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -267,31 +262,6 @@ def _run_and_report(seed: int, fault: str | None, only: tuple[str, ...] | None) 
     failed = [r.name for r in results if not r.passed]
     if failed:
         _diag(f"failed checks: {', '.join(failed)}")
-        return 1
-    return 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    return _run_and_report(args.seed, args.fault_inject, None)
-
-
-def cmd_grad_check(args: argparse.Namespace) -> int:
-    return _run_and_report(args.seed, args.fault_inject, _GRAD_CHECKS)
-
-
-def _read_groups(path: str) -> tuple[list[tuple[int, PreferenceGroup]], int]:
-    """The groups of `path` with their line numbers, and the count of bad lines."""
-    from .objectives import parse_group_line
-
-    failures = 0
-    groups = []
-    for lineno, line in _read_lines(path):
-        try:
-            groups.append((lineno, parse_group_line(line)))
-        except ValueError as e:
-            _diag(f"{path}:{lineno}: {e}")
-            failures += 1
-    return groups, failures
 
 
 def _negated(text: str) -> str:
@@ -305,9 +275,9 @@ def _report_not_finite(path: str, lineno: int, group: PreferenceGroup, what: str
 
 def _dpo_text(
     path: str, chunk: list[tuple[int, PreferenceGroup]], margin: float, cfg: DpoConfig
-) -> tuple[str, int]:
-    """The `prefs dpo` lines of `chunk` from one `dpo_losses` call, and the
-    number of groups left out because a value is not finite.
+) -> str:
+    """The `prefs dpo` lines of `chunk` from one `dpo_losses` call. A group
+    with a value that is not finite is reported and left out.
 
     Each line is byte-identical to `json.dumps` of its record: for a
     finite float, `repr` is the text `json.dumps` writes. Of the five
@@ -340,12 +310,11 @@ def _dpo_text(
     same = cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0
     loss, d_policy_chosen, g = loss.tolist(), d_policy_chosen.tolist(), g.tolist()
     lines = []
-    failures = start = 0
+    start = 0
     for (lineno, group), pairs in zip(chunk, spans):
         end = start + len(pairs)
         if not all(finite[start:end]):
             _report_not_finite(path, lineno, group, "loss or gradient")
-            failures += 1
         else:
             head = f'{{"query_id":{json.dumps(group.query_id)},"chosen_index":'
             for (i, j), value, d_chosen, d_rejected in zip(
@@ -360,13 +329,13 @@ def _dpo_text(
                     f'"d_logprob_reference_chosen":{neg},"d_logprob_reference_rejected":{g_str}}}\n'
                 )
         start = end
-    return "".join(lines), failures
+    return "".join(lines)
 
 
-def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> tuple[str, int]:
+def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> str:
     """The `prefs grpo` lines of `chunk` from one `grpo_advantages_rows`
-    call per group size, and the number of groups left out because an
-    advantage is not finite. Lines are rendered with `repr` as in
+    call per group size. A group with an advantage that is not finite is
+    reported and left out. Lines are rendered with `repr` as in
     `_dpo_text`."""
     from .objectives import grpo_advantages_rows
 
@@ -379,40 +348,35 @@ def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> tuple[str
         for n, row in zip(members, grpo_advantages_rows(scores).tolist()):
             advantages[n] = row
     lines = []
-    failures = 0
     for (lineno, group), row in zip(chunk, advantages):
         if not all(map(math.isfinite, row)):
             _report_not_finite(path, lineno, group, "advantage")
-            failures += 1
             continue
         values = ",".join(map(repr, row))
         lines.append(f'{{"query_id":{json.dumps(group.query_id)},"advantages":[{values}]}}\n')
-    return "".join(lines), failures
+    return "".join(lines)
 
 
-def cmd_prefs(args: argparse.Namespace) -> int:
-    from .objectives import DpoConfig, build_pairs
+def cmd_prefs(args: argparse.Namespace) -> None:
+    from .objectives import DpoConfig, build_pairs, parse_group_line
 
-    groups, failures = _read_groups(args.groups)
-    if failures:
-        return 1
+    groups = list(_records(args.groups, parse_group_line))
+    if _diagnostics:
+        return
     if args.min_score_variance > 0.0:
         kept = []
         for lineno, group in groups:
             variance = group.score_variance()
             if not math.isfinite(variance):
                 _report_not_finite(args.groups, lineno, group, "score variance")
-                failures += 1
             elif variance >= args.min_score_variance:
                 kept.append((lineno, group))
-        log.info("difficulty filter kept %d of %d groups", len(kept), len(groups))
         groups = kept
     if args.prefs_command == "pairs":
         for lineno, group in groups:
             pairs = build_pairs(group, args.margin)
             if not all(math.isfinite(pair.score_gap) for pair in pairs):
                 _report_not_finite(args.groups, lineno, group, "score gap")
-                failures += 1
                 continue
             for pair in pairs:
                 _emit(
@@ -425,17 +389,14 @@ def cmd_prefs(args: argparse.Namespace) -> int:
                         "score_gap": pair.score_gap,
                     }
                 )
-        return 1 if failures else 0
+        return
     if args.prefs_command == "dpo":
         cfg = DpoConfig(beta=args.beta, nll_weight=args.nll_weight)
         chunk_text = partial(_dpo_text, margin=args.margin, cfg=cfg)
     else:
         chunk_text = _grpo_text
     for start in range(0, len(groups), _PREFS_CHUNK):
-        text, bad = chunk_text(args.groups, groups[start : start + _PREFS_CHUNK])
-        sys.stdout.write(text)
-        failures += bad
-    return 1 if failures else 0
+        sys.stdout.write(chunk_text(args.groups, groups[start : start + _PREFS_CHUNK]))
 
 
 def _phase(value: str) -> Phase:
@@ -542,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-inject", choices=_CHECK_NAMES, default=None,
         help="(test only) make exactly this check fail",
     )
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, only=None)
 
     grad = sub.add_parser("grad-check", help="run only the gradient checks")
     grad.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
@@ -550,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-inject", choices=_GRAD_CHECKS, default=None,
         help="(test only) make exactly this check fail",
     )
-    grad.set_defaults(func=cmd_grad_check)
+    grad.set_defaults(func=cmd_verify, only=_GRAD_CHECKS)
 
     prefs = sub.add_parser("prefs", help="preference-objective utilities over group JSONL")
     prefs_sub = prefs.add_subparsers(dest="prefs_command", required=True)
@@ -575,14 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("NAVIT_PACK_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
-
-
 def _input_path(args: argparse.Namespace) -> str:
     """The file a subcommand reads its input from."""
     for name in ("manifest", "groups", "conversation"):
@@ -592,17 +545,17 @@ def _input_path(args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the exit status is 1 exactly when it wrote a diagnostic."""
+    global _diagnostics
+    args = build_parser().parse_args(argv)
+    _diagnostics = 0
     try:
-        return args.func(args)
+        args.func(args)
     except OSError as e:
         _diag(f"{e.filename}: {e.strerror}" if e.filename is not None else str(e))
-        return 1
     except UnicodeDecodeError as e:
         _diag(f"{_input_path(args)}: not UTF-8 text ({e.reason})")
-        return 1
+    return 1 if _diagnostics else 0
 
 
 if __name__ == "__main__":

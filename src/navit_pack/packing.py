@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .geometry import ImageSize, PixelBudget, ResizePlan, plan_resize
+from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, plan_resize
 
 __all__ = [
     "ManifestError",
@@ -426,7 +426,17 @@ def parse_image_size(img: dict, index: int) -> ImageSize:
     return ImageSize(width=img["width"], height=img["height"])
 
 
+def _plan_images(sizes: Iterable[ImageSize], budget: PixelBudget) -> tuple[ResizePlan, ...]:
+    """Plan each image under `budget`; a `BudgetInfeasible` names the image's index."""
+    plans = []
+    for index, size in enumerate(sizes):
+        try:
+            plans.append(plan_resize(size, budget))
+        except BudgetInfeasible as e:
+            raise BudgetInfeasible(f"image {index}: {e}") from None
+    return tuple(plans)
+
+
 def sample_from_record(record: ManifestRecord, budget: PixelBudget) -> SampleRecord:
     """Plan the record's images under `budget` and total up its tokens."""
-    plans = tuple(plan_resize(size, budget) for size in record.images)
-    return SampleRecord(record.id, record.text_tokens, plans)
+    return SampleRecord(record.id, record.text_tokens, _plan_images(record.images, budget))

@@ -118,15 +118,15 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken]:
-    """Map each feature row to its distribution over visual words.
+def _head_probs(features: np.ndarray, head: VisualHead) -> tuple[np.ndarray, np.ndarray]:
+    """The features as a float array and their checked (n, vocab) probabilities.
 
     Row i is softmax(features_i @ projection / temperature), computed with
     max subtraction so large logits stay finite. The whole probability
     array is checked once, with the rule `ProbVisualToken` applies to one
-    row, and each token holds a view of its row. Logits that overflow to
-    infinity give NaN probabilities and raise `NonFiniteInput`, without a
-    numpy warning.
+    row. Non-finite features raise `NonFiniteInput`, and so do logits that
+    overflow to infinity (they give NaN probabilities), without a numpy
+    warning.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -142,6 +142,16 @@ def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken
     with np.errstate(over="ignore", invalid="ignore"):
         probs = _softmax_rows(f @ head.projection / head.temperature)
     _check_probs(probs)
+    return f, probs
+
+
+def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken]:
+    """Map each feature row to its distribution over visual words.
+
+    The probabilities are those of `_head_probs`, and each token holds a
+    view of its row.
+    """
+    _, probs = _head_probs(features, head)
     # Each row was checked with its array: skip the per-row __post_init__.
     new, set_field = object.__new__, object.__setattr__
     tokens = []
@@ -184,20 +194,19 @@ def vet_embed_grad(
     projection gradients follow by the chain rule, and the table gradient
     is the outer product p (x) upstream summed over rows.
     """
-    f = np.asarray(features, dtype=np.float64)
     u = np.asarray(upstream, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != head.projection.shape[0]:
-        raise ShapeMismatch(f"features shape {f.shape} inconsistent with projection")
     if u.shape != (vet.table.shape[1],):
         raise ShapeMismatch(
             f"upstream shape {u.shape} != (d_embed,) = ({vet.table.shape[1]},)"
         )
+    if not np.isfinite(u).all():
+        raise NonFiniteInput("upstream contains non-finite entries")
     if head.vocab_size != vet.vocab_size:
         raise ShapeMismatch(
             f"head vocabulary {head.vocab_size} != table vocabulary {vet.vocab_size}"
         )
 
-    probs = _softmax_rows(f @ head.projection / head.temperature)  # (n, vocab)
+    f, probs = _head_probs(features, head)  # probs: (n, vocab)
     a = vet.table @ u  # (vocab,)
     pa = probs @ a  # (n,)
     d_logits = probs * a[None, :] - probs * pa[:, None]  # (n, vocab)

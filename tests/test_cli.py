@@ -101,24 +101,36 @@ class TestPlan:
         assert result.returncode == 1
         assert result.stderr == f"{manifest}:2: image 0: 'width' is too large\n"
 
-    def test_distortion_diagnostic_stays_short(self, tmp_path):
-        # Sides and factors above 1e15 are written in exponent form; the
-        # 10**300-wide image used to give a 684-character line.
-        manifest = tmp_path / "m.jsonl"
-        manifest.write_text(
-            '{"id": "a", "text_tokens": 1, "images": [{"width": 10000, "height": 3}]}\n'
-            f'{{"id": "b", "text_tokens": 1, "images": [{{"width": {10**300}, "height": 3}}]}}\n'
-        )
-        result = run_cli("plan", "--manifest", str(manifest))
+    @pytest.mark.parametrize("command", ["plan", "pack", "chat"])
+    @pytest.mark.parametrize(
+        "width, expected",
+        [
+            (10000, "best grid 1x1617 distorts aspect by 2.061x (> 2.0) for source 10000x3"),
+            # Sides and factors above 1e15 are written in exponent form; the
+            # 10**300-wide image used to give a 684-character line.
+            (10**300, "best grid 1x12544 distorts aspect by 2.66e+295x (> 2.0) for source 1e+300x3"),
+        ],
+        ids=["10000x3", "1e300x3"],
+    )
+    def test_distortion_diagnostic_stays_short(self, tmp_path, command, width, expected):
+        # Image 1 is infeasible; every reader names it the same way.
+        images = [{"width": 100, "height": 100}, {"width": width, "height": 3}]
+        if command == "chat":
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({
+                "messages": [{"role": "user", "parts": [{"text": "hi"}]}],
+                "images": [{"id": f"img{i}", **size} for i, size in enumerate(images)],
+            }))
+            result = run_cli("chat", "--conversation", str(path))
+            where = f"{path}: "
+        else:
+            path = tmp_path / "m.jsonl"
+            path.write_text(json.dumps({"id": "a", "text_tokens": 1, "images": images}) + "\n")
+            result = run_cli(command, "--manifest", str(path))
+            where = f"{path}:1: "
         assert result.returncode == 1
-        where = f"{manifest}"
-        assert result.stderr.splitlines() == [
-            f"{where}:1: image 0: best grid 1x1617 distorts aspect by 2.061x (> 2.0) "
-            "for source 10000x3",
-            f"{where}:2: image 0: best grid 1x12544 distorts aspect by 2.66e+295x (> 2.0) "
-            "for source 1e+300x3",
-        ]
-        assert all(len(line) - len(where) < 200 for line in result.stderr.splitlines())
+        assert result.stderr == f"{where}image 1: {expected}\n"
+        assert len(result.stderr) - len(where) < 200
 
     def test_missing_file(self):
         result = run_cli("plan", "--manifest", "/nonexistent/m.jsonl")
@@ -845,7 +857,8 @@ class TestStartup:
             f"         cli.main(['pack', '--manifest', {str(manifest)!r}]),\n"
             f"         cli.main(['chat', '--conversation', {str(conv)!r}]),\n"
             "         cli.main(['parse'])]\n"
-            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('navit_pack'))\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m in ('numpy', 'logging') or m.startswith('navit_pack'))\n"
             "print(json.dumps({'codes': codes, 'loaded': loaded}), file=sys.stderr)\n"
         )
         result = subprocess.run(
@@ -905,14 +918,32 @@ class TestCliConfig:
         assert parsed.returncode == 1
         assert parsed.stderr.startswith("malformed think block")
 
-    def test_log_env_var_enables_info_logging(self, tmp_path):
+    def test_successful_runs_write_nothing_to_stderr_under_any_environment(self, tmp_path):
+        # Stderr carries diagnostics only, so a run that exits 0 writes
+        # nothing there, whatever the environment (NAVIT_PACK_LOG=info
+        # included) asks for.
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('{"id": "a", "text_tokens": 5}\n')
-        result = subprocess.run(
-            [sys.executable, "-m", "navit_pack", "pack", "--manifest", str(manifest)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "NAVIT_PACK_LOG": "info"},
-        )
-        assert result.returncode == 0
-        assert "packed 1 samples into 1 sequences" in result.stderr
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(GROUPS)
+        for argv in (
+            ["pack", "--manifest", str(manifest)],
+            ["prefs", "dpo", "--groups", str(groups), "--min-score-variance", "0.1"],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "navit_pack", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "NAVIT_PACK_LOG": "info"},
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv
+
+    def test_exit_status_counts_only_the_current_command(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a"}\n')
+        good = tmp_path / "good.jsonl"
+        good.write_text(MANIFEST)
+        assert cli.main(["pack", "--manifest", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"{bad}:1: ")
+        assert cli.main(["pack", "--manifest", str(good)]) == 0
+        assert capsys.readouterr().err == ""

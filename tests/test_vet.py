@@ -243,6 +243,25 @@ class TestGradients:
             )
         assert worst < 1e-5
 
+    def test_nonfinite_feature_rejected(self):
+        head = VisualHead(projection=np.eye(2))
+        table = VisualEmbeddingTable(table=np.ones((2, 3)))
+        with pytest.raises(NonFiniteInput, match="^features contain non-finite entries$"):
+            vet_embed_grad(np.array([[np.inf, 0.0]]), head, table, np.ones(3))
+
+    def test_overflowing_logits_rejected(self):
+        # As in head_forward: finite features whose logits overflow.
+        head = VisualHead(projection=np.array([[2.0, 1.0]]))
+        table = VisualEmbeddingTable(table=np.ones((2, 3)))
+        with pytest.raises(NonFiniteInput, match="must sum to 1, got .*nan"):
+            vet_embed_grad(np.array([[0.5], [1e308]]), head, table, np.ones(3))
+
+    def test_nonfinite_upstream_rejected(self):
+        head = VisualHead(projection=np.eye(2))
+        table = VisualEmbeddingTable(table=np.ones((2, 3)))
+        with pytest.raises(NonFiniteInput, match="^upstream contains non-finite entries$"):
+            vet_embed_grad(np.zeros((1, 2)), head, table, np.array([1.0, np.inf, 0.0]))
+
     def test_vocabulary_mismatch(self):
         head = VisualHead(projection=np.zeros((3, 4)))
         table = VisualEmbeddingTable(table=np.zeros((5, 2)))
