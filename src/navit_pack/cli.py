@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from . import __version__
-from .geometry import BudgetInfeasible, ImageSize, Phase, ResizePlan, phase_budget, plan_resize
+from .geometry import BudgetInfeasible, ImageSize, Phase, ResizePlan, phase_budget
 from .packing import (
     PAD_POSITION,
     ManifestError,
@@ -26,6 +26,7 @@ from .packing import (
     _entry,
     _json_record,
     _list,
+    _plan_image,
     _plan_images,
     _quoted,
     pack_ffd,
@@ -143,9 +144,9 @@ def cmd_plan(args: argparse.Namespace) -> None:
     for lineno, record in _records(args.manifest, parse_manifest_line):
         for index, size in enumerate(record.images):
             try:
-                plan = plan_resize(size, budget)
+                plan = _plan_image(index, size, budget)
             except BudgetInfeasible as e:
-                _diag(f"{args.manifest}:{lineno}: image {index}: {e}")
+                _diag(f"{args.manifest}:{lineno}: {e}")
                 continue
             _emit({"id": record.id, "image_index": index, **_plan_json(plan)})
 

@@ -426,15 +426,18 @@ def parse_image_size(img: dict, index: int) -> ImageSize:
     return ImageSize(width=img["width"], height=img["height"])
 
 
+def _plan_image(index: int, size: ImageSize, budget: PixelBudget) -> ResizePlan:
+    """Plan image `index` of a record under `budget`; a `BudgetInfeasible`
+    names the image's index, so every reader reports it the same way."""
+    try:
+        return plan_resize(size, budget)
+    except BudgetInfeasible as e:
+        raise BudgetInfeasible(f"image {index}: {e}") from None
+
+
 def _plan_images(sizes: Iterable[ImageSize], budget: PixelBudget) -> tuple[ResizePlan, ...]:
-    """Plan each image under `budget`; a `BudgetInfeasible` names the image's index."""
-    plans = []
-    for index, size in enumerate(sizes):
-        try:
-            plans.append(plan_resize(size, budget))
-        except BudgetInfeasible as e:
-            raise BudgetInfeasible(f"image {index}: {e}") from None
-    return tuple(plans)
+    """Plan each image under `budget`, as `_plan_image` does."""
+    return tuple(_plan_image(i, size, budget) for i, size in enumerate(sizes))
 
 
 def sample_from_record(record: ManifestRecord, budget: PixelBudget) -> SampleRecord:

@@ -58,6 +58,14 @@ CONVERSATION = {
     "images": [{"id": "img0", "width": 100, "height": 100}],
 }
 
+# Width of a 3-pixel-high image and the budget fault it gives, by test id.
+DISTORTIONS = {
+    "10000x3": (10000, "best grid 1x1617 distorts aspect by 2.061x (> 2.0) for source 10000x3"),
+    "1e300x3": (
+        10**300, "best grid 1x12544 distorts aspect by 2.66e+295x (> 2.0) for source 1e+300x3"
+    ),
+}
+
 
 class TestPlan:
     def test_plans_validate_against_schema(self, tmp_path):
@@ -101,36 +109,44 @@ class TestPlan:
         assert result.returncode == 1
         assert result.stderr == f"{manifest}:2: image 0: 'width' is too large\n"
 
-    @pytest.mark.parametrize("command", ["plan", "pack", "chat"])
-    @pytest.mark.parametrize(
-        "width, expected",
-        [
-            (10000, "best grid 1x1617 distorts aspect by 2.061x (> 2.0) for source 10000x3"),
-            # Sides and factors above 1e15 are written in exponent form; the
-            # 10**300-wide image used to give a 684-character line.
-            (10**300, "best grid 1x12544 distorts aspect by 2.66e+295x (> 2.0) for source 1e+300x3"),
-        ],
-        ids=["10000x3", "1e300x3"],
-    )
-    def test_distortion_diagnostic_stays_short(self, tmp_path, command, width, expected):
-        # Image 1 is infeasible; every reader names it the same way.
-        images = [{"width": 100, "height": 100}, {"width": width, "height": 3}]
-        if command == "chat":
-            path = tmp_path / "c.json"
-            path.write_text(json.dumps({
-                "messages": [{"role": "user", "parts": [{"text": "hi"}]}],
-                "images": [{"id": f"img{i}", **size} for i, size in enumerate(images)],
-            }))
-            result = run_cli("chat", "--conversation", str(path))
-            where = f"{path}: "
-        else:
-            path = tmp_path / "m.jsonl"
-            path.write_text(json.dumps({"id": "a", "text_tokens": 1, "images": images}) + "\n")
-            result = run_cli(command, "--manifest", str(path))
-            where = f"{path}:1: "
+    @pytest.mark.parametrize("command", ["plan", "pack"])
+    def test_distortion_diagnostic_stays_short(self, tmp_path, command):
+        # Sides and factors above 1e15 are written in exponent form; the
+        # 10**300-wide image used to give a 684-character line. Both lines
+        # are reported: a budget fault does not end the run.
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            '{"id": "a", "text_tokens": 1, "images": [{"width": 10000, "height": 3}]}\n'
+            '{"id": "b", "text_tokens": 1, "images": [{"width": 100, "height": 100}, '
+            f'{{"width": {10**300}, "height": 3}}]}}\n'
+        )
+        result = run_cli(command, "--manifest", str(manifest))
         assert result.returncode == 1
-        assert result.stderr == f"{where}image 1: {expected}\n"
-        assert len(result.stderr) - len(where) < 200
+        where = f"{manifest}"
+        assert result.stderr.splitlines() == [
+            f"{where}:1: image 0: {DISTORTIONS['10000x3'][1]}",
+            f"{where}:2: image 1: {DISTORTIONS['1e300x3'][1]}",
+        ]
+        assert all(len(line) - len(where) < 200 for line in result.stderr.splitlines())
+        if command == "plan":
+            planned = [json.loads(line) for line in result.stdout.splitlines()]
+            assert [(p["id"], p["image_index"]) for p in planned] == [("b", 0)]
+        else:
+            assert result.stdout == ""
+
+    @pytest.mark.parametrize("width, expected", DISTORTIONS.values(), ids=DISTORTIONS.keys())
+    def test_chat_distortion_diagnostic_names_image(self, tmp_path, width, expected):
+        # The text after the `path: ` prefix is the one `plan` and `pack` write.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "messages": [{"role": "user", "parts": [{"text": "hi"}]}],
+            "images": [{"id": "img0", "width": 100, "height": 100},
+                       {"id": "img1", "width": width, "height": 3}],
+        }))
+        result = run_cli("chat", "--conversation", str(path))
+        assert result.returncode == 1
+        assert result.stderr == f"{path}: image 1: {expected}\n"
+        assert result.stdout == ""
 
     def test_missing_file(self):
         result = run_cli("plan", "--manifest", "/nonexistent/m.jsonl")
