@@ -162,29 +162,50 @@ def relative_distortion(rows: int, cols: int, source_aspect: float) -> float:
     return source_aspect / grid_aspect
 
 
-def _best_grid(
-    rows: range, budget: PixelBudget, ideal_rows: float, ideal_cols: float, aspect: float
-) -> tuple[tuple[float, float, int, int], int, int] | None:
-    """The feasible grid with a row count in `rows` that `grid_key` ranks
-    best, as (key, rows, cols), or None when none of them fits the budget.
+def _best_grid(source: ImageSize, budget: PixelBudget) -> tuple[tuple, int, int]:
+    """The feasible grid that `grid_key` ranks best, as (key, rows, cols).
 
-    For one row count the column counts that fit form an interval, and
-    the squared distance to the ideal is smallest at the one nearest
-    `ideal_cols`: its floor or ceiling clamped into the interval. Only
-    those two can tie on distance, so they are the only candidates.
+    Only the floor and ceiling of `ideal_cols`, clamped into the columns
+    [c_lo, c_hi] that fit, can win at a row count. Rows are walked from
+    the ideal's floor down, where c_lo grows, then up, where c_hi shrinks;
+    `gap` is how far that limit lies past the ideal. A direction stops at
+    a row whose squared distance at a positive gap, a bound on every row
+    further out, is above the best (ties still go to `grid_key`), or after
+    a fitting row with gap >= 0: rows past it are farther and more distorted.
     """
     patch_area = budget.patch_size**2
+    max_rows = budget.max_pixels // patch_area
+    if max_rows * patch_area < budget.min_pixels:  # row 1 fits every patch multiple
+        raise BudgetInfeasible(
+            f"no patch grid with side {budget.patch_size} fits "
+            f"[{budget.min_pixels}, {budget.max_pixels}] pixels"
+        )
+    ideal_rows, ideal_cols = _ideal_grid(source, budget)
     floor_cols, ceil_cols = math.floor(ideal_cols), math.ceil(ideal_cols)
+    start = min(max(math.floor(ideal_rows), 1), max_rows)
     best = None
-    for r in rows:
-        c_lo = max(1, -(-budget.min_pixels // (r * patch_area)))  # ceil div
-        c_hi = budget.max_pixels // (r * patch_area)
-        if c_lo > c_hi:
-            continue
-        for c in {min(max(floor_cols, c_lo), c_hi), min(max(ceil_cols, c_lo), c_hi)}:
-            key = grid_key(r, c, ideal_rows, ideal_cols, aspect)
-            if best is None or key < best[0]:
-                best = key, r, c
+    for rows in (range(start, 0, -1), range(start + 1, max_rows + 1)):
+        for r in rows:
+            c_lo = max(1, -(-budget.min_pixels // (r * patch_area)))  # ceil div
+            c_hi = budget.max_pixels // (r * patch_area)
+            gap = c_lo - ideal_cols if rows.step < 0 else ideal_cols - c_hi
+            try:
+                bound = (r - ideal_rows) ** 2 + max(gap, 0.0) ** 2
+            except OverflowError:  # a side ~1e154 patches off: infinitely far
+                bound = math.inf
+            if best is not None and bound > best[0][0]:
+                break
+            if c_lo > c_hi:
+                continue
+            for c in {min(max(floor_cols, c_lo), c_hi), min(max(ceil_cols, c_lo), c_hi)}:
+                try:
+                    key = grid_key(r, c, ideal_rows, ideal_cols, source.aspect)
+                except OverflowError:
+                    key = math.inf, relative_distortion(r, c, source.aspect), r * c, r
+                if best is None or key < best[0]:
+                    best = key, r, c
+            if gap >= 0:
+                break
     return best
 
 
@@ -198,34 +219,13 @@ def plan_resize(source: ImageSize, budget: PixelBudget) -> ResizePlan:
     """Plan an aspect-preserving resize of `source` into `budget`.
 
     Both sides are multiplied by the single clamp scale, which gives a
-    real-valued ideal grid. The feasible grid that `grid_key` ranks best
-    wins: the same grid an exhaustive search under that key finds. For
-    each row count only two column counts can win, the floor and the
-    ceiling of the ideal column count, each clamped into the column
-    counts that fit the budget at that row count. The search first tries
-    the row counts from one below the ideal's floor to one above its
-    ceiling. Every other row count is at least 2 from the ideal, so only
-    when those give no grid within squared distance 4 does it try every
-    row count.
-
-    Raises BudgetInfeasible when no grid fits the budget at all, or when
-    the best grid's aspect ratio is off by more than
-    DEFAULT_MAX_DISTORTION (degenerate slivers).
+    real-valued ideal grid. The feasible grid `grid_key` ranks best wins,
+    as an exhaustive search finds it: `_best_grid` walks the row counts
+    out from the ideal's and stops each way once none further out can
+    rank better. Raises BudgetInfeasible when no grid fits the budget, or
+    when the best grid's aspect is off by more than DEFAULT_MAX_DISTORTION.
     """
-    ideal_rows, ideal_cols = _ideal_grid(source, budget)
-    aspect = source.aspect
-    near = range(max(1, math.floor(ideal_rows) - 1), math.ceil(ideal_rows) + 2)
-    best = _best_grid(near, budget, ideal_rows, ideal_cols, aspect)
-    if best is None or best[0][0] >= 4.0:
-        all_rows = range(1, budget.max_pixels // budget.patch_size**2 + 1)
-        best = _best_grid(all_rows, budget, ideal_rows, ideal_cols, aspect)
-    if best is None:
-        raise BudgetInfeasible(
-            f"no patch grid with side {budget.patch_size} fits "
-            f"[{budget.min_pixels}, {budget.max_pixels}] pixels"
-        )
-
-    (_, distortion, _, _), rows, cols = best
+    (_, distortion, _, _), rows, cols = _best_grid(source, budget)
     if distortion > DEFAULT_MAX_DISTORTION:
         raise BudgetInfeasible(
             f"best grid {rows}x{cols} distorts aspect by {_short(distortion, '.3f')}x "

@@ -192,7 +192,9 @@ def vet_embed_grad(
     For each row, with p = softmax(z) and a = table @ upstream, the
     softmax Jacobian gives dL/dz = p * a - (p . a) p; features and
     projection gradients follow by the chain rule, and the table gradient
-    is the outer product p (x) upstream summed over rows.
+    is the outer product p (x) upstream summed over rows. Non-finite
+    upstream entries, and finite inputs whose gradients overflow, raise
+    `NonFiniteInput`.
     """
     u = np.asarray(upstream, dtype=np.float64)
     if u.shape != (vet.table.shape[1],):
@@ -207,11 +209,16 @@ def vet_embed_grad(
         )
 
     f, probs = _head_probs(features, head)  # probs: (n, vocab)
-    a = vet.table @ u  # (vocab,)
-    pa = probs @ a  # (n,)
-    d_logits = probs * a[None, :] - probs * pa[:, None]  # (n, vocab)
+    # Finite inputs whose gradients overflow surface as the NonFiniteInput
+    # below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = vet.table @ u  # (vocab,)
+        pa = probs @ a  # (n,)
+        d_logits = probs * a[None, :] - probs * pa[:, None]  # (n, vocab)
 
-    d_features = d_logits @ head.projection.T / head.temperature
-    d_projection = f.T @ d_logits / head.temperature
-    d_table = probs.sum(axis=0)[:, None] * u[None, :]
+        d_features = d_logits @ head.projection.T / head.temperature
+        d_projection = f.T @ d_logits / head.temperature
+        d_table = probs.sum(axis=0)[:, None] * u[None, :]
+    if not all(np.isfinite(g).all() for g in (d_features, d_projection, d_table)):
+        raise NonFiniteInput("gradients overflow to non-finite values")
     return VetGradients(d_features=d_features, d_projection=d_projection, d_table=d_table)

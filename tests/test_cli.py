@@ -64,6 +64,10 @@ DISTORTIONS = {
     "1e300x3": (
         10**300, "best grid 1x12544 distorts aspect by 2.66e+295x (> 2.0) for source 1e+300x3"
     ),
+    # Squared distances from the ideal grid overflow a float.
+    "1e308x3": (
+        10**308, "best grid 1x12544 distorts aspect by 2.66e+303x (> 2.0) for source 1e+308x3"
+    ),
 }
 
 
@@ -112,13 +116,14 @@ class TestPlan:
     @pytest.mark.parametrize("command", ["plan", "pack"])
     def test_distortion_diagnostic_stays_short(self, tmp_path, command):
         # Sides and factors above 1e15 are written in exponent form; the
-        # 10**300-wide image used to give a 684-character line. Both lines
-        # are reported: a budget fault does not end the run.
+        # 10**300-wide image used to give a 684-character line. Every line
+        # is reported: a budget fault does not end the run.
         manifest = tmp_path / "m.jsonl"
         manifest.write_text(
             '{"id": "a", "text_tokens": 1, "images": [{"width": 10000, "height": 3}]}\n'
             '{"id": "b", "text_tokens": 1, "images": [{"width": 100, "height": 100}, '
             f'{{"width": {10**300}, "height": 3}}]}}\n'
+            f'{{"id": "c", "text_tokens": 1, "images": [{{"width": {10**308}, "height": 3}}]}}\n'
         )
         result = run_cli(command, "--manifest", str(manifest))
         assert result.returncode == 1
@@ -126,6 +131,7 @@ class TestPlan:
         assert result.stderr.splitlines() == [
             f"{where}:1: image 0: {DISTORTIONS['10000x3'][1]}",
             f"{where}:2: image 1: {DISTORTIONS['1e300x3'][1]}",
+            f"{where}:3: image 0: {DISTORTIONS['1e308x3'][1]}",
         ]
         assert all(len(line) - len(where) < 200 for line in result.stderr.splitlines())
         if command == "plan":

@@ -34,7 +34,7 @@ SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 # More digits than `json.loads` converts to an int (Python's 4300-digit
 # limit), so it cannot go through `json.dumps`: written in as raw text.
 _MANY_DIGITS = "\x00many-digits\x00"
-HUGE_INTS = (2**64, 10**300, 10**400, _MANY_DIGITS)
+HUGE_INTS = (2**64, 10**300, 10**308, 10**400, _MANY_DIGITS)
 # Longer than any diagnostic line may be: an echo of it must be cut.
 LONG = "L" * 5000
 MUTATIONS = ("none", "drop", "add", "swap", "huge", "long", "nan")

@@ -1,12 +1,14 @@
 """Resize planning against a brute-force grid-search oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from navit_pack import geometry
 from navit_pack.geometry import (
     BudgetInfeasible,
     ImageSize,
@@ -136,7 +138,48 @@ class TestPlanResize:
         with pytest.raises(BudgetInfeasible):
             plan_resize(ImageSize(100, 100), budget)
 
-    def test_narrow_budget_uses_full_scan(self):
+    def test_empty_budget_of_a_billion_rows_rejected_at_once(self):
+        # Up to 10**9 rows of one patch column, yet no multiple of 256
+        # lies in the budget: decided without visiting any row.
+        budget = PixelBudget(min_pixels=256 * 10**9 + 1, max_pixels=256 * 10**9 + 255, patch_size=16)
+        start = time.perf_counter()
+        with pytest.raises(BudgetInfeasible, match=r"^no patch grid with side 16 fits \["):
+            plan_resize(ImageSize(3, 5), budget)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "size, expected",
+        [
+            ((10**308, 1), "best grid 1x12544 distorts aspect by 7.97e+303x (> 2.0) for source 1e+308x1"),
+            ((1, 10**308), "best grid 12544x1 distorts aspect by 7.97e+303x (> 2.0) for source 1x1e+308"),
+        ],
+    )
+    def test_side_near_float_max_rejected_as_sliver(self, size, expected):
+        # Every squared distance from the ideal overflows a float here.
+        with pytest.raises(BudgetInfeasible) as e:
+            plan_resize(ImageSize(*size), phase_budget(Phase.P2))
+        assert str(e.value) == expected
+
+    @pytest.mark.parametrize(
+        "size", [(1920, 1080), (10**7, 1), (1, 10**7), (10**40, 1), (10**300, 3)]
+    )
+    def test_walk_ranks_few_grids(self, monkeypatch, size):
+        # The walk stops each way after a row or two, slivers included.
+        calls = []
+        rank = geometry.grid_key
+
+        def counted(*args):
+            calls.append(args)
+            return rank(*args)
+
+        monkeypatch.setattr(geometry, "grid_key", counted)
+        try:
+            plan_resize(ImageSize(*size), phase_budget(Phase.P2))
+        except BudgetInfeasible:
+            pass
+        assert 1 <= len(calls) <= 8
+
+    def test_one_value_budget_far_from_snapped_grid(self):
         # One-value budget: only grids with exactly 784 patches fit, none
         # of which neighbour the snapped 40x20 grid for a 1:2 source.
         budget = PixelBudget(min_pixels=200704, max_pixels=200704, patch_size=16)
@@ -201,6 +244,29 @@ class TestOracleEquivalence:
                 except BudgetInfeasible:
                     continue
                 assert (plan.grid_rows, plan.grid_cols) == oracle_plan_fast(w, h, budget)
+
+    @given(
+        short=st.integers(min_value=1, max_value=4000),
+        # Half the draws near the distortion limit (about 10^3.8 at P1
+        # and 10^4.4 at P2).
+        exponent=st.one_of(st.floats(3.5, 4.7), st.floats(2.0, 40.0)),
+        wide=st.booleans(),
+        phase=st.sampled_from([Phase.P1, Phase.P2]),
+    )
+    def test_slivers_and_near_infeasible_sources(self, short, exponent, wide, phase):
+        # Aspect 10^2 to 10^40 either way: from grids a few rows high,
+        # through sources near the distortion limit, to rejected slivers,
+        # whose diagnostic names the grid the oracle ranks best.
+        budget = phase_budget(phase)
+        long = int(short * 10**exponent)
+        w, h = (long, short) if wide else (short, long)
+        rows, cols = oracle_plan_fast(w, h, budget)
+        try:
+            plan = plan_resize(ImageSize(w, h), budget)
+        except BudgetInfeasible as e:
+            assert str(e).startswith(f"best grid {rows}x{cols} distorts aspect by ")
+            return
+        assert (plan.grid_rows, plan.grid_cols) == (rows, cols)
 
     @given(
         w=st.integers(min_value=1, max_value=100_000),

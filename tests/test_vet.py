@@ -262,6 +262,14 @@ class TestGradients:
         with pytest.raises(NonFiniteInput, match="^upstream contains non-finite entries$"):
             vet_embed_grad(np.zeros((1, 2)), head, table, np.array([1.0, np.inf, 0.0]))
 
+    def test_overflowing_gradients_rejected(self):
+        # Finite upstream, but table @ upstream overflows: an error, not
+        # a numpy warning or infinite gradients.
+        head = VisualHead(projection=np.eye(2))
+        table = VisualEmbeddingTable(table=np.ones((2, 3)))
+        with pytest.raises(NonFiniteInput, match="^gradients overflow to non-finite values$"):
+            vet_embed_grad(np.zeros((1, 2)), head, table, np.full(3, 1e308))
+
     def test_vocabulary_mismatch(self):
         head = VisualHead(projection=np.zeros((3, 4)))
         table = VisualEmbeddingTable(table=np.zeros((5, 2)))
