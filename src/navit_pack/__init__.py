@@ -52,17 +52,11 @@ _EXPORTS = {
     "objectives": (
         "AnswerKind",
         "DpoConfig",
-        "DpoResult",
         "GroupTooSmall",
         "PreferenceGroup",
-        "PreferencePair",
-        "ScoredCandidate",
         "UnknownAnswerLetter",
         "UnparseableNumeric",
-        "build_pairs",
-        "dpo_loss",
         "dpo_losses",
-        "grpo_advantages",
         "grpo_advantages_rows",
         "mcq_to_fill_in_blank",
         "pair_indices",
@@ -91,10 +85,14 @@ __all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # the submodules themselves, as `navit_pack.packing`
-        return import_module(f".{name}", __name__)
     module = _SOURCE.get(name)
     if module is None:
+        if not name.startswith("_"):  # a submodule itself, as `navit_pack.vet`
+            try:
+                return import_module(f".{name}", __name__)
+            except ModuleNotFoundError as e:
+                if e.name != f"{__name__}.{name}":
+                    raise
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value

@@ -59,11 +59,11 @@ _CHECK_NAMES = ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt"
 _GRAD_CHECKS = ("vet-grad", "dpo-grad")
 
 
-# Groups per array call in `prefs dpo` and `prefs grpo`. A bounded chunk
-# holds the columns and rendered lines of only a few hundred pairs at a
-# time: on a 5k-group file, one chunk for the whole file more than doubled
-# the `dpo` job's peak RSS (37 -> 82 MB), while chunks of 64 groups add
-# about 2 MB and run as fast.
+# Groups per chunk in `prefs`, and per array call in `prefs dpo` and
+# `prefs grpo`. A bounded chunk holds the columns and rendered lines of
+# only a few hundred pairs at a time: on a 5k-group file, one chunk for the
+# whole file more than doubled the `dpo` job's peak RSS (37 -> 82 MB),
+# while chunks of 64 groups add about 2 MB and run as fast.
 _PREFS_CHUNK = 64
 
 
@@ -274,6 +274,31 @@ def _report_not_finite(path: str, lineno: int, group: PreferenceGroup, what: str
     _diag(f"{path}:{lineno}: query {_quoted(group.query_id)}: {what} is not finite")
 
 
+def _pairs_text(path: str, chunk: list[tuple[int, PreferenceGroup]], margin: float) -> str:
+    """The `prefs pairs` lines of `chunk`, one `json.dumps` per pair. A
+    group with a score gap that is not finite is reported and left out."""
+    from .objectives import pair_indices
+
+    lines = []
+    for lineno, group in chunk:
+        responses, scores = group.responses, group.scores
+        pairs = [(i, j, scores[i] - scores[j]) for i, j in pair_indices(scores, margin)]
+        if not all(math.isfinite(gap) for _, _, gap in pairs):
+            _report_not_finite(path, lineno, group, "score gap")
+            continue
+        for i, j, gap in pairs:
+            record = {
+                "query_id": group.query_id,
+                "chosen_index": i,
+                "rejected_index": j,
+                "chosen_response": responses[i],
+                "rejected_response": responses[j],
+                "score_gap": gap,
+            }
+            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
 def _dpo_text(
     path: str, chunk: list[tuple[int, PreferenceGroup]], margin: float, cfg: DpoConfig
 ) -> str:
@@ -359,7 +384,7 @@ def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> str:
 
 
 def cmd_prefs(args: argparse.Namespace) -> None:
-    from .objectives import DpoConfig, build_pairs, parse_group_line
+    from .objectives import DpoConfig, parse_group_line
 
     groups = list(_records(args.groups, parse_group_line))
     if _diagnostics:
@@ -374,24 +399,8 @@ def cmd_prefs(args: argparse.Namespace) -> None:
                 kept.append((lineno, group))
         groups = kept
     if args.prefs_command == "pairs":
-        for lineno, group in groups:
-            pairs = build_pairs(group, args.margin)
-            if not all(math.isfinite(pair.score_gap) for pair in pairs):
-                _report_not_finite(args.groups, lineno, group, "score gap")
-                continue
-            for pair in pairs:
-                _emit(
-                    {
-                        "query_id": group.query_id,
-                        "chosen_index": pair.chosen_index,
-                        "rejected_index": pair.rejected_index,
-                        "chosen_response": pair.chosen.response,
-                        "rejected_response": pair.rejected.response,
-                        "score_gap": pair.score_gap,
-                    }
-                )
-        return
-    if args.prefs_command == "dpo":
+        chunk_text = partial(_pairs_text, margin=args.margin)
+    elif args.prefs_command == "dpo":
         cfg = DpoConfig(beta=args.beta, nll_weight=args.nll_weight)
         chunk_text = partial(_dpo_text, margin=args.margin, cfg=cfg)
     else:

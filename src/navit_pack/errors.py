@@ -1,5 +1,7 @@
 """Exception types shared across modules."""
 
+__all__ = ["LengthMismatch", "NonFiniteInput", "ShapeMismatch"]
+
 
 class ShapeMismatch(ValueError):
     """Array arguments have inconsistent dimensions."""

@@ -162,41 +162,62 @@ def relative_distortion(rows: int, cols: int, source_aspect: float) -> float:
     return source_aspect / grid_aspect
 
 
+def _fitting_row(r: int, step: int, n_lo: int, n_hi: int) -> int:
+    """The first row count from `r` on, walking by `step` (+1 or -1), that
+    holds a grid of between `n_lo` and `n_hi` patches; past the end, 0 or
+    a count above `n_hi`.
+
+    Row r fits exactly when q * r >= n_lo for q = n_hi // r, the most
+    columns it can hold, that is when r >= ceil(n_lo / q). q only shrinks
+    as r grows, so a row that does not fit steps up straight to
+    ceil(n_lo / q), or down to the last row of the next larger q: one
+    step per value of q, about 2 * sqrt(n_hi) at most.
+    """
+    while 1 <= r <= n_hi:
+        q = n_hi // r
+        first = -(-n_lo // q)  # ceil div
+        if r >= first:
+            return r
+        r = first if step > 0 else n_hi // (q + 1)
+    return r
+
+
 def _best_grid(source: ImageSize, budget: PixelBudget) -> tuple[tuple, int, int]:
     """The feasible grid that `grid_key` ranks best, as (key, rows, cols).
 
     Only the floor and ceiling of `ideal_cols`, clamped into the columns
-    [c_lo, c_hi] that fit, can win at a row count. Rows are walked from
-    the ideal's floor down, where c_lo grows, then up, where c_hi shrinks;
-    `gap` is how far that limit lies past the ideal. A direction stops at
-    a row whose squared distance at a positive gap, a bound on every row
-    further out, is above the best (ties still go to `grid_key`), or after
-    a fitting row with gap >= 0: rows past it are farther and more distorted.
+    [c_lo, c_hi] that fit, can win at a row count. Rows that fit are
+    walked from the ideal's floor down, where c_lo grows, then up, where
+    c_hi shrinks; `gap` is how far that limit lies past the ideal. A
+    direction stops at a row whose squared distance at a positive gap, a
+    bound on every row further out, is above the best (ties still go to
+    `grid_key`), or after a row with gap >= 0: rows past it are farther
+    and more distorted. Rows that do not fit are stepped over a q group at
+    a time (`_fitting_row`); they cannot win, and the bound only grows
+    outward, so skipping them stops the walk at the same grid.
     """
     patch_area = budget.patch_size**2
-    max_rows = budget.max_pixels // patch_area
-    if max_rows * patch_area < budget.min_pixels:  # row 1 fits every patch multiple
+    n_lo = -(-budget.min_pixels // patch_area)  # ceil div
+    n_hi = budget.max_pixels // patch_area  # also the most rows
+    if n_hi < n_lo:  # row 1 fits every patch count
         raise BudgetInfeasible(
             f"no patch grid with side {budget.patch_size} fits "
             f"[{budget.min_pixels}, {budget.max_pixels}] pixels"
         )
     ideal_rows, ideal_cols = _ideal_grid(source, budget)
     floor_cols, ceil_cols = math.floor(ideal_cols), math.ceil(ideal_cols)
-    start = min(max(math.floor(ideal_rows), 1), max_rows)
+    start = min(max(math.floor(ideal_rows), 1), n_hi)
     best = None
-    for rows in (range(start, 0, -1), range(start + 1, max_rows + 1)):
-        for r in rows:
-            c_lo = max(1, -(-budget.min_pixels // (r * patch_area)))  # ceil div
-            c_hi = budget.max_pixels // (r * patch_area)
-            gap = c_lo - ideal_cols if rows.step < 0 else ideal_cols - c_hi
+    for step, r in ((-1, start), (1, start + 1)):
+        while 1 <= (r := _fitting_row(r, step, n_lo, n_hi)) <= n_hi:
+            c_lo, c_hi = -(-n_lo // r), n_hi // r
+            gap = c_lo - ideal_cols if step < 0 else ideal_cols - c_hi
             try:
                 bound = (r - ideal_rows) ** 2 + max(gap, 0.0) ** 2
             except OverflowError:  # a side ~1e154 patches off: infinitely far
                 bound = math.inf
             if best is not None and bound > best[0][0]:
                 break
-            if c_lo > c_hi:
-                continue
             for c in {min(max(floor_cols, c_lo), c_hi), min(max(ceil_cols, c_lo), c_hi)}:
                 try:
                     key = grid_key(r, c, ideal_rows, ideal_cols, source.aspect)
@@ -206,6 +227,7 @@ def _best_grid(source: ImageSize, budget: PixelBudget) -> tuple[tuple, int, int]
                     best = key, r, c
             if gap >= 0:
                 break
+            r += step
     return best
 
 

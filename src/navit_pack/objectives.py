@@ -1,23 +1,17 @@
 """Post-training objectives at desk scale.
 
-Preference-pair construction from scored candidate groups, the DPO
-logistic loss with an optional negative log-likelihood term and analytic
-gradients, group-standardized advantages, verifiable answer scoring, and
+Preference pairs from scored candidate groups, the DPO logistic loss
+with an optional negative log-likelihood term and analytic gradients,
+group-standardized advantages, verifiable answer scoring, and
 multiple-choice to fill-in-the-blank conversion. Sequence log
 probabilities arrive as scalars per candidate; there is no token-level
 machinery here.
 
-The objectives are computed over arrays: `dpo_losses` takes one column
-per logprob input and `grpo_advantages_rows` one row per group. The
-scalar forms `dpo_loss` (one pair) and `grpo_advantages` (one group) are
-one-row views of them, so both run the same arithmetic. `pair_indices`
-holds the pair-order rule that `build_pairs` applies to a group.
-
-A `PreferenceGroup` holds its candidates as columns (responses, policy
-and reference logprobs, scores), which `parse_group_line` fills straight
-from each decoded line, since DPO and GRPO read only the three float
-columns. Its `candidates` are a view that builds one `ScoredCandidate`
-per candidate, for `build_pairs` and callers that want objects.
+A group is one form throughout: `parse_group_line` fills a
+`PreferenceGroup`'s columns (responses, policy and reference logprobs,
+scores) straight from each decoded line. `pair_indices` orders a
+group's pairs by its score column, `dpo_losses` takes one array per
+logprob input and `grpo_advantages_rows` one row per group.
 
 Functional forms and defaults are pinned in docs/objectives.md.
 """
@@ -32,28 +26,23 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .chat import ThinkingOutput
 from .errors import LengthMismatch, NonFiniteInput
 from .packing import ManifestError, _entry, _json_record, _list, _name, _number, _quoted
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
+    from .chat import ThinkingOutput
+
 __all__ = [
     "AnswerKind",
     "DpoConfig",
-    "DpoResult",
     "GroupTooSmall",
     "PreferenceGroup",
-    "PreferencePair",
-    "ScoredCandidate",
     "UnknownAnswerLetter",
     "UnparseableNumeric",
     "GRPO_EPSILON",
-    "build_pairs",
-    "dpo_loss",
     "dpo_losses",
-    "grpo_advantages",
     "grpo_advantages_rows",
     "mcq_to_fill_in_blank",
     "pair_indices",
@@ -77,21 +66,6 @@ class UnknownAnswerLetter(KeyError):
 
 
 @dataclass(frozen=True)
-class ScoredCandidate:
-    """One candidate response with its logprobs and verifiable score."""
-
-    response: str
-    logprob_policy: float
-    logprob_reference: float
-    score: float
-
-    def __post_init__(self) -> None:
-        for name in ("logprob_policy", "logprob_reference", "score"):
-            if not isfinite(getattr(self, name)):
-                raise NonFiniteInput(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class PreferenceGroup:
     """Scored candidate responses for one query, held as columns.
 
@@ -99,8 +73,6 @@ class PreferenceGroup:
     `scores` belongs to candidate k: the objectives read the three float
     columns as they are. The constructor checks equal column lengths,
     finite floats, at least two candidates and distinct responses.
-    `candidates` is a view that builds one `ScoredCandidate` per
-    candidate from the columns on demand.
     """
 
     query_id: str
@@ -122,43 +94,10 @@ class PreferenceGroup:
         if len(set(self.responses)) != n:
             raise ValueError(f"group {_quoted(self.query_id)} has duplicate responses")
 
-    @classmethod
-    def from_candidates(
-        cls, query_id: str, candidates: Sequence[ScoredCandidate]
-    ) -> PreferenceGroup:
-        """The group of `candidates`, split into columns."""
-        return cls(
-            query_id,
-            tuple(c.response for c in candidates),
-            tuple(c.logprob_policy for c in candidates),
-            tuple(c.logprob_reference for c in candidates),
-            tuple(c.score for c in candidates),
-        )
-
-    @property
-    def candidates(self) -> tuple[ScoredCandidate, ...]:
-        """One `ScoredCandidate` per candidate, built from the columns."""
-        columns = (self.responses, self.logprob_policy, self.logprob_reference, self.scores)
-        return tuple(map(ScoredCandidate, *columns))
-
     def score_variance(self) -> float:
         """Population variance of the scores; inf or nan when it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.var(self.scores))
-
-    def passes_difficulty_filter(self, min_score_variance: float) -> bool:
-        """Offline difficulty filter: keep groups whose scores actually
-        disagree. Zero threshold keeps everything."""
-        return self.score_variance() >= min_score_variance
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    chosen_index: int
-    rejected_index: int
-    chosen: ScoredCandidate
-    rejected: ScoredCandidate
-    score_gap: float
 
 
 @dataclass(frozen=True)
@@ -171,17 +110,6 @@ class DpoConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.nll_weight < 0.0:
             raise ValueError(f"nll_weight must be non-negative, got {self.nll_weight}")
-
-
-@dataclass(frozen=True)
-class DpoResult:
-    """Loss plus its partial derivatives w.r.t. the four logprob inputs."""
-
-    loss: float
-    d_logprob_policy_chosen: float
-    d_logprob_policy_rejected: float
-    d_logprob_reference_chosen: float
-    d_logprob_reference_rejected: float
 
 
 def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int, int]]:
@@ -203,16 +131,6 @@ def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int
     return [(i, j) for _, i, j in ranked]
 
 
-def build_pairs(group: PreferenceGroup, margin: float = 0.0) -> list[PreferencePair]:
-    """The preference pairs of `group` in `pair_indices` order."""
-    candidates = group.candidates
-    pairs = []
-    for i, j in pair_indices(group.scores, margin):
-        chosen, rejected = candidates[i], candidates[j]
-        pairs.append(PreferencePair(i, j, chosen, rejected, chosen.score - rejected.score))
-    return pairs
-
-
 def dpo_losses(
     lp_c: ArrayLike, lr_c: ArrayLike, lp_r: ArrayLike, lr_r: ArrayLike, cfg: DpoConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -221,8 +139,9 @@ def dpo_losses(
 
     Takes the policy (`lp_*`) and reference (`lr_*`) logprobs of the chosen
     (`*_c`) and rejected (`*_r`) candidates, and returns the loss and its
-    partials in the field order of `DpoResult`. The margin is the
-    policy-minus-reference logprob gap between chosen and rejected.
+    partials in `lp_c`, `lp_r`, `lr_c` and `lr_r`, in that order. The
+    margin is the policy-minus-reference logprob gap between chosen and
+    rejected.
     Gradients are the true partials of the loss in all four logprobs (the
     reference enters the margin as given data; nothing is re-estimated).
     Entries whose inputs overflow come out inf or nan, without a warning.
@@ -237,18 +156,6 @@ def dpo_losses(
         # every entry, and the one not taken may overflow.
         g = np.where(z < 40, -beta / (1.0 + np.exp(z)), -beta * np.exp(-z))
         return loss, g - nll, -g, -g, g
-
-
-def dpo_loss(chosen: ScoredCandidate, rejected: ScoredCandidate, cfg: DpoConfig) -> DpoResult:
-    """`dpo_losses` for one chosen/rejected pair."""
-    columns = dpo_losses(
-        chosen.logprob_policy,
-        chosen.logprob_reference,
-        rejected.logprob_policy,
-        rejected.logprob_reference,
-        cfg,
-    )
-    return DpoResult(*(float(c) for c in columns))
 
 
 def grpo_advantages_rows(rewards: ArrayLike) -> np.ndarray:
@@ -268,14 +175,6 @@ def grpo_advantages_rows(rewards: ArrayLike) -> np.ndarray:
         advantages = (r - r.mean(axis=1, keepdims=True)) / (std + GRPO_EPSILON)[:, None]
     advantages[~np.isfinite(std)] = np.nan
     return advantages
-
-
-def grpo_advantages(rewards: Sequence[float]) -> list[float]:
-    """`grpo_advantages_rows` for one group of rewards."""
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.ndim != 1 or r.shape[0] < 2:
-        raise GroupTooSmall(f"need >= 2 rewards, got shape {r.shape}")
-    return grpo_advantages_rows(r[None, :])[0].tolist()
 
 
 class AnswerKind(enum.Enum):

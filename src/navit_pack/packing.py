@@ -120,10 +120,10 @@ class PackedSequence:
         for sample_id, start, length in self.segments:
             if start != used:
                 raise ValueError(
-                    f"segment {sample_id!r} starts at {start}, expected {used}"
+                    f"segment {_quoted(sample_id)} starts at {start}, expected {used}"
                 )
             if not 1 <= length <= self.capacity:
-                raise ValueError(f"segment {sample_id!r} has invalid length {length}")
+                raise ValueError(f"segment {_quoted(sample_id)} has invalid length {length}")
             used += length
         if used > self.capacity:
             raise ValueError(f"lengths {used} exceed capacity {self.capacity}")

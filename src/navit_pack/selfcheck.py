@@ -163,23 +163,12 @@ def check_dpo_grad(seed: int, fault: bool = False) -> CheckResult:
         )
 
         def loss_of(x: np.ndarray) -> float:
-            chosen = objectives.ScoredCandidate("c", float(x[0]), float(x[2]), 1.0)
-            rejected = objectives.ScoredCandidate("r", float(x[1]), float(x[3]), 0.0)
-            return objectives.dpo_loss(chosen, rejected, cfg).loss
+            return float(objectives.dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
 
-        result = objectives.dpo_loss(
-            objectives.ScoredCandidate("c", lps[0], lps[2], 1.0),
-            objectives.ScoredCandidate("r", lps[1], lps[3], 0.0),
-            cfg,
-        )
-        analytic = np.array(
-            [
-                result.d_logprob_policy_chosen + (1e-3 if fault else 0.0),
-                result.d_logprob_policy_rejected,
-                result.d_logprob_reference_chosen,
-                result.d_logprob_reference_rejected,
-            ]
-        )
+        _, *partials = objectives.dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)
+        analytic = np.array(partials)
+        if fault:
+            analytic[0] += 1e-3
         numeric = central_diff(loss_of, lps.copy())
         worst = max(worst, max_rel_err(analytic, numeric))
     return CheckResult(

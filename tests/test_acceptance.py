@@ -27,7 +27,7 @@ from navit_pack.geometry import (
     phase_budget,
     plan_resize,
 )
-from navit_pack.objectives import DpoConfig, ScoredCandidate, dpo_loss, grpo_advantages
+from navit_pack.objectives import DpoConfig, dpo_losses, grpo_advantages_rows
 from navit_pack.packing import SampleRecord, pack_ffd, packing_report
 from navit_pack.selfcheck import _dense_block_attention, optimal_bin_count
 from navit_pack.vet import (
@@ -196,26 +196,12 @@ def test_c04_gradient_checks():
                 beta=float(rng.uniform(0.05, 2.0)), nll_weight=float(rng.uniform(0, 1))
             )
 
+            # x is (policy chosen, policy rejected, reference chosen,
+            # reference rejected): the order of the four partials.
             def loss_of(x):
-                return dpo_loss(
-                    ScoredCandidate("c", float(x[0]), float(x[2]), 1.0),
-                    ScoredCandidate("r", float(x[1]), float(x[3]), 0.0),
-                    cfg,
-                ).loss
+                return float(dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
 
-            result = dpo_loss(
-                ScoredCandidate("c", lps[0], lps[2], 1.0),
-                ScoredCandidate("r", lps[1], lps[3], 0.0),
-                cfg,
-            )
-            analytic = np.array(
-                [
-                    result.d_logprob_policy_chosen,
-                    result.d_logprob_policy_rejected,
-                    result.d_logprob_reference_chosen,
-                    result.d_logprob_reference_rejected,
-                ]
-            )
+            analytic = dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
             worst_dpo = max(worst_dpo, rel_err(analytic, finite_difference(loss_of, lps)))
         assert worst_dpo < 1e-6, f"dpo gradient rel err {worst_dpo:.3e}"
 
@@ -339,30 +325,22 @@ def test_c08_waste_reduction():
 
 def test_c09_dpo_anchors():
     with criterion(9, "DPO anchor values"):
-        equal = dpo_loss(
-            ScoredCandidate("c", -1.0, -1.0, 1.0),
-            ScoredCandidate("r", -1.0, -1.0, 0.0),
-            DpoConfig(beta=0.25, nll_weight=0.0),
-        )
-        assert abs(equal.loss - math.log(2.0)) <= 1e-12
-        saturated = dpo_loss(
-            ScoredCandidate("c", 50.0, 0.0, 1.0),
-            ScoredCandidate("r", 0.0, 0.0, 0.0),
-            DpoConfig(beta=1.0, nll_weight=0.0),
-        )
-        assert 0.0 <= saturated.loss < 1e-9
+        equal, *_ = dpo_losses(-1.0, -1.0, -1.0, -1.0, DpoConfig(beta=0.25, nll_weight=0.0))
+        assert abs(equal - math.log(2.0)) <= 1e-12
+        saturated, *_ = dpo_losses(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
+        assert 0.0 <= saturated < 1e-9
 
 
 def test_c10_grpo_anchors():
     with criterion(10, "GRPO anchor values"):
         np.testing.assert_allclose(
-            grpo_advantages([1.0, 0.0, 1.0, 0.0]), [1.0, -1.0, 1.0, -1.0], atol=1e-7
+            grpo_advantages_rows([[1.0, 0.0, 1.0, 0.0]])[0], [1.0, -1.0, 1.0, -1.0], atol=1e-7
         )
-        assert grpo_advantages([3.0, 3.0, 3.0]) == [0.0, 0.0, 0.0]
+        assert grpo_advantages_rows([[3.0, 3.0, 3.0]])[0].tolist() == [0.0, 0.0, 0.0]
         rng = np.random.default_rng(10)
-        rewards = rng.normal(size=9)
+        rewards = rng.normal(size=(1, 9))
         np.testing.assert_allclose(
-            grpo_advantages(rewards), grpo_advantages(rewards + 250.0), atol=1e-6
+            grpo_advantages_rows(rewards), grpo_advantages_rows(rewards + 250.0), atol=1e-6
         )
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour over temp files, with schema validation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,9 +16,9 @@ from jsonschema import Draft202012Validator
 from navit_pack import cli
 from navit_pack.objectives import (
     DpoConfig,
-    build_pairs,
-    dpo_loss,
-    grpo_advantages,
+    dpo_losses,
+    grpo_advantages_rows,
+    pair_indices,
     parse_group_line,
 )
 from navit_pack.packing import (
@@ -655,40 +656,103 @@ def groups_jsonl(sizes, seed, flat=()):
     return "".join(lines)
 
 
-def prefs_oracle(text, command, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0):
-    """Expected `prefs dpo` / `prefs grpo` stdout, one `json.dumps` per line."""
-    out = []
-    for line in text.splitlines():
-        group = parse_group_line(line)
-        if min_score_variance > 0.0 and not group.passes_difficulty_filter(min_score_variance):
-            continue
+def candidates_json(*rows):
+    return json.dumps(
+        {
+            "query_id": "q2",
+            "candidates": [
+                {"response": f"r{j}", "logprob_policy": lp, "logprob_reference": lr, "score": s}
+                for j, (lp, lr, s) in enumerate(rows)
+            ],
+        }
+    )
+
+
+def prefs_oracle(
+    text, command, path, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0
+):
+    """Expected `prefs` stdout and stderr: one `json.dumps` per line, from
+    one `dpo_losses` call per pair and one `grpo_advantages_rows` call per
+    group. The difficulty filter reports first, as the CLI's does."""
+    groups = [(n, parse_group_line(line)) for n, line in enumerate(text.splitlines(), 1)]
+    out, err = [], []
+
+    def not_finite(lineno, group, what):
+        err.append(f"{path}:{lineno}: query {group.query_id!r}: {what} is not finite\n")
+
+    if min_score_variance > 0.0:
+        kept = []
+        for lineno, group in groups:
+            variance = group.score_variance()
+            if not math.isfinite(variance):
+                not_finite(lineno, group, "score variance")
+            elif variance >= min_score_variance:
+                kept.append((lineno, group))
+        groups = kept
+    for lineno, group in groups:
+        scores, lp, lr = group.scores, group.logprob_policy, group.logprob_reference
+        records = []
         if command == "grpo":
-            advantages = grpo_advantages([c.score for c in group.candidates])
-            out.append({"query_id": group.query_id, "advantages": advantages})
-            continue
-        for pair in build_pairs(group, margin):
-            result = dpo_loss(pair.chosen, pair.rejected, DpoConfig(beta, nll_weight))
-            out.append(
-                {
-                    "query_id": group.query_id,
-                    "chosen_index": pair.chosen_index,
-                    "rejected_index": pair.rejected_index,
-                    "loss": result.loss,
-                    "d_logprob_policy_chosen": result.d_logprob_policy_chosen,
-                    "d_logprob_policy_rejected": result.d_logprob_policy_rejected,
-                    "d_logprob_reference_chosen": result.d_logprob_reference_chosen,
-                    "d_logprob_reference_rejected": result.d_logprob_reference_rejected,
-                }
-            )
-    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in out)
+            advantages = grpo_advantages_rows([scores])[0].tolist()
+            records.append({"query_id": group.query_id, "advantages": advantages})
+            numbers, what = advantages, "advantage"
+        elif command == "pairs":
+            for i, j in pair_indices(scores, margin):
+                records.append(
+                    {
+                        "query_id": group.query_id,
+                        "chosen_index": i,
+                        "rejected_index": j,
+                        "chosen_response": group.responses[i],
+                        "rejected_response": group.responses[j],
+                        "score_gap": scores[i] - scores[j],
+                    }
+                )
+            numbers, what = [r["score_gap"] for r in records], "score gap"
+        else:
+            for i, j in pair_indices(scores, margin):
+                columns = dpo_losses(lp[i], lr[i], lp[j], lr[j], DpoConfig(beta, nll_weight))
+                records.append(
+                    {
+                        "query_id": group.query_id,
+                        "chosen_index": i,
+                        "rejected_index": j,
+                        **dict(zip(_DPO_FIELDS, map(float, columns))),
+                    }
+                )
+            numbers, what = [r[k] for r in records for k in _DPO_FIELDS], "loss or gradient"
+        if all(map(math.isfinite, numbers)):
+            out.extend(records)
+        else:
+            not_finite(lineno, group, what)
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in out), "".join(err)
+
+
+_DPO_FIELDS = (
+    "loss",
+    "d_logprob_policy_chosen",
+    "d_logprob_policy_rejected",
+    "d_logprob_reference_chosen",
+    "d_logprob_reference_rejected",
+)
 
 
 _SMALL = [2, 3, 4, 5, 6, 7, 8]
 
 
+def overflowing_groups():
+    """100 groups, of which line 11 has a score gap (and variance) beyond
+    float range and line 71 a DPO margin beyond it."""
+    lines = groups_jsonl([_SMALL[g % 7] for g in range(100)], 5).splitlines(keepends=True)
+    lines[10] = candidates_json((-1.0, -2.0, 1e308), (-3.0, -1.0, -1e308), (-2.0, -2.0, 0.5)) + "\n"
+    lines[70] = candidates_json((-1e308, 1e308, 1.0), (1e308, -1e308, 0.0)) + "\n"
+    return "".join(lines)
+
+
 class TestPrefsChunked:
-    """`prefs dpo` and `prefs grpo` compute a chunk of groups per array
-    call; their stdout must equal the per-pair and per-group oracle."""
+    """`prefs` renders a chunk of groups at a time, and `dpo` and `grpo`
+    compute each chunk in one array call; stdout, stderr and the exit
+    status must equal the per-pair and per-group oracle."""
 
     @pytest.mark.parametrize(
         "text",
@@ -698,15 +762,20 @@ class TestPrefsChunked:
             groups_jsonl([_SMALL[g % 7] for g in range(65)], 2),
             groups_jsonl([_SMALL[g % 7] for g in range(140)], 3, flat=range(64, 128)),
             groups_jsonl([2 + (g * 17) % 39 for g in range(150)], 4),
+            overflowing_groups(),
         ],
-        ids=["empty", "64", "65", "no-pairs-chunk", "sizes-2-40"],
+        ids=["empty", "64", "65", "no-pairs-chunk", "sizes-2-40", "overflow"],
     )
     @pytest.mark.parametrize(
         "command, options",
         [
+            ("pairs", {}),
+            ("pairs", {"margin": 0.25}),
+            ("pairs", {"min_score_variance": 0.05}),
             ("dpo", {}),
             ("dpo", {"beta": 2.5, "nll_weight": 0.3, "margin": 0.25}),
             ("dpo", {"beta": 300.0}),
+            ("dpo", {"min_score_variance": 0.05}),
             ("grpo", {}),
             ("grpo", {"min_score_variance": 0.05}),
         ],
@@ -717,10 +786,9 @@ class TestPrefsChunked:
         argv = ["prefs", command, "--groups", str(groups)]
         for name, value in options.items():
             argv += ["--" + name.replace("_", "-"), repr(value)]
-        assert cli.main(argv) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert out == prefs_oracle(text, command, **options)
+        expected_out, expected_err = prefs_oracle(text, command, str(groups), **options)
+        assert cli.main(argv) == (1 if expected_err else 0)
+        assert capsys.readouterr() == (expected_out, expected_err)
 
     @pytest.mark.parametrize("nll_weight", [0.0, -0.0, 0.5])
     def test_saturated_pair_writes_signed_zeros(self, tmp_path, capsys, nll_weight):
@@ -733,7 +801,9 @@ class TestPrefsChunked:
         assert cli.main([*argv, "--nll-weight", repr(nll_weight)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert out == prefs_oracle(text, "dpo", beta=10.0, nll_weight=nll_weight)
+        assert (out, err) == prefs_oracle(
+            text, "dpo", str(groups), beta=10.0, nll_weight=nll_weight
+        )
         assert '"d_logprob_policy_rejected":0.0,"d_logprob_reference_chosen":0.0,' in out
         assert out.endswith('"d_logprob_reference_rejected":-0.0}\n')
 
@@ -782,18 +852,6 @@ class TestLongInputEchoes:
         result = run_cli("pack", "--manifest", str(manifest))
         assert result.returncode == 1
         assert result.stderr == f"{manifest}:2: duplicate sample id {shown}\n"
-
-
-def candidates_json(*rows):
-    return json.dumps(
-        {
-            "query_id": "q2",
-            "candidates": [
-                {"response": f"r{j}", "logprob_policy": lp, "logprob_reference": lr, "score": s}
-                for j, (lp, lr, s) in enumerate(rows)
-            ],
-        }
-    )
 
 
 class TestPrefsNonFinite:
@@ -895,6 +953,21 @@ class TestStartup:
             "navit_pack.geometry",
             "navit_pack.packing",
         ]
+
+    def test_prefs_and_verify_do_not_import_chat(self, tmp_path):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(groups_jsonl([3, 4], 0), encoding="utf-8")
+        script = (
+            "import json, sys\n"
+            "from navit_pack import cli\n"
+            f"codes = [cli.main(['prefs', c, '--groups', {str(groups)!r}])\n"
+            "         for c in ('pairs', 'dpo', 'grpo')]\n"
+            "codes.append(cli.main(['verify']))\n"
+            "print(json.dumps({'codes': codes, 'chat': 'navit_pack.chat' in sys.modules}),\n"
+            "      file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert json.loads(result.stderr.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "chat": False}
 
     def test_check_names_match_selfcheck(self, capsys):
         from navit_pack.selfcheck import CHECK_NAMES

@@ -187,6 +187,19 @@ class TestPlanResize:
         assert plan.grid_rows * plan.grid_cols == 784
         assert oracle_plan(100, 200, budget) == (plan.grid_rows, plan.grid_cols)
 
+    @pytest.mark.parametrize("patches", [1_000_003, 10_000_019])
+    def test_one_value_budget_of_a_prime_patch_count_at_once(self, patches):
+        # Only rows 1 and `patches` fit, far apart around the ideal
+        # ~sqrt(patches): the walk steps over the rows that do not fit.
+        budget = PixelBudget(min_pixels=patches, max_pixels=patches, patch_size=1)
+        start = time.perf_counter()
+        with pytest.raises(BudgetInfeasible) as e:
+            plan_resize(ImageSize(5, 5), budget)
+        assert time.perf_counter() - start < 0.05
+        assert str(e.value) == (
+            f"best grid 1x{patches} distorts aspect by {patches}.000x (> 2.0) for source 5x5"
+        )
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -297,6 +310,30 @@ class TestOracleEquivalence:
             if expected is not None:
                 ideal = oracle_ideal(w, h, budget)
                 assert oracle_key(*expected, *ideal, w / h)[1] > 2.0
+            return
+        assert (plan.grid_rows, plan.grid_cols) == expected
+
+
+    @given(
+        w=st.integers(min_value=1, max_value=10**6),
+        h=st.integers(min_value=1, max_value=10**6),
+        patch=st.integers(min_value=1, max_value=16),
+        lo_patches=st.integers(min_value=1, max_value=200_000),
+        extra_pixels=st.one_of(st.just(0), st.integers(min_value=0, max_value=3 * 256)),
+    )
+    def test_one_value_and_narrow_budgets_of_many_rows(
+        self, w, h, patch, lo_patches, extra_pixels
+    ):
+        # Up to 200k rows, of which only the divisors of a few patch
+        # counts fit: the walk against the vectorized oracle.
+        min_pixels = lo_patches * patch * patch
+        budget = PixelBudget(min_pixels, min_pixels + extra_pixels, patch)
+        expected = oracle_plan_fast(w, h, budget)
+        try:
+            plan = plan_resize(ImageSize(w, h), budget)
+        except BudgetInfeasible as e:
+            rows, cols = expected
+            assert str(e).startswith(f"best grid {rows}x{cols} distorts aspect by ")
             return
         assert (plan.grid_rows, plan.grid_cols) == expected
 

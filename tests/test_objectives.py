@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import finite_difference, rel_err
+from navit_pack import cli
 from navit_pack.chat import ThinkingOutput
 from navit_pack.errors import NonFiniteInput
 from navit_pack.objectives import (
@@ -17,50 +18,40 @@ from navit_pack.objectives import (
     DpoConfig,
     GroupTooSmall,
     PreferenceGroup,
-    ScoredCandidate,
     UnknownAnswerLetter,
     UnparseableNumeric,
-    build_pairs,
-    dpo_loss,
     dpo_losses,
-    grpo_advantages,
     grpo_advantages_rows,
     mcq_to_fill_in_blank,
+    pair_indices,
     parse_group_line,
     verify_answer,
 )
 
 
 def group_of(scores, query_id="q"):
-    return PreferenceGroup.from_candidates(
+    k = len(scores)
+    return PreferenceGroup(
         query_id,
-        [ScoredCandidate(f"resp{i}", -1.0 - i, -1.5 - i, float(s)) for i, s in enumerate(scores)],
+        tuple(f"resp{i}" for i in range(k)),
+        tuple(-1.0 - i for i in range(k)),
+        tuple(-1.5 - i for i in range(k)),
+        tuple(map(float, scores)),
     )
 
 
-def candidate(lp, lr, response="x", score=0.0):
-    return ScoredCandidate(response, lp, lr, score)
-
-
-class TestBuildPairs:
+class TestPairIndices:
     def test_two_candidates_strict_order(self):
-        pairs = build_pairs(group_of([1.0, 0.0]), margin=0.0)
-        assert [(p.chosen_index, p.rejected_index) for p in pairs] == [(0, 1)]
+        assert pair_indices([1.0, 0.0], margin=0.0) == [(0, 1)]
 
     def test_equal_scores_empty(self):
-        assert build_pairs(group_of([2.0, 2.0, 2.0]), margin=0.0) == []
+        assert pair_indices([2.0, 2.0, 2.0], margin=0.0) == []
 
     def test_three_scores_ordering(self):
-        pairs = build_pairs(group_of([2.0, 1.0, 0.0]), margin=0.0)
-        assert [(p.chosen_index, p.rejected_index) for p in pairs] == [
-            (0, 2),
-            (0, 1),
-            (1, 2),
-        ]
+        assert pair_indices([2.0, 1.0, 0.0], margin=0.0) == [(0, 2), (0, 1), (1, 2)]
 
     def test_margin_filters_small_gaps(self):
-        pairs = build_pairs(group_of([2.0, 1.0, 0.0]), margin=1.0)
-        assert [(p.chosen_index, p.rejected_index) for p in pairs] == [(0, 2)]
+        assert pair_indices([2.0, 1.0, 0.0], margin=1.0) == [(0, 2)]
 
     @given(
         scores=st.lists(
@@ -69,8 +60,7 @@ class TestBuildPairs:
         margin=st.floats(min_value=0, max_value=2, allow_nan=False),
     )
     def test_exhaustive_double_loop_oracle(self, scores, margin):
-        group = group_of(scores)
-        got = {(p.chosen_index, p.rejected_index) for p in build_pairs(group, margin)}
+        got = set(pair_indices(group_of(scores).scores, margin))
         expected = {
             (i, j)
             for i in range(len(scores))
@@ -85,26 +75,46 @@ class TestBuildPairs:
 
     def test_duplicate_responses_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            PreferenceGroup.from_candidates("q", [candidate(0, 0, "same"), candidate(0, 0, "same")])
+            PreferenceGroup("q", ("same", "same"), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
 
-    def test_difficulty_filter_uses_score_variance(self):
-        spread = group_of([1.0, 0.0])
-        flat = group_of([1.0, 1.0])
-        assert spread.passes_difficulty_filter(0.1)
-        assert not flat.passes_difficulty_filter(0.1)
-        assert flat.passes_difficulty_filter(0.0)
+    def test_difficulty_filter_uses_score_variance(self, tmp_path, capsys):
+        assert group_of([1.0, 0.0]).score_variance() == 0.25
+        assert group_of([1.0, 1.0]).score_variance() == 0.0
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "query_id": query_id,
+                        "candidates": [
+                            {"response": f"r{k}", "logprob_policy": -1.0,
+                             "logprob_reference": -1.0, "score": s}
+                            for k, s in enumerate(scores)
+                        ],
+                    }
+                )
+                + "\n"
+                for query_id, scores in (("spread", [1.0, 0.0]), ("flat", [1.0, 1.0]))
+            ),
+            encoding="utf-8",
+        )
+        kept = {}
+        for threshold in ("0.1", "0.0"):
+            argv = ["prefs", "grpo", "--groups", str(groups), "--min-score-variance", threshold]
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            kept[threshold] = [json.loads(line)["query_id"] for line in out.splitlines()]
+        assert kept == {"0.1": ["spread"], "0.0": ["spread", "flat"]}
 
 
 class TestDpoLoss:
     def test_equal_logprobs_is_ln_two(self):
-        result = dpo_loss(candidate(-2.0, -2.0), candidate(-2.0, -2.0), DpoConfig(beta=0.7))
-        assert result.loss == pytest.approx(math.log(2.0), abs=1e-12)
+        loss, *_ = dpo_losses(-2.0, -2.0, -2.0, -2.0, DpoConfig(beta=0.7))
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturation_at_large_margin(self):
-        result = dpo_loss(
-            candidate(50.0, 0.0), candidate(0.0, 0.0), DpoConfig(beta=1.0, nll_weight=0.0)
-        )
-        assert 0.0 <= result.loss < 1e-9
+        loss, *_ = dpo_losses(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
+        assert 0.0 <= loss < 1e-9
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(0)
@@ -113,24 +123,12 @@ class TestDpoLoss:
             lps = rng.uniform(-5.0, 5.0, 4)
             cfg = DpoConfig(beta=float(rng.uniform(0.05, 2.0)), nll_weight=float(rng.uniform(0, 1)))
 
+            # x is (policy chosen, policy rejected, reference chosen,
+            # reference rejected): the order of the four partials.
             def loss_of(x):
-                return dpo_loss(
-                    candidate(float(x[0]), float(x[2])),
-                    candidate(float(x[1]), float(x[3]), response="y"),
-                    cfg,
-                ).loss
+                return float(dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
 
-            result = dpo_loss(
-                candidate(lps[0], lps[2]), candidate(lps[1], lps[3], response="y"), cfg
-            )
-            analytic = np.array(
-                [
-                    result.d_logprob_policy_chosen,
-                    result.d_logprob_policy_rejected,
-                    result.d_logprob_reference_chosen,
-                    result.d_logprob_reference_rejected,
-                ]
-            )
+            analytic = dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
             worst = max(worst, rel_err(analytic, finite_difference(loss_of, lps)))
         assert worst < 1e-6
 
@@ -139,51 +137,35 @@ class TestDpoLoss:
         lps = np.array([-1.2, -0.4, -1.0, -0.6])
 
         def loss_of(x):
-            return dpo_loss(
-                candidate(float(x[0]), float(x[2])),
-                candidate(float(x[1]), float(x[3]), response="y"),
-                cfg,
-            ).loss
+            return float(dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
 
-        result = dpo_loss(candidate(lps[0], lps[2]), candidate(lps[1], lps[3], response="y"), cfg)
-        analytic = [
-            result.d_logprob_policy_chosen,
-            result.d_logprob_policy_rejected,
-            result.d_logprob_reference_chosen,
-            result.d_logprob_reference_rejected,
-        ]
+        analytic = dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
         assert rel_err(analytic, finite_difference(loss_of, lps)) < 1e-6
 
     def test_shift_invariance_without_nll(self):
         cfg = DpoConfig(beta=0.3, nll_weight=0.0)
-        base = dpo_loss(candidate(-1.0, -2.0), candidate(-3.0, -1.5, response="y"), cfg)
-        shifted = dpo_loss(
-            candidate(-1.0 + 7.5, -2.0 + 7.5),
-            candidate(-3.0 + 7.5, -1.5 + 7.5, response="y"),
-            cfg,
-        )
-        assert shifted.loss == pytest.approx(base.loss, abs=1e-12)
+        base, *_ = dpo_losses(-1.0, -2.0, -3.0, -1.5, cfg)
+        shifted, *_ = dpo_losses(-1.0 + 7.5, -2.0 + 7.5, -3.0 + 7.5, -1.5 + 7.5, cfg)
+        assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_nll_term_is_absolute(self):
         cfg = DpoConfig(beta=0.3, nll_weight=0.5)
-        base = dpo_loss(candidate(-1.0, -2.0), candidate(-3.0, -1.5, response="y"), cfg)
-        shifted = dpo_loss(
-            candidate(-2.0, -3.0), candidate(-4.0, -2.5, response="y"), cfg
-        )
-        assert shifted.loss == pytest.approx(base.loss + 0.5, abs=1e-12)
+        base, *_ = dpo_losses(-1.0, -2.0, -3.0, -1.5, cfg)
+        shifted, *_ = dpo_losses(-2.0, -3.0, -4.0, -2.5, cfg)
+        assert shifted == pytest.approx(base + 0.5, abs=1e-12)
 
     def test_swap_antisymmetry(self):
         cfg = DpoConfig(beta=0.4, nll_weight=0.0)
-        chosen, rejected = candidate(-1.0, -2.0), candidate(-3.0, -1.5, response="y")
-        forward = dpo_loss(chosen, rejected, cfg).loss
-        backward = dpo_loss(rejected, chosen, cfg).loss
+        chosen, rejected = (-1.0, -2.0), (-3.0, -1.5)
+        forward, *_ = dpo_losses(*chosen, *rejected, cfg)
+        backward, *_ = dpo_losses(*rejected, *chosen, cfg)
         m = cfg.beta * ((-1.0 + 2.0) - (-3.0 + 1.5))
         assert forward == pytest.approx(float(np.logaddexp(0.0, -m)), abs=1e-12)
         assert backward == pytest.approx(float(np.logaddexp(0.0, m)), abs=1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
-            candidate(float("nan"), 0.0)
+            PreferenceGroup("q", ("a", "b"), (float("nan"), 0.0), (0.0, 0.0), (1.0, 0.0))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -221,19 +203,14 @@ class TestDpoLosses:
             for got, expected in zip((c[k] for c in columns), want):
                 assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0), (k, got, expected)
 
-    def test_scalar_form_is_one_row(self):
+    def test_one_pair_call_equals_its_row(self):
         rng = np.random.default_rng(12)
         cfg = DpoConfig(beta=3.0, nll_weight=0.1)
         lps = rng.uniform(-30.0, 0.0, (4, 50))
         columns = dpo_losses(*lps, cfg)
         for k in range(50):
-            result = dpo_loss(
-                candidate(lps[0, k], lps[1, k]), candidate(lps[2, k], lps[3, k], "y"), cfg
-            )
-            assert [result.loss, result.d_logprob_policy_chosen, result.d_logprob_policy_rejected,
-                    result.d_logprob_reference_chosen, result.d_logprob_reference_rejected] == [
-                c[k] for c in columns
-            ]
+            one = dpo_losses(*lps[:, k], cfg)
+            assert [float(c) for c in one] == [c[k] for c in columns]
 
     def test_overflow_is_non_finite_without_warning(self):
         with np.errstate(all="raise"):
@@ -250,21 +227,21 @@ class TestGrpoAdvantages:
             elements=st.floats(-1e308, 1e308, allow_nan=False),
         )
     )
-    def test_rows_equal_one_dimensional_bit_for_bit(self, rewards):
+    def test_rows_equal_one_row_calls_bit_for_bit(self, rewards):
         rows = grpo_advantages_rows(rewards)
-        expected = np.array([grpo_advantages(row) for row in rewards])
+        expected = np.array([grpo_advantages_rows([row])[0] for row in rewards])
         assert rows.tobytes() == expected.tobytes()
 
     def test_rows_of_repeated_group(self):
         rewards = np.tile([3.0, 1.0, 2.0, 0.5, 7.25, 1.0, 1.0, 4.0, 2.0], (5, 1))
         rows = grpo_advantages_rows(rewards)
-        assert (rows == grpo_advantages(rewards[0])).all()
+        assert (rows == grpo_advantages_rows(rewards[:1])[0]).all()
 
     def test_overflowing_variance_gives_nan_without_warning(self):
         with np.errstate(all="raise"):
             rows = grpo_advantages_rows([[1e308, -1e308], [1.0, 0.0]])
         assert np.isnan(rows[0]).all()
-        assert rows[1].tolist() == grpo_advantages([1.0, 0.0])
+        assert rows[1].tolist() == grpo_advantages_rows([[1.0, 0.0]])[0].tolist()
 
     def test_rows_need_two_columns(self):
         with pytest.raises(GroupTooSmall):
@@ -273,46 +250,46 @@ class TestGrpoAdvantages:
             grpo_advantages_rows([1.0, 2.0])
 
     def test_symmetric_binary_rewards(self):
-        advantages = grpo_advantages([1.0, 0.0, 1.0, 0.0])
+        advantages = grpo_advantages_rows([[1.0, 0.0, 1.0, 0.0]])[0]
         np.testing.assert_allclose(advantages, [1.0, -1.0, 1.0, -1.0], atol=1e-7)
 
     def test_constant_rewards_all_zero(self):
-        assert grpo_advantages([2.5, 2.5, 2.5]) == [0.0, 0.0, 0.0]
+        assert grpo_advantages_rows([[2.5, 2.5, 2.5]])[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_hand_computed_example(self):
-        advantages = grpo_advantages([3.0, 1.0, 2.0])
+        advantages = grpo_advantages_rows([[3.0, 1.0, 2.0]])[0]
         np.testing.assert_allclose(advantages, [1.2247, -1.2247, 0.0], atol=1e-4)
 
     def test_mean_is_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            rewards = rng.normal(size=int(rng.integers(2, 12)))
-            assert abs(np.mean(grpo_advantages(rewards))) < 1e-9
+            rewards = rng.normal(size=(1, int(rng.integers(2, 12))))
+            assert abs(np.mean(grpo_advantages_rows(rewards))) < 1e-9
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
-        rewards = rng.normal(size=8)
-        base = grpo_advantages(rewards)
-        shifted = grpo_advantages(rewards + 500.0)
+        rewards = rng.normal(size=(1, 8))
+        base = grpo_advantages_rows(rewards)
+        shifted = grpo_advantages_rows(rewards + 500.0)
         np.testing.assert_allclose(base, shifted, atol=1e-6)
 
     def test_scale_equivariance_up_to_eps(self):
         # With std well above eps, positive scaling cancels out.
         rng = np.random.default_rng(3)
         for c in (0.5, 2.0, 4.0):
-            rewards = rng.normal(0.0, 1.0, 10)
+            rewards = rng.normal(0.0, 1.0, (1, 10))
             rewards = rewards / rewards.std() * 0.5  # std 0.5 >> eps
-            base = grpo_advantages(rewards)
-            scaled = grpo_advantages(rewards * c)
+            base = grpo_advantages_rows(rewards)
+            scaled = grpo_advantages_rows(rewards * c)
             np.testing.assert_allclose(base, scaled, atol=1e-6)
 
     def test_group_too_small(self):
         with pytest.raises(GroupTooSmall):
-            grpo_advantages([1.0])
+            grpo_advantages_rows([[1.0]])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
-            grpo_advantages([1.0, float("inf")])
+            grpo_advantages_rows([[1.0, float("inf")]])
 
 
 def answer(text, thinking=None):
@@ -392,8 +369,8 @@ class TestGroupParsing:
     def test_good_line(self):
         group = parse_group_line(self.GOOD)
         assert group.query_id == "q1"
-        assert len(group.candidates) == 2
-        assert group.candidates[0].score == 1.0
+        assert group.responses == ("a", "b")
+        assert group.scores == (1.0, 0.0)
 
     @pytest.mark.parametrize(
         "line,needle",
@@ -424,11 +401,10 @@ B = cand("b", score=0.0)
 
 
 class TestGroupDiagnostics:
-    """Each malformed line gets the diagnostic text and class it got from
-    the parser that built one `ScoredCandidate` per candidate: each
-    candidate's type checks before its finiteness check, candidate i in
-    full before candidate i + 1, and the group's size and duplicate
-    responses last."""
+    """Each malformed line gets one diagnostic text and class, whatever
+    else is wrong with it: each candidate's type checks before its
+    finiteness check, candidate i in full before candidate i + 1, and the
+    group's size and duplicate responses last."""
 
     @pytest.mark.parametrize(
         "line, diagnostic",
@@ -519,14 +495,15 @@ class TestGroupColumns:
             max_size=8,
         )
     )
-    def test_candidates_view_equals_the_columns(self, rows):
+    def test_columns_hold_the_candidates_in_order(self, rows):
         group = parse_group_line(
             group_line(*(cand(f"r{k}", lp, lr, s) for k, (lp, lr, s) in enumerate(rows)))
         )
-        assert group.candidates == tuple(
-            ScoredCandidate(f"r{k}", lp, lr, s) for k, (lp, lr, s) in enumerate(rows)
+        columns = (tuple(f"r{k}" for k in range(len(rows))), *zip(*rows))
+        assert (group.responses, group.logprob_policy, group.logprob_reference, group.scores) == (
+            columns
         )
-        assert PreferenceGroup.from_candidates("q", group.candidates) == group
+        assert PreferenceGroup("q", *columns) == group
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="unequal length"):

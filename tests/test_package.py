@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
@@ -48,3 +49,27 @@ def test_import_loads_no_submodule_until_used():
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert json.loads(result.stdout) == [["navit_pack"], "navit_pack.packing"]
+
+
+def test_every_submodule_is_an_attribute():
+    script = (
+        "import json, pkgutil, navit_pack\n"
+        "names = [m.name for m in pkgutil.iter_modules(navit_pack.__path__)\n"
+        "         if m.name != '__main__']\n"
+        "print(json.dumps({n: getattr(navit_pack, n).__name__ for n in names}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    resolved = json.loads(result.stdout)
+    assert {"cli", "selfcheck", "vet"} <= set(resolved)
+    assert resolved == {name: f"navit_pack.{name}" for name in resolved}
+
+
+def test_exports_match_each_submodule_all():
+    for info in pkgutil.iter_modules(navit_pack.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"navit_pack.{info.name}")
+        public = getattr(module, "__all__", ())
+        assert set(navit_pack._EXPORTS.get(info.name, ())) <= set(public), info.name
+        for name in public:
+            assert hasattr(module, name), f"{info.name}.{name}"

@@ -340,6 +340,18 @@ class TestPackedSequenceValidation:
         with pytest.raises(ValueError, match="lengths 7 exceed capacity 6"):
             PackedSequence(capacity=6, segments=(("a", 0, 4), ("b", 4, 3)))
 
+    @pytest.mark.parametrize(
+        "segments, tail",
+        [
+            ((("x" * 10_000, 1, 2),), " starts at 1, expected 0"),
+            ((("x" * 10_000, 0, 0),), " has invalid length 0"),
+        ],
+    )
+    def test_long_id_is_cut(self, segments, tail):
+        with pytest.raises(ValueError) as e:
+            PackedSequence(capacity=6, segments=segments)
+        assert str(e.value) == f"segment '{'x' * 60}...{tail}"
+
     def test_derived_fields(self):
         seq = PackedSequence(capacity=9, segments=(("a", 0, 4), ("b", 4, 3)))
         assert (seq.used_tokens, seq.pad_tokens) == (7, 2)
