@@ -30,7 +30,6 @@ _EXPORTS = {
     ),
     "encoder": (
         "AttentionParams",
-        "DisabledRope",
         "LearnedPosTable",
         "PatchSequence",
         "RopeConfig",

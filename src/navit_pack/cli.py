@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
@@ -82,7 +82,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
 
 
-@lru_cache(maxsize=8)
 def _position_runs(capacity: int) -> tuple[str, list[int], str]:
     """JSON text of the ids 0..capacity-1 and of capacity pad ids, unbracketed.
 
@@ -95,14 +94,15 @@ def _position_runs(capacity: int) -> tuple[str, list[int], str]:
     return ids, ends, pads
 
 
-def _sequence_line(seq: PackedSequence) -> str:
+def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str:
     """The `pack` output line for `seq`, with its per-token position ids.
 
     Byte-identical to `json.dumps` of `seq.to_json_dict()` plus the
     `position_ids` of `build_attention_metadata(seq)`, but the ids are
-    sliced from pre-rendered text instead of built and encoded per token.
+    sliced from `runs`, the `_position_runs` of `seq.capacity`, instead of
+    built and encoded per token.
     """
-    ids, ends, pads = _position_runs(seq.capacity)
+    ids, ends, pads = runs
     parts = [ids[: ends[length]] for _, _, length in seq.segments]
     if seq.pad_tokens:
         width = len(str(PAD_POSITION)) + 1
@@ -171,8 +171,9 @@ def cmd_pack(args: argparse.Namespace) -> None:
         _diag(f"{args.manifest}: {e}")
         return
     report = packing_report(samples, sequences, args.capacity, args.batch_size)
+    runs = _position_runs(args.capacity)
     for seq in sequences:
-        print(_sequence_line(seq))
+        print(_sequence_line(seq, runs))
     _emit(report.to_json_dict())
 
 
@@ -270,21 +271,24 @@ def _negated(text: str) -> str:
     return text[1:] if text[0] == "-" else "-" + text
 
 
-def _report_not_finite(path: str, lineno: int, group: PreferenceGroup, what: str) -> None:
-    _diag(f"{path}:{lineno}: query {_quoted(group.query_id)}: {what} is not finite")
+# `(lineno, group, what)` of a group that `prefs` leaves out because its
+# `what` is not finite.
+Fault = tuple[int, "PreferenceGroup", str]
 
 
-def _pairs_text(path: str, chunk: list[tuple[int, PreferenceGroup]], margin: float) -> str:
+def _pairs_text(
+    chunk: list[tuple[int, PreferenceGroup]], margin: float
+) -> tuple[str, list[Fault]]:
     """The `prefs pairs` lines of `chunk`, one `json.dumps` per pair. A
-    group with a score gap that is not finite is reported and left out."""
+    group with a score gap that is not finite is left out as a fault."""
     from .objectives import pair_indices
 
-    lines = []
+    lines, faults = [], []
     for lineno, group in chunk:
         responses, scores = group.responses, group.scores
         pairs = [(i, j, scores[i] - scores[j]) for i, j in pair_indices(scores, margin)]
         if not all(math.isfinite(gap) for _, _, gap in pairs):
-            _report_not_finite(path, lineno, group, "score gap")
+            faults.append((lineno, group, "score gap"))
             continue
         for i, j, gap in pairs:
             record = {
@@ -296,14 +300,14 @@ def _pairs_text(path: str, chunk: list[tuple[int, PreferenceGroup]], margin: flo
                 "score_gap": gap,
             }
             lines.append(json.dumps(record, separators=(",", ":")) + "\n")
-    return "".join(lines)
+    return "".join(lines), faults
 
 
 def _dpo_text(
-    path: str, chunk: list[tuple[int, PreferenceGroup]], margin: float, cfg: DpoConfig
-) -> str:
+    chunk: list[tuple[int, PreferenceGroup]], margin: float, cfg: DpoConfig
+) -> tuple[str, list[Fault]]:
     """The `prefs dpo` lines of `chunk` from one `dpo_losses` call. A group
-    with a value that is not finite is reported and left out.
+    with a value that is not finite is left out as a fault.
 
     Each line is byte-identical to `json.dumps` of its record: for a
     finite float, `repr` is the text `json.dumps` writes. Of the five
@@ -335,12 +339,12 @@ def _dpo_text(
     # g - (-0.0) turns g = -0.0 into 0.0, so only +0.0 leaves g as it is.
     same = cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0
     loss, d_policy_chosen, g = loss.tolist(), d_policy_chosen.tolist(), g.tolist()
-    lines = []
+    lines, faults = [], []
     start = 0
     for (lineno, group), pairs in zip(chunk, spans):
         end = start + len(pairs)
         if not all(finite[start:end]):
-            _report_not_finite(path, lineno, group, "loss or gradient")
+            faults.append((lineno, group, "loss or gradient"))
         else:
             head = f'{{"query_id":{json.dumps(group.query_id)},"chosen_index":'
             for (i, j), value, d_chosen, d_rejected in zip(
@@ -355,13 +359,13 @@ def _dpo_text(
                     f'"d_logprob_reference_chosen":{neg},"d_logprob_reference_rejected":{g_str}}}\n'
                 )
         start = end
-    return "".join(lines)
+    return "".join(lines), faults
 
 
-def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> str:
+def _grpo_text(chunk: list[tuple[int, PreferenceGroup]]) -> tuple[str, list[Fault]]:
     """The `prefs grpo` lines of `chunk` from one `grpo_advantages_rows`
     call per group size. A group with an advantage that is not finite is
-    reported and left out. Lines are rendered with `repr` as in
+    left out as a fault. Lines are rendered with `repr` as in
     `_dpo_text`."""
     from .objectives import grpo_advantages_rows
 
@@ -373,14 +377,14 @@ def _grpo_text(path: str, chunk: list[tuple[int, PreferenceGroup]]) -> str:
         scores = [chunk[n][1].scores for n in members]
         for n, row in zip(members, grpo_advantages_rows(scores).tolist()):
             advantages[n] = row
-    lines = []
+    lines, faults = [], []
     for (lineno, group), row in zip(chunk, advantages):
         if not all(map(math.isfinite, row)):
-            _report_not_finite(path, lineno, group, "advantage")
+            faults.append((lineno, group, "advantage"))
             continue
         values = ",".join(map(repr, row))
         lines.append(f'{{"query_id":{json.dumps(group.query_id)},"advantages":[{values}]}}\n')
-    return "".join(lines)
+    return "".join(lines), faults
 
 
 def cmd_prefs(args: argparse.Namespace) -> None:
@@ -389,15 +393,6 @@ def cmd_prefs(args: argparse.Namespace) -> None:
     groups = list(_records(args.groups, parse_group_line))
     if _diagnostics:
         return
-    if args.min_score_variance > 0.0:
-        kept = []
-        for lineno, group in groups:
-            variance = group.score_variance()
-            if not math.isfinite(variance):
-                _report_not_finite(args.groups, lineno, group, "score variance")
-            elif variance >= args.min_score_variance:
-                kept.append((lineno, group))
-        groups = kept
     if args.prefs_command == "pairs":
         chunk_text = partial(_pairs_text, margin=args.margin)
     elif args.prefs_command == "dpo":
@@ -405,8 +400,25 @@ def cmd_prefs(args: argparse.Namespace) -> None:
         chunk_text = partial(_dpo_text, margin=args.margin, cfg=cfg)
     else:
         chunk_text = _grpo_text
+    # Faults are written in line order: those of one chunk sorted together,
+    # the chunks in file order.
     for start in range(0, len(groups), _PREFS_CHUNK):
-        sys.stdout.write(chunk_text(args.groups, groups[start : start + _PREFS_CHUNK]))
+        chunk = groups[start : start + _PREFS_CHUNK]
+        faults = []
+        if args.min_score_variance > 0.0:
+            kept = []
+            for lineno, group in chunk:
+                variance = group.score_variance()
+                if not math.isfinite(variance):
+                    faults.append((lineno, group, "score variance"))
+                elif variance >= args.min_score_variance:
+                    kept.append((lineno, group))
+            chunk = kept
+        text, rendered = chunk_text(chunk)
+        sys.stdout.write(text)
+        for lineno, group, what in sorted(faults + rendered, key=lambda f: f[0]):
+            quoted = _quoted(group.query_id)
+            _diag(f"{args.groups}:{lineno}: query {quoted}: {what} is not finite")
 
 
 def _phase(value: str) -> Phase:

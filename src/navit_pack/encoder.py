@@ -1,11 +1,11 @@
 """Toy native-resolution encoder pieces.
 
 Single-head, single-block, double-precision building blocks: 2D rotary
-position embeddings split across the row/column axes, bilinear
-interpolation of a learned position table, and scaled dot-product
-attention over a packed sequence, computed block by block so no score
-crosses a sample boundary. The point is verifiable mechanisms, not
-model quality.
+position embeddings (half the head dimensions for rows, half for
+columns), bilinear interpolation of a learned position table, and
+scaled dot-product attention over a packed sequence, computed block by
+block so no score crosses a sample boundary. The point is verifiable
+mechanisms, not model quality.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import ShapeMismatch
 
 __all__ = [
     "AttentionParams",
-    "DisabledRope",
     "LearnedPosTable",
     "PatchSequence",
     "RopeConfig",
@@ -33,47 +32,25 @@ __all__ = [
 _TILE_ENTRIES = 1 << 17
 
 
-class DisabledRope(RuntimeError):
-    """Rotary embedding was applied while disabled; callers must skip instead."""
+# Base of the rotary frequencies, as in RoFormer.
+_ROPE_BASE = 10000.0
 
 
 @dataclass(frozen=True)
 class RopeConfig:
     """Rotary embedding setup for 2D positions.
 
-    `axis_split` is the fraction of head dimensions rotated by the row
-    coordinate; the rest rotate by the column coordinate. Both partitions
-    must come out even so they pair up for rotation.
+    The first half of the head dimensions rotate by the row coordinate and
+    the second half by the column coordinate, each half in consecutive
+    (2i, 2i+1) pairs with base 10^4, so `d_head` must be a positive
+    multiple of 4.
     """
 
     d_head: int
-    base: float = 10000.0
-    enabled: bool = True
-    axis_split: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.d_head < 2 or self.d_head % 2:
-            raise ValueError(f"d_head must be a positive even integer, got {self.d_head}")
-        if not 0.0 < self.axis_split < 1.0:
-            raise ValueError(f"axis_split must lie in (0, 1), got {self.axis_split}")
-        if self.base <= 0.0:
-            raise ValueError(f"base must be positive, got {self.base}")
-        d_row = self.axis_split * self.d_head
-        if abs(d_row - round(d_row)) > 1e-9 or round(d_row) % 2:
-            raise ValueError(
-                f"axis_split {self.axis_split} of d_head {self.d_head} must give an "
-                f"even row sub-dimension, got {d_row}"
-            )
-        if (self.d_head - round(d_row)) % 2:
-            raise ValueError("column sub-dimension must be even")
-
-    @property
-    def d_row(self) -> int:
-        return round(self.axis_split * self.d_head)
-
-    @property
-    def d_col(self) -> int:
-        return self.d_head - self.d_row
+        if self.d_head < 4 or self.d_head % 4:
+            raise ValueError(f"d_head must be a positive multiple of 4, got {self.d_head}")
 
 
 @dataclass(frozen=True)
@@ -160,12 +137,6 @@ class AttentionParams:
         )
 
 
-def _axis_angles(coords: np.ndarray, d_axis: int, base: float) -> np.ndarray:
-    """Rotation angles theta_i * coord with theta_i = base^(-2i/d_axis)."""
-    freqs = base ** (-2.0 * np.arange(d_axis // 2) / d_axis)
-    return np.asarray(coords, dtype=np.float64)[:, None] * freqs[None, :]
-
-
 def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rotate consecutive (2i, 2i+1) pairs of x by the given angles."""
     cos, sin = np.cos(angles), np.sin(angles)
@@ -179,27 +150,22 @@ def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
 def apply_rope_2d(q_or_k: np.ndarray, positions: np.ndarray, config: RopeConfig) -> np.ndarray:
     """Rotate each token's vector by its (row, col) position.
 
-    The first `config.d_row` dimensions rotate pairwise by angles
-    proportional to the row coordinate, the remainder by the column
-    coordinate. Rotations preserve vector norms, and dot products between
-    rotated vectors depend on positions only through their offset.
+    Pair i = (2i, 2i+1) of each half of the head dimensions rotates by
+    theta_i * coordinate, theta_i = 10^4^(-2i / (d_head / 2)): the first
+    half by the row coordinate, the second half by the column coordinate.
+    Rotations preserve vector norms, dot products between rotated vectors
+    depend on positions only through their offset, and position (0, 0) is
+    the exact identity, so all-zero positions give plain attention.
     """
-    if not config.enabled:
-        raise DisabledRope("rotary embedding is disabled; skip the call instead")
     x = np.asarray(q_or_k, dtype=np.float64)
-    pos = np.asarray(positions)
+    pos = np.asarray(positions, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.d_head:
         raise ShapeMismatch(f"expected (n, {config.d_head}) vectors, got {x.shape}")
     if pos.shape != (x.shape[0], 2):
         raise ShapeMismatch(f"positions shape {pos.shape} != ({x.shape[0]}, 2)")
-    out = np.empty_like(x)
-    out[:, : config.d_row] = _rotate_pairs(
-        x[:, : config.d_row], _axis_angles(pos[:, 0], config.d_row, config.base)
-    )
-    out[:, config.d_row :] = _rotate_pairs(
-        x[:, config.d_row :], _axis_angles(pos[:, 1], config.d_col, config.base)
-    )
-    return out
+    d_axis = config.d_head // 2
+    freqs = _ROPE_BASE ** (-2.0 * np.arange(d_axis // 2) / d_axis)
+    return _rotate_pairs(x, (pos[:, :, None] * freqs).reshape(x.shape[0], d_axis))
 
 
 def rope_dot_relative(
@@ -286,9 +252,8 @@ def block_diag_forward(
     q = x @ weights.wq
     k = x @ weights.wk
     v = x @ weights.wv
-    if rope.enabled:
-        q = apply_rope_2d(q, packed.positions, rope)
-        k = apply_rope_2d(k, packed.positions, rope)
+    q = apply_rope_2d(q, packed.positions, rope)
+    k = apply_rope_2d(k, packed.positions, rope)
     # In place: `q` is a fresh array, and a scaled copy would add its size
     # to peak memory.
     q *= 1.0 / np.sqrt(weights.d_head)

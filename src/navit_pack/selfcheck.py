@@ -238,9 +238,8 @@ def _dense_block_attention(
     q = x @ weights.wq
     k = x @ weights.wk
     v = x @ weights.wv
-    if rope.enabled:
-        q = encoder.apply_rope_2d(q, packed.positions, rope)
-        k = encoder.apply_rope_2d(k, packed.positions, rope)
+    q = encoder.apply_rope_2d(q, packed.positions, rope)
+    k = encoder.apply_rope_2d(k, packed.positions, rope)
 
     n = x.shape[0]
     scores = (q @ k.T) / np.sqrt(weights.d_head)
@@ -263,9 +262,9 @@ def check_pack_equiv(seed: int, fault: bool = False) -> CheckResult:
     rng = np.random.default_rng([seed, 4])
     tol = 1e-6
     d_model, d_head = 8, 8
+    rope = encoder.RopeConfig(d_head=d_head)
     worst = 0.0
     for trial in range(_PACK_TRIALS):
-        rope = encoder.RopeConfig(d_head=d_head, enabled=bool(trial % 2))
         weights = encoder.AttentionParams.random(d_model, d_head, rng)
         if trial == _PACK_TRIALS - 1:
             lengths = [_LONG_BLOCK]
@@ -273,7 +272,8 @@ def check_pack_equiv(seed: int, fault: bool = False) -> CheckResult:
             lengths = [int(rng.integers(1, 25)) for _ in range(int(rng.integers(1, 9)))]
         n = sum(lengths)
         x = rng.normal(0.0, 1.0, (n, d_model))
-        positions = rng.integers(0, 32, (n, 2))
+        # Even trials zero the positions, which turns the rotation off.
+        positions = rng.integers(0, 32, (n, 2)) * (trial % 2)
         boundaries = [0]
         for length in lengths:
             boundaries.append(boundaries[-1] + length)

@@ -245,9 +245,9 @@ def test_c06_packed_attention_equivalence():
     with criterion(6, "block-diagonal forward vs isolated forwards"):
         rng = np.random.default_rng(6)
         d_model, d_head = 8, 8
+        rope = RopeConfig(d_head=d_head)
         worst = 0.0
         for trial in range(200):
-            rope = RopeConfig(d_head=d_head, enabled=bool(trial % 2))
             params = AttentionParams.random(d_model, d_head, rng)
             lengths = [int(rng.integers(1, 25)) for _ in range(int(rng.integers(1, 9)))]
             boundaries = [0]
@@ -255,14 +255,15 @@ def test_c06_packed_attention_equivalence():
                 boundaries.append(boundaries[-1] + length)
             n = boundaries[-1]
             x = rng.normal(size=(n, d_model))
-            positions = rng.integers(0, 32, (n, 2))
+            rotated = bool(trial % 2)  # zero positions leave q and k unrotated
+            positions = rng.integers(0, 32, (n, 2)) * rotated
             packed = PatchSequence(
                 embeddings=x, positions=positions, sample_boundaries=tuple(boundaries)
             )
             out = block_diag_forward(packed, params, rope)
             for i in range(len(lengths)):
                 lo, hi = boundaries[i], boundaries[i + 1]
-                if rope.enabled:
+                if rotated:
                     alone = _dense_block_attention(
                         PatchSequence(
                             embeddings=x[lo:hi],

@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour over temp files, with schema validation."""
 
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,19 +293,19 @@ class TestSequenceLine:
     def test_one_segment_fills_capacity(self, capacity):
         seq = sequence_of(capacity, [capacity])
         assert seq.pad_tokens == 0
-        assert cli._sequence_line(seq) == oracle_line(seq)
+        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
 
     @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
     def test_all_pads(self, capacity):
         seq = sequence_of(capacity, [])
-        assert cli._sequence_line(seq) == oracle_line(seq)
+        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
 
     @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
     def test_one_token_segments(self, capacity):
         full = sequence_of(capacity, [1] * capacity)
-        assert cli._sequence_line(full) == oracle_line(full)
+        assert cli._sequence_line(full, cli._position_runs(full.capacity)) == oracle_line(full)
         half = sequence_of(capacity, [1] * (capacity // 2))
-        assert cli._sequence_line(half) == oracle_line(half)
+        assert cli._sequence_line(half, cli._position_runs(half.capacity)) == oracle_line(half)
 
     @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
     def test_segments_ending_at_digit_boundaries(self, capacity):
@@ -314,11 +316,11 @@ class TestSequenceLine:
                 lengths.append(n)
                 used += n
         seq = sequence_of(capacity, lengths)
-        assert cli._sequence_line(seq) == oracle_line(seq)
+        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
 
     def test_escaped_sample_ids(self):
         seq = sequence_of(12, [5, 4], sample_id='q"\\\u00e9\n')
-        assert cli._sequence_line(seq) == oracle_line(seq)
+        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -330,7 +332,7 @@ class TestSequenceLine:
                 lengths.append(n)
                 used += n
         seq = sequence_of(capacity, lengths)
-        assert cli._sequence_line(seq) == oracle_line(seq)
+        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
 
     def test_pack_stdout_matches_oracle(self, tmp_path):
         lengths = [1, 9, 10, 11, 99, 100, 101, 500, 1000, 1001, 3, 3, 3]
@@ -346,6 +348,22 @@ class TestSequenceLine:
         expected = [oracle_line(seq) for seq in sequences]
         expected.append(json.dumps(report.to_json_dict(), separators=(",", ":")))
         assert result.stdout == "".join(line + "\n" for line in expected)
+
+    def test_pack_keeps_no_position_runs(self, tmp_path):
+        # The rendered ids of one capacity 2^18 run take about 12 MB; none of
+        # it may outlive the command in a long-lived process.
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "text_tokens": 5}\n')
+        argv = ["pack", "--manifest", str(manifest), "--capacity"]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            assert cli.main([*argv, "16"]) == 0  # imports and first-call state
+            tracemalloc.start()
+            try:
+                assert cli.main([*argv, "262144"]) == 0
+                kept, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert kept < 2 * 2**20, f"{kept / 2**20:.1f} MiB kept"
 
 
 class TestUnreadableInput:
@@ -673,23 +691,22 @@ def prefs_oracle(
 ):
     """Expected `prefs` stdout and stderr: one `json.dumps` per line, from
     one `dpo_losses` call per pair and one `grpo_advantages_rows` call per
-    group. The difficulty filter reports first, as the CLI's does."""
+    group. Each group goes through the difficulty filter and then the
+    objective before the next, so diagnostics come in line order."""
     groups = [(n, parse_group_line(line)) for n, line in enumerate(text.splitlines(), 1)]
     out, err = [], []
 
     def not_finite(lineno, group, what):
         err.append(f"{path}:{lineno}: query {group.query_id!r}: {what} is not finite\n")
 
-    if min_score_variance > 0.0:
-        kept = []
-        for lineno, group in groups:
+    for lineno, group in groups:
+        if min_score_variance > 0.0:
             variance = group.score_variance()
             if not math.isfinite(variance):
                 not_finite(lineno, group, "score variance")
-            elif variance >= min_score_variance:
-                kept.append((lineno, group))
-        groups = kept
-    for lineno, group in groups:
+                continue
+            if variance < min_score_variance:
+                continue
         scores, lp, lr = group.scores, group.logprob_policy, group.logprob_reference
         records = []
         if command == "grpo":
@@ -749,6 +766,22 @@ def overflowing_groups():
     return "".join(lines)
 
 
+# Line 1 has a DPO margin of inf - inf, line 2 a score variance (and gap)
+# beyond float range.
+MARGIN_THEN_VARIANCE = (
+    candidates_json((1e308, -1e308, 1.0), (1e308, -1e308, 0.0)) + "\n"
+    + candidates_json((-1.0, -1.0, 1e308), (-1.0, -1.0, -1e308)) + "\n"
+)
+
+
+def late_variance_groups():
+    """150 groups: line 10 (first chunk) has a DPO margin of inf - inf and
+    line 140 (third chunk) a score variance beyond float range."""
+    lines = groups_jsonl([_SMALL[g % 7] for g in range(150)], 6).splitlines(keepends=True)
+    lines[9], lines[139] = MARGIN_THEN_VARIANCE.splitlines(keepends=True)
+    return "".join(lines)
+
+
 class TestPrefsChunked:
     """`prefs` renders a chunk of groups at a time, and `dpo` and `grpo`
     compute each chunk in one array call; stdout, stderr and the exit
@@ -763,8 +796,13 @@ class TestPrefsChunked:
             groups_jsonl([_SMALL[g % 7] for g in range(140)], 3, flat=range(64, 128)),
             groups_jsonl([2 + (g * 17) % 39 for g in range(150)], 4),
             overflowing_groups(),
+            MARGIN_THEN_VARIANCE,
+            late_variance_groups(),
         ],
-        ids=["empty", "64", "65", "no-pairs-chunk", "sizes-2-40", "overflow"],
+        ids=[
+            "empty", "64", "65", "no-pairs-chunk", "sizes-2-40", "overflow",
+            "margin-then-variance", "late-variance",
+        ],
     )
     @pytest.mark.parametrize(
         "command, options",

@@ -1,5 +1,6 @@
 """Rotary embeddings, position-table interpolation, and packed attention."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from navit_pack.encoder import (
     _TILE_ENTRIES,
     AttentionParams,
-    DisabledRope,
     LearnedPosTable,
     PatchSequence,
     RopeConfig,
@@ -38,27 +38,15 @@ def plain_attention(x, params):
 
 
 class TestRopeConfig:
-    def test_defaults(self):
-        cfg = RopeConfig(d_head=8)
-        assert cfg.d_row == 4 and cfg.d_col == 4 and cfg.base == 10000.0
+    def test_only_field_is_d_head(self):
+        assert [f.name for f in dataclasses.fields(RopeConfig)] == ["d_head"]
+        assert RopeConfig(d_head=8).d_head == 8
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"d_head": 7},
-            {"d_head": 8, "axis_split": 0.3},  # 2.4 row dims
-            {"d_head": 6, "axis_split": 0.5},  # odd halves
-            {"d_head": 8, "axis_split": 1.5},
-            {"d_head": 8, "base": -1.0},
-        ],
-    )
-    def test_invalid(self, kwargs):
+    @pytest.mark.parametrize("d_head", [-4, 0, 2, 6, 7, 10])
+    def test_invalid(self, d_head):
+        # Each half of d_head must split into (2i, 2i+1) pairs.
         with pytest.raises(ValueError):
-            RopeConfig(**kwargs)
-
-    def test_uneven_split(self):
-        cfg = RopeConfig(d_head=8, axis_split=0.25)
-        assert cfg.d_row == 2 and cfg.d_col == 6
+            RopeConfig(d_head=d_head)
 
 
 class TestApplyRope:
@@ -91,16 +79,45 @@ class TestApplyRope:
         # Column coordinate zero leaves the column half untouched.
         rng = np.random.default_rng(2)
         cfg = RopeConfig(d_head=8)
+        half = cfg.d_head // 2
         v = rng.normal(size=(4, 8))
         out = apply_rope_2d(v, np.array([[3, 0]] * 4), cfg)
-        np.testing.assert_array_equal(out[:, cfg.d_row :], v[:, cfg.d_row :])
+        np.testing.assert_array_equal(out[:, half:], v[:, half:])
         out = apply_rope_2d(v, np.array([[0, 5]] * 4), cfg)
-        np.testing.assert_array_equal(out[:, : cfg.d_row], v[:, : cfg.d_row])
+        np.testing.assert_array_equal(out[:, :half], v[:, :half])
 
-    def test_disabled_raises(self):
-        cfg = RopeConfig(d_head=4, enabled=False)
-        with pytest.raises(DisabledRope):
-            apply_rope_2d(np.ones((1, 4)), np.zeros((1, 2), dtype=int), cfg)
+    def test_base_and_split(self):
+        # At d_head 8, pair 1 of a half turns by 10^4^(-2/4) = 0.01 rad per
+        # unit of its own axis; the other half is left exactly as it was.
+        cfg = RopeConfig(d_head=8)
+        basis = np.eye(8)[[2, 6]]
+        turned = [np.cos(0.01), np.sin(0.01)]
+        out = apply_rope_2d(basis, np.array([[1, 0], [1, 0]]), cfg)
+        np.testing.assert_allclose(out[0, 2:4], turned, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out[1], basis[1])
+        out = apply_rope_2d(basis, np.array([[0, 1], [0, 1]]), cfg)
+        np.testing.assert_array_equal(out[0], basis[0])
+        np.testing.assert_allclose(out[1, 6:8], turned, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d_head", [4, 8, 16, 32])
+    def test_matches_closed_form_per_axis(self, d_head):
+        # Each axis written out pair by pair: row on the first half, column
+        # on the second, theta_i = 10^4^(-2i / (d_head / 2)).
+        rng = np.random.default_rng(d_head)
+        n, d_axis = 64, d_head // 2
+        v = rng.normal(size=(n, d_head))
+        pos = rng.integers(0, 512, (n, 2))
+        want = v.copy()
+        for t in range(n):
+            for axis in range(2):
+                for i in range(d_axis // 2):
+                    angle = pos[t, axis] * 10000.0 ** (-2.0 * i / d_axis)
+                    c, s = math.cos(angle), math.sin(angle)
+                    j = axis * d_axis + 2 * i
+                    a, b = v[t, j], v[t, j + 1]
+                    want[t, j], want[t, j + 1] = a * c - b * s, a * s + b * c
+        got = apply_rope_2d(v, pos, RopeConfig(d_head=d_head))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
         cfg = RopeConfig(d_head=4)
@@ -187,14 +204,16 @@ class TestInterpolation:
             interpolate_pos_table(src, 0, 3)
 
 
-def make_packed(rng, lengths, d_model):
+def make_packed(rng, lengths, d_model, rotated=True):
+    """Random packed tokens; `rotated=False` zeroes the positions, which
+    leaves q and k unrotated, after the same rng draws."""
     n = sum(lengths)
     boundaries = [0]
     for length in lengths:
         boundaries.append(boundaries[-1] + length)
     return PatchSequence(
         embeddings=rng.normal(size=(n, d_model)),
-        positions=rng.integers(0, 32, (n, 2)),
+        positions=rng.integers(0, 32, (n, 2)) * rotated,
         sample_boundaries=tuple(boundaries),
     )
 
@@ -203,16 +222,28 @@ class TestBlockDiagonal:
     def test_single_sample_equals_plain_attention(self):
         rng = np.random.default_rng(8)
         params = AttentionParams.random(6, 8, rng)
-        packed = make_packed(rng, [9], 6)
-        out = block_diag_forward(packed, params, RopeConfig(d_head=8, enabled=False))
+        packed = make_packed(rng, [9], 6, rotated=False)
+        out = block_diag_forward(packed, params, RopeConfig(d_head=8))
         np.testing.assert_allclose(out, plain_attention(packed.embeddings, params), atol=1e-12)
 
-    @pytest.mark.parametrize("enabled", [False, True])
-    def test_packed_matches_isolated(self, enabled):
+    @pytest.mark.parametrize("d_head", [4, 8, 32])
+    def test_zero_positions_equal_plain_attention_per_block(self, d_head):
+        rng = np.random.default_rng(18)
+        params = AttentionParams.random(6, d_head, rng)
+        packed = make_packed(rng, [4, 7, 1, 5], 6, rotated=False)
+        out = block_diag_forward(packed, params, RopeConfig(d_head=d_head))
+        b = packed.sample_boundaries
+        for lo, hi in zip(b[:-1], b[1:]):
+            np.testing.assert_allclose(
+                out[lo:hi], plain_attention(packed.embeddings[lo:hi], params), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_packed_matches_isolated(self, rotated):
         rng = np.random.default_rng(9)
         params = AttentionParams.random(6, 8, rng)
-        rope = RopeConfig(d_head=8, enabled=enabled)
-        packed = make_packed(rng, [4, 7, 1, 5], 6)
+        rope = RopeConfig(d_head=8)
+        packed = make_packed(rng, [4, 7, 1, 5], 6, rotated)
         out = block_diag_forward(packed, params, rope)
         b = packed.sample_boundaries
         for i in range(len(b) - 1):
@@ -231,8 +262,8 @@ class TestBlockDiagonal:
     def test_two_samples_against_plain_oracle(self):
         rng = np.random.default_rng(10)
         params = AttentionParams.random(5, 4, rng)
-        packed = make_packed(rng, [3, 6], 5)
-        out = block_diag_forward(packed, params, RopeConfig(d_head=4, enabled=False))
+        packed = make_packed(rng, [3, 6], 5, rotated=False)
+        out = block_diag_forward(packed, params, RopeConfig(d_head=4))
         np.testing.assert_allclose(
             out[:3], plain_attention(packed.embeddings[:3], params), atol=1e-6
         )
@@ -243,7 +274,7 @@ class TestBlockDiagonal:
     def test_singleton_blocks_are_local(self):
         rng = np.random.default_rng(11)
         params = AttentionParams.random(4, 4, rng)
-        rope = RopeConfig(d_head=4, enabled=False)
+        rope = RopeConfig(d_head=4)
         x = rng.normal(size=(3, 4))
         packed = PatchSequence(
             embeddings=x, positions=np.zeros((3, 2), int), sample_boundaries=(0, 1, 2, 3)
@@ -265,32 +296,12 @@ class TestBlockDiagonal:
         # each singleton row is just x Wv Wo
         np.testing.assert_allclose(out, x @ params.wv @ params.wo, atol=1e-12)
 
-    def test_positions_unused_when_rope_disabled(self):
-        rng = np.random.default_rng(12)
-        params = AttentionParams.random(4, 4, rng)
-        rope = RopeConfig(d_head=4, enabled=False)
-        x = rng.normal(size=(7, 4))
-        base = PatchSequence(
-            embeddings=x,
-            positions=rng.integers(0, 9, (7, 2)),
-            sample_boundaries=(0, 4, 7),
-        )
-        shuffled = PatchSequence(
-            embeddings=x,
-            positions=rng.permutation(np.asarray(base.positions)),
-            sample_boundaries=(0, 4, 7),
-        )
-        np.testing.assert_array_equal(
-            block_diag_forward(base, params, rope),
-            block_diag_forward(shuffled, params, rope),
-        )
-
     def test_shape_mismatch(self):
         rng = np.random.default_rng(13)
         params = AttentionParams.random(4, 4, rng)
         packed = make_packed(rng, [3], 6)
         with pytest.raises(ShapeMismatch):
-            block_diag_forward(packed, params, RopeConfig(d_head=4, enabled=False))
+            block_diag_forward(packed, params, RopeConfig(d_head=4))
 
     def test_empty_sequence(self):
         rng = np.random.default_rng(14)
@@ -298,18 +309,17 @@ class TestBlockDiagonal:
         packed = PatchSequence(
             embeddings=np.zeros((0, 6)), positions=np.zeros((0, 2), int), sample_boundaries=(0,)
         )
-        for enabled in (False, True):
-            out = block_diag_forward(packed, params, RopeConfig(d_head=4, enabled=enabled))
-            assert out.shape == (0, 6)
+        out = block_diag_forward(packed, params, RopeConfig(d_head=4))
+        assert out.shape == (0, 6)
 
-    @pytest.mark.parametrize("enabled", [False, True])
-    def test_long_block_spans_row_tiles(self, enabled):
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_long_block_spans_row_tiles(self, rotated):
         n = 1500
         assert math.ceil(n / (_TILE_ENTRIES // n)) == 18
         rng = np.random.default_rng(15)
         params = AttentionParams.random(8, 8, rng)
-        rope = RopeConfig(d_head=8, enabled=enabled)
-        packed = make_packed(rng, [n], 8)
+        rope = RopeConfig(d_head=8)
+        packed = make_packed(rng, [n], 8, rotated)
         np.testing.assert_allclose(
             block_diag_forward(packed, params, rope),
             _dense_block_attention(packed, params, rope),
@@ -317,12 +327,12 @@ class TestBlockDiagonal:
             atol=1e-9,
         )
 
-    @pytest.mark.parametrize("enabled", [False, True])
-    def test_long_and_singleton_blocks(self, enabled):
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_long_and_singleton_blocks(self, rotated):
         rng = np.random.default_rng(16)
         params = AttentionParams.random(8, 8, rng)
-        rope = RopeConfig(d_head=8, enabled=enabled)
-        packed = make_packed(rng, [1, 1100, 1, 1, 1300, 37, 1], 8)
+        rope = RopeConfig(d_head=8)
+        packed = make_packed(rng, [1, 1100, 1, 1, 1300, 37, 1], 8, rotated)
         np.testing.assert_allclose(
             block_diag_forward(packed, params, rope),
             _dense_block_attention(packed, params, rope),
@@ -350,9 +360,8 @@ class TestBlockDiagonal:
         def forward(packed, weights, rope):
             x = packed.embeddings
             q, k, v = x @ weights.wq, x @ weights.wk, x @ weights.wv
-            if rope.enabled:
-                q = apply_rope_2d(q, packed.positions, rope)
-                k = apply_rope_2d(k, packed.positions, rope)
+            q = apply_rope_2d(q, packed.positions, rope)
+            k = apply_rope_2d(k, packed.positions, rope)
             q = q / np.sqrt(weights.d_head)
             heads = np.empty_like(v)
             b = packed.sample_boundaries
@@ -375,7 +384,7 @@ class TestBlockDiagonal:
     def test_packed_equivalence_property(self, lengths):
         rng = np.random.default_rng(sum(lengths))
         params = AttentionParams.random(4, 4, rng)
-        rope = RopeConfig(d_head=4, enabled=True)
+        rope = RopeConfig(d_head=4)
         packed = make_packed(rng, lengths, 4)
         out = block_diag_forward(packed, params, rope)
         b = packed.sample_boundaries

@@ -239,7 +239,7 @@ class TestAttentionMetadata:
         cumulative, positions = build_attention_metadata(seq)
         used = seq.used_tokens
         params = AttentionParams.random(4, 4, rng)
-        rope = RopeConfig(d_head=4, enabled=True)
+        rope = RopeConfig(d_head=4)
         x = rng.normal(size=(used, 4))
         pos = np.array([[p, p] for p in positions[:used]])
         packed = PatchSequence(
