@@ -23,6 +23,7 @@ from .packing import (
     PackedSequence,
     SampleRecord,
     SampleTooLong,
+    _clipped,
     _entry,
     _json_record,
     _list,
@@ -53,9 +54,6 @@ _MESSAGE_KEYS = {"role", "parts"}
 # ids, and `_position_runs` renders all of them up front.
 _MAX_CAPACITY = 2**20
 
-# `selfcheck.CHECK_NAMES`, spelled out so that building the parser does
-# not import `selfcheck` (and numpy).
-_CHECK_NAMES = ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt")
 _GRAD_CHECKS = ("vet-grad", "dpo-grad")
 
 
@@ -256,7 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
     """`verify` and `grad-check`: run the checks in `args.only` (all if None)."""
     from .selfcheck import run_checks
 
-    results = run_checks(args.seed, fault=args.fault_inject, only=args.only)
+    results = run_checks(args.seed, only=args.only)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -421,12 +419,16 @@ def cmd_prefs(args: argparse.Namespace) -> None:
             _diag(f"{args.groups}:{lineno}: query {quoted}: {what} is not finite")
 
 
+# The argparse types below echo a bad value cut by `_clipped`, so that a
+# huge argument gives a one-line usage error.
+
+
 def _phase(value: str) -> Phase:
     try:
         return Phase(value.lower())
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid phase {value!r}; choose from p1, p2, p3"
+            f"invalid phase {_clipped(value)!r}; choose from p1, p2, p3"
         ) from None
 
 
@@ -438,9 +440,11 @@ def _int_at_least(low: int) -> Callable[[str], int]:
         try:
             parsed = int(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {_clipped(value)!r}"
+            ) from None
         if parsed < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {_clipped(value)}")
         return parsed
 
     return parse
@@ -453,7 +457,9 @@ _seed = _int_at_least(0)
 def _capacity(value: str) -> int:
     parsed = _positive_int(value)
     if parsed > _MAX_CAPACITY:
-        raise argparse.ArgumentTypeError(f"must be <= {_MAX_CAPACITY}, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be <= {_MAX_CAPACITY}, got {_clipped(value)}"
+        )
     return parsed
 
 
@@ -464,12 +470,14 @@ def _finite_float(low: float, inclusive: bool = True) -> Callable[[str], float]:
         try:
             parsed = float(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {_clipped(value)!r}"
+            ) from None
         if not math.isfinite(parsed):
-            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+            raise argparse.ArgumentTypeError(f"must be finite, got {_clipped(value)}")
         if parsed < low or (parsed == low and not inclusive):
             raise argparse.ArgumentTypeError(
-                f"must be {'>=' if inclusive else '>'} {low:g}, got {value}"
+                f"must be {'>=' if inclusive else '>'} {low:g}, got {_clipped(value)}"
             )
         return parsed
 
@@ -521,18 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run all built-in correctness checks")
     verify.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
-    verify.add_argument(
-        "--fault-inject", choices=_CHECK_NAMES, default=None,
-        help="(test only) make exactly this check fail",
-    )
     verify.set_defaults(func=cmd_verify, only=None)
 
     grad = sub.add_parser("grad-check", help="run only the gradient checks")
     grad.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
-    grad.add_argument(
-        "--fault-inject", choices=_GRAD_CHECKS, default=None,
-        help="(test only) make exactly this check fail",
-    )
     grad.set_defaults(func=cmd_verify, only=_GRAD_CHECKS)
 
     prefs = sub.add_parser("prefs", help="preference-objective utilities over group JSONL")

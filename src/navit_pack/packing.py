@@ -14,7 +14,7 @@ Every input record goes through one set of field checks kept here
 raises ManifestError naming the place of the fault ("candidate 2: "),
 which is formatted only then, so a valid record costs no formatting.
 A diagnostic that echoes a string from the input quotes it with
-`_quoted`, which bounds its length.
+`_quoted`, which bounds its length with `_clipped`.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     whenever it has room reaches the leftmost bin with room in O(log n).
     Bins not yet opened hold the full capacity, so they lie to the right
     of every open bin and the leftmost of them is the next bin to open.
-    `linear_first_fit` in tests/test_packing.py is the plain scan over
-    the open bins that this must match exactly.
+    `selfcheck.linear_first_fit` is the plain scan over the open bins
+    that this must match exactly.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -315,14 +315,18 @@ def packing_report(
     )
 
 
-def _quoted(value: object) -> str:
-    """`repr(value)` for a diagnostic that echoes an id, field name, role
-    or image reference read from the input. A repr longer than
-    _QUOTE_LIMIT is cut to its first _QUOTE_LIMIT - 3 characters and `...`."""
-    text = repr(value)
+def _clipped(text: str) -> str:
+    """`text` if it is at most _QUOTE_LIMIT characters long, else its first
+    _QUOTE_LIMIT - 3 characters and `...`."""
     if len(text) <= _QUOTE_LIMIT:
         return text
     return text[: _QUOTE_LIMIT - 3] + "..."
+
+
+def _quoted(value: object) -> str:
+    """`repr(value)` for a diagnostic that echoes an id, field name, role
+    or image reference read from the input, cut by `_clipped`."""
+    return _clipped(repr(value))
 
 
 def _record(value: object, allowed: set[str], what: str = "record") -> dict:

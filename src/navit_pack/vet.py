@@ -20,15 +20,10 @@ __all__ = [
     "VetGradients",
     "VisualEmbeddingTable",
     "VisualHead",
-    "DEFAULT_VOCAB_SIZE",
-    "DEFAULT_D_EMBED",
     "head_forward",
     "vet_embed",
     "vet_embed_grad",
 ]
-
-DEFAULT_VOCAB_SIZE = 64
-DEFAULT_D_EMBED = 32
 
 
 @dataclass(frozen=True)
@@ -98,15 +93,6 @@ class VisualEmbeddingTable:
     @property
     def vocab_size(self) -> int:
         return self.table.shape[0]
-
-    @classmethod
-    def random(
-        cls,
-        rng: np.random.Generator,
-        vocab_size: int = DEFAULT_VOCAB_SIZE,
-        d_embed: int = DEFAULT_D_EMBED,
-    ) -> "VisualEmbeddingTable":
-        return cls(table=rng.uniform(-0.02, 0.02, (vocab_size, d_embed)))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

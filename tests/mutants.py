@@ -1,0 +1,138 @@
+"""Broken copies of the code that each `verify` check guards.
+
+A test swaps a mutant in with `monkeypatch.setattr(mutant.module,
+mutant.attr, mutant.replacement)`; `verify` must then fail the mutant's
+own check and no other. Each mutant keeps the signature of the code it
+replaces and breaks it in the one way its docstring names.
+"""
+
+import dataclasses
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from navit_pack import cli, encoder, objectives, packing, vet
+
+
+class Mutant(NamedTuple):
+    check: str
+    module: object
+    attr: str
+    replacement: Callable
+
+
+def vet_embed_grad_without_pa_term(features, head, table, upstream):
+    """`vet.vet_embed_grad` with the `- (p.a) p` term dropped from d_logits."""
+    u = np.asarray(upstream, dtype=np.float64)
+    f, probs = vet._head_probs(features, head)
+    d_logits = probs * (table.table @ u)[None, :]
+    return vet.VetGradients(
+        d_features=d_logits @ head.projection.T / head.temperature,
+        d_projection=f.T @ d_logits / head.temperature,
+        d_table=probs.sum(axis=0)[:, None] * u[None, :],
+    )
+
+
+_dpo_losses = objectives.dpo_losses
+
+
+def dpo_losses_with_plus_g_reference_chosen(lp_c, lr_c, lp_r, lr_r, cfg):
+    """`objectives.dpo_losses` returning +g, not -g, as the lr_c partial."""
+    loss, d_lp_c, d_lp_r, _, g = _dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg)
+    return loss, d_lp_c, d_lp_r, g, g
+
+
+def rotate_pairs_reflected(x, angles):
+    """`encoder._rotate_pairs` with the odd output `even*sin - odd*cos`: a
+    reflection, not a rotation."""
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = x[:, 0::2], x[:, 1::2]
+    out = np.empty_like(x)
+    out[:, 0::2] = even * cos - odd * sin
+    out[:, 1::2] = even * sin - odd * cos
+    return out
+
+
+_block_diag_forward = encoder.block_diag_forward
+
+
+def block_diag_forward_first_boundary_moved(packed, weights, rope):
+    """`encoder.block_diag_forward` with the boundary between the first two
+    samples moved one token right (the first sample takes one token of the
+    second; a second sample of one token is absorbed)."""
+    b = list(packed.sample_boundaries)
+    if len(b) > 2:
+        b[1] += 1
+    moved = dataclasses.replace(packed, sample_boundaries=tuple(sorted(set(b))))
+    return _block_diag_forward(moved, weights, rope)
+
+
+def _sequences(bins, capacity):
+    """`PackedSequence`s holding the samples of each bin back to back."""
+    sequences = []
+    for contents in bins:
+        segments, offset = [], 0
+        for s in contents:
+            segments.append((s.id, offset, s.total_tokens))
+            offset += s.total_tokens
+        sequences.append(packing.PackedSequence(capacity=capacity, segments=tuple(segments)))
+    return sequences
+
+
+def pack_one_per_sequence(samples, capacity):
+    """`packing.pack_ffd` putting each sample in its own sequence."""
+    return _sequences([[s] for s in samples], capacity)
+
+
+def pack_next_fit_decreasing(samples, capacity):
+    """`packing.pack_ffd` with next fit: only the last bin is ever open."""
+    bins, load = [], capacity
+    for s in sorted(samples, key=lambda s: (-s.total_tokens, s.id)):
+        if load + s.total_tokens > capacity:
+            bins.append([])
+            load = 0
+        bins[-1].append(s)
+        load += s.total_tokens
+    return _sequences(bins, capacity)
+
+
+def pack_first_fit_unsorted(samples, capacity):
+    """`packing.pack_ffd` without the longest-first sort: first fit in input order."""
+    bins = []
+    for s in samples:
+        for contents in bins:
+            if sum(x.total_tokens for x in contents) + s.total_tokens <= capacity:
+                contents.append(s)
+                break
+        else:
+            bins.append([s])
+    return _sequences(bins, capacity)
+
+
+MUTANTS = {
+    "vet-grad-no-pa-term": Mutant(
+        "vet-grad", vet, "vet_embed_grad", vet_embed_grad_without_pa_term
+    ),
+    "dpo-grad-plus-g": Mutant(
+        "dpo-grad", objectives, "dpo_losses", dpo_losses_with_plus_g_reference_chosen
+    ),
+    "rope-reflection": Mutant("rope-relative", encoder, "_rotate_pairs", rotate_pairs_reflected),
+    "pack-boundary-moved": Mutant(
+        "pack-equiv", encoder, "block_diag_forward", block_diag_forward_first_boundary_moved
+    ),
+    "ffd-one-per-sequence": Mutant("ffd-opt", packing, "pack_ffd", pack_one_per_sequence),
+    "ffd-next-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_next_fit_decreasing),
+    "ffd-unsorted-first-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_first_fit_unsorted),
+}
+
+
+def run_verify(*argv):
+    """`(exit status, {check: status}, stderr)` of `cli.main(argv)`, run in
+    this process so that a monkeypatched mutant is the code it runs."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    statuses = {line.split()[0]: line.split()[1] for line in out.getvalue().splitlines()}
+    return code, statuses, err.getvalue()

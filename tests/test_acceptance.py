@@ -38,6 +38,7 @@ from navit_pack.vet import (
     vet_embed,
     vet_embed_grad,
 )
+from mutants import MUTANTS, run_verify
 from test_geometry import SMALL, oracle_plan, oracle_plan_fast
 
 
@@ -365,22 +366,19 @@ def run_cli(*args):
     )
 
 
-def test_c12_end_to_end_determinism_and_faults():
-    with criterion(12, "verify determinism and fault injection"):
+def test_c12_end_to_end_determinism_and_faults(monkeypatch):
+    with criterion(12, "verify determinism and mutant detection"):
         first = run_cli("verify", "--seed", "0")
         second = run_cli("verify", "--seed", "0")
         assert first.returncode == 0, first.stdout + first.stderr
         assert first.stdout == second.stdout and first.stderr == second.stderr
 
-        names = ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt")
-        for fault in names:
-            result = run_cli("verify", "--seed", "0", "--fault-inject", fault)
-            assert result.returncode == 1, f"fault {fault} did not fail the run"
-            statuses = {
-                line.split()[0]: line.split()[1] for line in result.stdout.splitlines()
-            }
-            assert statuses[fault] == "FAIL", f"{fault} should fail"
-            clean = [name for name in names if name != fault]
-            assert all(statuses[name] == "pass" for name in clean), (
-                f"fault {fault} leaked into other checks"
-            )
+        for label, mutant in MUTANTS.items():
+            with monkeypatch.context() as m:
+                m.setattr(mutant.module, mutant.attr, mutant.replacement)
+                for seed in ("0", "1", "2"):
+                    code, statuses, err = run_verify("verify", "--seed", seed)
+                    failed = [name for name, status in statuses.items() if status == "FAIL"]
+                    assert failed == [mutant.check], f"{label}, seed {seed}: {failed} failed"
+                    assert code == 1
+                    assert err == f"failed checks: {mutant.check}\n"

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from mutants import MUTANTS, run_verify
 from navit_pack import cli
 from navit_pack.objectives import (
     DpoConfig,
@@ -406,6 +407,13 @@ class TestFloatOptions:
             (["pairs", "--min-score-variance", "-0.1"], "--min-score-variance: must be >= 0"),
             (["dpo", "--nll-weight", "-0.3"], "--nll-weight: must be >= 0"),
             (["dpo", "--nll-weight=-inf"], "--nll-weight: must be finite"),
+            # A long value is echoed cut to its first 61 characters and `...`.
+            pytest.param(["dpo", "--beta", "1" * 3000],
+                         "--beta: must be finite, got " + "1" * 61 + "...\n", id="long-beta"),
+            pytest.param(["pairs", "--margin", "-" + "1" * 3000],
+                         "--margin: must be finite, got -" + "1" * 60 + "...\n", id="long-margin"),
+            pytest.param(["dpo", "--beta", "x" * 3000],
+                         "--beta: invalid float value: '" + "x" * 61 + "...'\n", id="long-non-float"),
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv, message):
@@ -415,6 +423,7 @@ class TestFloatOptions:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {message}" in err
+        assert len(err.encode()) < 600
 
     def test_range_edges_accepted(self, tmp_path):
         groups = tmp_path / "g.jsonl"
@@ -891,6 +900,24 @@ class TestLongInputEchoes:
         assert result.returncode == 1
         assert result.stderr == f"{manifest}:2: duplicate sample id {shown}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["plan", "--phase", "p" + "1" * 3000],
+             "--phase: invalid phase 'p" + "1" * 60 + "...'; choose from p1, p2, p3"),
+            (["pack", "--capacity", "1" * 3000], "--capacity: must be <= 1048576, got " + "1" * 61 + "..."),
+            (["pack", "--capacity", "x" * 3000], "--capacity: invalid int value: '" + "x" * 61 + "...'"),
+        ],
+        ids=["phase", "capacity-too-large", "capacity-not-int"],
+    )
+    def test_long_option_value(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([argv[0], "--manifest", "unused.jsonl", *argv[1:]])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {message}\n")
+        assert len(err.encode()) < 600
+
 
 class TestPrefsNonFinite:
     """Finite inputs whose results overflow: the group gets a diagnostic
@@ -939,13 +966,22 @@ class TestVerify:
         b = run_cli("verify", "--seed", "2")
         assert a.returncode == 0 and b.returncode == 0
 
-    def test_fault_injection_fails_named_check(self):
-        result = run_cli("verify", "--fault-inject", "vet-grad")
-        assert result.returncode == 1
-        lines = result.stdout.splitlines()
-        statuses = {line.split()[0]: line.split()[1] for line in lines}
-        assert statuses["vet-grad"] == "FAIL"
-        assert all(v == "pass" for k, v in statuses.items() if k != "vet-grad")
+    @pytest.mark.parametrize("command", ["verify", "grad-check"])
+    def test_mutant_fails_named_check(self, monkeypatch, command):
+        mutant = MUTANTS["vet-grad-no-pa-term"]
+        monkeypatch.setattr(mutant.module, mutant.attr, mutant.replacement)
+        code, statuses, err = run_verify(command)
+        assert code == 1
+        assert statuses.pop("vet-grad") == "FAIL"
+        assert statuses and set(statuses.values()) == {"pass"}
+        assert err == "failed checks: vet-grad\n"
+
+    @pytest.mark.parametrize("command", ["verify", "grad-check"])
+    def test_fault_inject_is_usage_error(self, command):
+        result = run_cli(command, "--fault-inject", "vet-grad")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments: --fault-inject vet-grad" in result.stderr
 
     def test_grad_check_subset(self):
         result = run_cli("grad-check")
@@ -955,11 +991,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "grad-check"])
     def test_negative_seed_is_usage_error(self, command):
-        result = run_cli(command, "--seed", "-1")
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert "Traceback" not in result.stderr
-        assert "argument --seed: must be >= 0, got -1" in result.stderr
+        # A value of up to 64 characters is echoed whole, a longer one cut.
+        for seed, shown in (
+            ("-1", "-1\n"),
+            ("-" + "1" * 63, "-" + "1" * 63 + "\n"),
+            ("-" + "1" * 3000, "-" + "1" * 60 + "...\n"),
+        ):
+            result = run_cli(command, "--seed", seed)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert "Traceback" not in result.stderr
+            assert f"argument --seed: must be >= 0, got {shown}" in result.stderr
+            assert len(result.stderr.encode()) < 600
 
 
 class TestStartup:
@@ -1007,14 +1050,10 @@ class TestStartup:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert json.loads(result.stderr.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "chat": False}
 
-    def test_check_names_match_selfcheck(self, capsys):
+    def test_check_names_match_selfcheck(self):
         from navit_pack.selfcheck import CHECK_NAMES
 
-        assert cli._CHECK_NAMES == CHECK_NAMES
         assert set(cli._GRAD_CHECKS) <= set(CHECK_NAMES)
-        with pytest.raises(SystemExit):
-            cli.main(["verify", "--help"])
-        assert "{" + ",".join(CHECK_NAMES) + "}" in capsys.readouterr().out
 
 
 class TestManifestSchemaItself:

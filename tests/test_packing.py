@@ -23,7 +23,7 @@ from navit_pack.packing import (
     parse_manifest_line,
     sample_from_record,
 )
-from navit_pack.selfcheck import _dense_block_attention, optimal_bin_count
+from navit_pack.selfcheck import _dense_block_attention, linear_first_fit, optimal_bin_count
 
 
 def samples_of(lengths):
@@ -32,22 +32,6 @@ def samples_of(lengths):
 
 def report_of(samples, capacity, batch_size):
     return packing_report(samples, pack_ffd(samples, capacity), capacity, batch_size)
-
-
-def linear_first_fit(samples, capacity):
-    """First-fit decreasing by a plain scan of the open bins, left to right.
-
-    The oracle for `pack_ffd`'s segment tree: ids per bin, in bin order.
-    """
-    bins = []
-    for s in sorted(samples, key=lambda s: (-s.total_tokens, s.id)):
-        for contents in bins:
-            if sum(x.total_tokens for x in contents) + s.total_tokens <= capacity:
-                contents.append(s)
-                break
-        else:
-            bins.append([s])
-    return [[s.id for s in contents] for contents in bins]
 
 
 def contents_of(sequences):

@@ -164,13 +164,6 @@ class TestVetEmbed:
         with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got .*1\.4"):
             _check_probs(probs[[0, 2, 1]])
 
-    def test_random_table_init_bounds(self):
-        table = VisualEmbeddingTable.random(np.random.default_rng(0))
-        assert table.table.shape == (64, 32)
-        assert table.table.min() >= -0.02 and table.table.max() <= 0.02
-        again = VisualEmbeddingTable.random(np.random.default_rng(0))
-        assert np.array_equal(table.table, again.table)
-
 
 def scalar_loss(features, projection, table, upstream, temperature):
     head = VisualHead(projection=projection, temperature=temperature)
