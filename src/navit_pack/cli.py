@@ -484,8 +484,27 @@ def _finite_float(low: float, inclusive: bool = True) -> Callable[[str], float]:
     return parse
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors cut each echoed argument with
+    `_clipped`, so that a huge argument gives a short usage error.
+
+    Subparsers are built from the same class, so they cut their own
+    errors too.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
+        for token in self._argv:
+            for form in (repr(token), token):
+                message = message.replace(form, _clipped(form))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="navit-pack",
         description="Geometry planning, sequence packing, chat templating, "
         "preference objectives, and self-verification over JSONL files.",

@@ -24,7 +24,6 @@ __all__ = [
     "apply_rope_2d",
     "block_diag_forward",
     "interpolate_pos_table",
-    "rope_dot_relative",
 ]
 
 # Most score entries one query tile of block_diag_forward holds (1 MiB of
@@ -166,23 +165,6 @@ def apply_rope_2d(q_or_k: np.ndarray, positions: np.ndarray, config: RopeConfig)
     d_axis = config.d_head // 2
     freqs = _ROPE_BASE ** (-2.0 * np.arange(d_axis // 2) / d_axis)
     return _rotate_pairs(x, (pos[:, :, None] * freqs).reshape(x.shape[0], d_axis))
-
-
-def rope_dot_relative(
-    q: np.ndarray,
-    k: np.ndarray,
-    p_q: tuple[int, int],
-    p_k: tuple[int, int],
-    config: RopeConfig,
-) -> float:
-    """Dot product of q and k after rotating each to its own position.
-
-    Depends on (p_q - p_k) only; equal positions reduce to the plain
-    dot product.
-    """
-    rq = apply_rope_2d(np.asarray(q, dtype=np.float64)[None, :], np.array([p_q]), config)
-    rk = apply_rope_2d(np.asarray(k, dtype=np.float64)[None, :], np.array([p_k]), config)
-    return float(rq[0] @ rk[0])
 
 
 def interpolate_pos_table(

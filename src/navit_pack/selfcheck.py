@@ -1,11 +1,12 @@
 """Built-in verification checks behind the `verify` CLI subcommand.
 
 Each check exercises one correctness contract on seeded random fixtures:
-gradient agreement with central finite differences, the relative-position
-property of rotary embeddings, per-block packed attention against the
-dense masked reference, and first-fit-decreasing packing against a plain
-first-fit scan and exhaustive optimal packing. The tests show that each
-check catches a broken copy of the code it guards.
+gradient agreement with central finite differences, rotary embeddings
+against their closed form and their relative-position property, per-block
+packed attention against the dense masked reference, and
+first-fit-decreasing packing against a plain first-fit scan and
+exhaustive optimal packing. The tests show that each check catches a
+broken copy of the code it guards.
 """
 
 from __future__ import annotations
@@ -182,6 +183,22 @@ def check_dpo_grad(seed: int) -> CheckResult:
     )
 
 
+def _rope_closed_form(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The 2D RoPE rule by complex multiplication, written apart from `encoder`.
+
+    Pair i = (2i, 2i+1) of the first half of the head dimensions, read as
+    the complex number x[2i] + 1j*x[2i+1], is multiplied by
+    exp(1j*theta_i*row), and pair i of the second half by
+    exp(1j*theta_i*col), with theta_i = 10^4^(-2i / (d_head / 2)).
+    """
+    n, d_head = x.shape
+    d_axis = d_head // 2
+    theta = 10000.0 ** (-2.0 * np.arange(d_axis // 2) / d_axis)
+    angles = np.hstack([np.outer(positions[:, 0], theta), np.outer(positions[:, 1], theta)])
+    turned = (x[:, 0::2] + 1j * x[:, 1::2]) * np.exp(1j * angles)
+    return np.stack([turned.real, turned.imag], axis=2).reshape(n, d_head)
+
+
 def check_rope_relative(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 3])
     config = encoder.RopeConfig(d_head=8)
@@ -191,9 +208,10 @@ def check_rope_relative(seed: int) -> CheckResult:
     p_k = rng.integers(0, 64, (_ROPE_DRAWS, 2))
     t = rng.integers(0, 64, (_ROPE_DRAWS, 2))
 
-    dots = np.einsum(
-        "ij,ij->i", encoder.apply_rope_2d(q, p_q, config), encoder.apply_rope_2d(k, p_k, config)
-    )
+    rotated = encoder.apply_rope_2d(q, p_q, config)
+    worst_closed = float(np.abs(rotated - _rope_closed_form(q, p_q)).max())
+
+    dots = np.einsum("ij,ij->i", rotated, encoder.apply_rope_2d(k, p_k, config))
     shifted = np.einsum(
         "ij,ij->i",
         encoder.apply_rope_2d(q, p_q + t, config),
@@ -202,17 +220,18 @@ def check_rope_relative(seed: int) -> CheckResult:
     worst_shift = float(np.abs(dots - shifted).max())
 
     norms_in = np.linalg.norm(q, axis=1)
-    norms_out = np.linalg.norm(encoder.apply_rope_2d(q, p_q, config), axis=1)
+    norms_out = np.linalg.norm(rotated, axis=1)
     worst_norm = float(np.abs(norms_in - norms_out).max())
 
     identity_ok = np.array_equal(
         encoder.apply_rope_2d(q, np.zeros((_ROPE_DRAWS, 2), dtype=int), config), q
     )
-    passed = worst_shift < 1e-9 and worst_norm < 1e-12 and identity_ok
+    passed = worst_closed < 1e-12 and worst_shift < 1e-9 and worst_norm < 1e-12 and identity_ok
     return CheckResult(
         name="rope-relative",
         passed=passed,
         detail=(
+            f"closed-form dev {worst_closed:.3e} (tol 1e-12), "
             f"translation dev {worst_shift:.3e} (tol 1e-09), "
             f"norm dev {worst_norm:.3e} (tol 1e-12), "
             f"zero-position identity {'exact' if identity_ok else 'BROKEN'}, "

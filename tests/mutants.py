@@ -55,6 +55,20 @@ def rotate_pairs_reflected(x, angles):
     return out
 
 
+_apply_rope_2d = encoder.apply_rope_2d
+
+
+def apply_rope_2d_row_only(q_or_k, positions, config):
+    """`encoder.apply_rope_2d` rotating both halves by the row coordinate."""
+    return _apply_rope_2d(q_or_k, np.asarray(positions)[:, [0, 0]], config)
+
+
+def apply_rope_2d_swapped_axes(q_or_k, positions, config):
+    """`encoder.apply_rope_2d` rotating the first half by the column
+    coordinate and the second half by the row."""
+    return _apply_rope_2d(q_or_k, np.asarray(positions)[:, [1, 0]], config)
+
+
 _block_diag_forward = encoder.block_diag_forward
 
 
@@ -119,6 +133,10 @@ MUTANTS = {
         "dpo-grad", objectives, "dpo_losses", dpo_losses_with_plus_g_reference_chosen
     ),
     "rope-reflection": Mutant("rope-relative", encoder, "_rotate_pairs", rotate_pairs_reflected),
+    "rope-row-only": Mutant("rope-relative", encoder, "apply_rope_2d", apply_rope_2d_row_only),
+    "rope-swapped-axes": Mutant(
+        "rope-relative", encoder, "apply_rope_2d", apply_rope_2d_swapped_axes
+    ),
     "pack-boundary-moved": Mutant(
         "pack-equiv", encoder, "block_diag_forward", block_diag_forward_first_boundary_moved
     ),

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour over temp files, with schema validation."""
 
+import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -917,6 +919,49 @@ class TestLongInputEchoes:
         err = capsys.readouterr().err
         assert err.endswith(f"argument {message}\n")
         assert len(err.encode()) < 600
+
+
+# Where argparse echoes an argument in its own usage error, by test id.
+ARGV_ECHOES = {
+    "command": lambda token: [token],
+    "prefs-mode": lambda token: ["prefs", token],
+    "unknown-option": lambda token: ["plan", "--manifest", "m.jsonl", "--bogus" + token],
+}
+
+
+def usage_error(argv):
+    """The stderr text of `cli.main(argv)`, which must exit with status 2.
+
+    Captured as text, so that a surrogate-escaped argument stays as it is.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    return err.getvalue()
+
+
+class TestArgparseEchoes:
+    """argparse's own usage errors (an invalid choice, an unrecognized
+    argument) cut each echoed argument with `_clipped`, in its raw and its
+    repr form; a short argument is echoed as argparse writes it."""
+
+    @pytest.mark.parametrize("head", ["", "'", "\\", "\n", "\udcff"],
+                             ids=["plain", "quote", "backslash", "newline", "surrogate"])
+    @pytest.mark.parametrize("argv_of", ARGV_ECHOES.values(), ids=ARGV_ECHOES)
+    def test_long_argument_is_cut(self, argv_of, head):
+        err = usage_error(argv_of(head + "x" * 3000))
+        assert "x" * 50 + "..." in err
+        # sys.stderr writes a surrogate as its backslash escape.
+        assert len(err.encode("utf-8", "backslashreplace")) < 600
+
+    @pytest.mark.parametrize("argv_of", ARGV_ECHOES.values(), ids=ARGV_ECHOES)
+    def test_short_argument_is_echoed_whole(self, monkeypatch, argv_of):
+        token = "b'o\\g\nus\udcff"
+        cut = usage_error(argv_of(token))
+        monkeypatch.setattr(cli._ArgumentParser, "error", argparse.ArgumentParser.error)
+        assert cut == usage_error(argv_of(token))
+        assert token in cut or repr(token) in cut
 
 
 class TestPrefsNonFinite:

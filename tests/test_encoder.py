@@ -18,7 +18,6 @@ from navit_pack.encoder import (
     apply_rope_2d,
     block_diag_forward,
     interpolate_pos_table,
-    rope_dot_relative,
 )
 from navit_pack import encoder
 from navit_pack.errors import ShapeMismatch
@@ -128,21 +127,23 @@ class TestApplyRope:
 
 
 class TestRelativeProperty:
+    """Dot products of vectors rotated by `apply_rope_2d` to their own
+    positions: they depend on the position offset only."""
+
     def test_equal_positions_plain_dot(self):
         rng = np.random.default_rng(3)
         cfg = RopeConfig(d_head=8)
         q, k = rng.normal(size=8), rng.normal(size=8)
-        assert rope_dot_relative(q, k, (4, 9), (4, 9), cfg) == pytest.approx(
-            float(q @ k), abs=1e-12
-        )
+        rq, rk = apply_rope_2d(np.stack([q, k]), np.array([(4, 9), (4, 9)]), cfg)
+        assert rq @ rk == pytest.approx(float(q @ k), abs=1e-12)
 
     def test_translation_invariance_example(self):
         rng = np.random.default_rng(4)
         cfg = RopeConfig(d_head=8)
         q, k = rng.normal(size=8), rng.normal(size=8)
-        a = rope_dot_relative(q, k, (2, 3), (1, 1), cfg)
-        b = rope_dot_relative(q, k, (5, 7), (4, 5), cfg)
-        assert a == pytest.approx(b, abs=1e-9)
+        rq, rk = apply_rope_2d(np.stack([q, k]), np.array([(2, 3), (1, 1)]), cfg)
+        sq, sk = apply_rope_2d(np.stack([q, k]), np.array([(5, 7), (4, 5)]), cfg)
+        assert rq @ rk == pytest.approx(sq @ sk, abs=1e-9)
 
     def test_translation_invariance_many(self):
         rng = np.random.default_rng(5)
@@ -151,20 +152,22 @@ class TestRelativeProperty:
             q, k = rng.normal(size=8), rng.normal(size=8)
             p_q, p_k = rng.integers(0, 64, 2), rng.integers(0, 64, 2)
             t = rng.integers(0, 64, 2)
-            a = rope_dot_relative(q, k, tuple(p_q), tuple(p_k), cfg)
-            b = rope_dot_relative(q, k, tuple(p_q + t), tuple(p_k + t), cfg)
-            assert abs(a - b) < 1e-9
+            rq, rk = apply_rope_2d(np.stack([q, k]), np.stack([p_q, p_k]), cfg)
+            sq, sk = apply_rope_2d(np.stack([q, k]), np.stack([p_q + t, p_k + t]), cfg)
+            assert abs(rq @ rk - sq @ sk) < 1e-9
 
     def test_self_dot_bounded_by_norm(self):
         rng = np.random.default_rng(6)
         cfg = RopeConfig(d_head=8)
         q = rng.normal(size=8)
         norm_sq = float(q @ q)
-        assert rope_dot_relative(q, q, (3, 4), (3, 4), cfg) == pytest.approx(norm_sq)
+        rq, rk = apply_rope_2d(np.stack([q, q]), np.array([(3, 4), (3, 4)]), cfg)
+        assert rq @ rk == pytest.approx(norm_sq)
         for offset in [(1, 0), (0, 1), (5, 9)]:
             p_k = (10, 10)
             p_q = (10 + offset[0], 10 + offset[1])
-            assert rope_dot_relative(q, q, p_q, p_k, cfg) <= norm_sq + 1e-12
+            rq, rk = apply_rope_2d(np.stack([q, q]), np.array([p_q, p_k]), cfg)
+            assert rq @ rk <= norm_sq + 1e-12
 
 
 class TestInterpolation:

@@ -1,4 +1,4 @@
-"""The package namespace: names resolved from their submodules on first use."""
+"""The package namespace: submodules loaded on first use, names imported from them."""
 
 import importlib
 import json
@@ -11,20 +11,13 @@ import pytest
 import navit_pack
 
 
-def test_every_export_is_the_submodule_object():
-    for module, names in navit_pack._EXPORTS.items():
-        source = importlib.import_module(f"navit_pack.{module}")
-        for name in names:
-            assert getattr(navit_pack, name) is getattr(source, name), name
+def test_names_import_from_their_submodule():
+    from navit_pack.geometry import plan_resize
 
-
-def test_from_import_and_attribute_access():
-    from navit_pack import plan_resize
-    from navit_pack.geometry import plan_resize as defined
-
-    assert plan_resize is defined
-    assert navit_pack.block_diag_forward is importlib.import_module("navit_pack.encoder").block_diag_forward
+    assert navit_pack.geometry.plan_resize is plan_resize
     assert navit_pack.__version__ == "0.1.0"
+    with pytest.raises(ImportError):
+        from navit_pack import plan_resize  # noqa: F401, F811
 
 
 def test_unknown_name_raises_attribute_error():
@@ -32,13 +25,6 @@ def test_unknown_name_raises_attribute_error():
         navit_pack.no_such_name
     with pytest.raises(ImportError):
         from navit_pack import no_such_name  # noqa: F401
-
-
-def test_star_import_lists_the_exports():
-    namespace = {}
-    exec("from navit_pack import *", namespace)
-    exported = {n for names in navit_pack._EXPORTS.values() for n in names}
-    assert exported <= set(namespace)
 
 
 def test_import_loads_no_submodule_until_used():
@@ -64,12 +50,11 @@ def test_every_submodule_is_an_attribute():
     assert resolved == {name: f"navit_pack.{name}" for name in resolved}
 
 
-def test_exports_match_each_submodule_all():
+def test_each_submodule_all_names_exist():
     for info in pkgutil.iter_modules(navit_pack.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"navit_pack.{info.name}")
         public = getattr(module, "__all__", ())
-        assert set(navit_pack._EXPORTS.get(info.name, ())) <= set(public), info.name
         for name in public:
             assert hasattr(module, name), f"{info.name}.{name}"
