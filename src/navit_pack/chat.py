@@ -107,8 +107,14 @@ Span = Union[TextSpan, ImageSpan]
 
 @dataclass(frozen=True)
 class RenderedPrompt:
+    """A rendered prompt. Stored: `token_stream`; the rest is computed from it."""
+
     token_stream: tuple[Span, ...]
-    thinking_enabled: bool
+
+    @property
+    def thinking_enabled(self) -> bool:
+        """Whether the control span that ends the stream invites a think block."""
+        return self.token_stream[-1:] == (TextSpan(THINKING_INVITE),)
 
     def flat_text(self) -> str:
         """Template text with each image expanded to token_count pad markers."""
@@ -172,7 +178,7 @@ def render(
         spans.append(TextSpan(f"{TURN_END}\n"))
     spans.append(TextSpan(f"{TURN_START}{Role.ASSISTANT.value}\n"))
     spans.append(TextSpan(THINKING_INVITE if thinking else THINKING_SUPPRESS))
-    return RenderedPrompt(token_stream=tuple(spans), thinking_enabled=thinking)
+    return RenderedPrompt(token_stream=tuple(spans))
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str
     built and encoded per token.
     """
     ids, ends, pads = runs
-    parts = [ids[: ends[length]] for _, _, length in seq.segments]
+    parts = [ids[: ends[length]] for _, length in seq.lengths]
     if seq.pad_tokens:
         width = len(str(PAD_POSITION)) + 1
         parts.append(pads[: width * seq.pad_tokens - 1])
@@ -110,9 +110,10 @@ def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str
 
 
 def _plan_json(plan: ResizePlan) -> dict:
+    target = plan.target
     return {
         "source": {"width": plan.source.width, "height": plan.source.height},
-        "target": {"width": plan.target.width, "height": plan.target.height},
+        "target": {"width": target.width, "height": target.height},
         "grid_rows": plan.grid_rows,
         "grid_cols": plan.grid_cols,
         "token_count": plan.token_count,
@@ -593,7 +594,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except OSError as e:
-        _diag(f"{e.filename}: {e.strerror}" if e.filename is not None else str(e))
+        name = e.filename  # cut like an echoed value; an empty one shows as ''
+        _diag(str(e) if name is None else f"{_clipped(name) or repr(name)}: {e.strerror}")
     except UnicodeDecodeError as e:
         _diag(f"{_input_path(args)}: not UTF-8 text ({e.reason})")
     return 1 if _diagnostics else 0

@@ -86,20 +86,22 @@ class PixelBudget:
 
 @dataclass(frozen=True)
 class ResizePlan:
-    """Planned target dimensions and patch grid for one image."""
+    """Planned patch grid for one image. Stored: `source`, the grid and the
+    patch side. Computed: `target` (the grid times the side), `token_count`."""
 
     source: ImageSize
-    target: ImageSize
     grid_rows: int
     grid_cols: int
+    patch_size: int
 
     def __post_init__(self) -> None:
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid must have at least one patch per side")
-        if self.target.width % self.grid_cols or self.target.height % self.grid_rows:
-            raise ValueError("target sides must be whole multiples of the patch size")
-        if self.target.width // self.grid_cols != self.target.height // self.grid_rows:
-            raise ValueError("row and column patch sizes differ")
+
+    @property
+    def target(self) -> ImageSize:
+        """Planned target dimensions: whole patches on both sides."""
+        return ImageSize(self.grid_cols * self.patch_size, self.grid_rows * self.patch_size)
 
     @property
     def token_count(self) -> int:
@@ -254,9 +256,4 @@ def plan_resize(source: ImageSize, budget: PixelBudget) -> ResizePlan:
             f"(> {DEFAULT_MAX_DISTORTION}) for source "
             f"{_short(source.width)}x{_short(source.height)}"
         )
-    return ResizePlan(
-        source=source,
-        target=ImageSize(width=cols * budget.patch_size, height=rows * budget.patch_size),
-        grid_rows=rows,
-        grid_cols=cols,
-    )
+    return ResizePlan(source=source, grid_rows=rows, grid_cols=cols, patch_size=budget.patch_size)

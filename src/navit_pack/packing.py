@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, plan_resize
@@ -106,31 +107,25 @@ class SampleRecord:
 class PackedSequence:
     """One fixed-capacity sequence of contiguous sample segments.
 
-    `segments` are (sample id, start offset, length) triples laid out
-    back to back from offset 0; the rest of the capacity is padding.
+    Stored: `capacity` and `lengths`, each segment's (sample id, length) in
+    order. Computed: `segments`, their starts, and the padding after them.
     """
 
     capacity: int
-    segments: tuple[tuple[str, int, int], ...]
+    lengths: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        used = 0
-        for sample_id, start, length in self.segments:
-            if start != used:
-                raise ValueError(
-                    f"segment {_quoted(sample_id)} starts at {start}, expected {used}"
-                )
+        for sample_id, length in self.lengths:
             if not 1 <= length <= self.capacity:
                 raise ValueError(f"segment {_quoted(sample_id)} has invalid length {length}")
-            used += length
-        if used > self.capacity:
-            raise ValueError(f"lengths {used} exceed capacity {self.capacity}")
+        if self.used_tokens > self.capacity:
+            raise ValueError(f"lengths {self.used_tokens} exceed capacity {self.capacity}")
 
     @property
     def used_tokens(self) -> int:
-        return sum(length for _, _, length in self.segments)
+        return sum(length for _, length in self.lengths)
 
     @property
     def pad_tokens(self) -> int:
@@ -140,14 +135,21 @@ class PackedSequence:
     def cumulative_lengths(self) -> tuple[int, ...]:
         """Prefix sums of the segment lengths from 0: they delimit the
         attention blocks and end where padding begins."""
-        return (0, *(start + length for _, start, length in self.segments))
+        return tuple(accumulate((length for _, length in self.lengths), initial=0))
+
+    @property
+    def segments(self) -> tuple[tuple[str, int, int], ...]:
+        """(sample id, start, length) triples, a start the sum of the lengths before it."""
+        starts = self.cumulative_lengths
+        return tuple((sid, start, length) for (sid, length), start in zip(self.lengths, starts))
 
     def to_json_dict(self) -> dict:
+        cumulative = self.cumulative_lengths
         return {
             "capacity": self.capacity,
-            "segments": [[sid, start, length] for sid, start, length in self.segments],
-            "pad_tokens": self.pad_tokens,
-            "cumulative_lengths": list(self.cumulative_lengths),
+            "segments": [[sid, start, n] for (sid, n), start in zip(self.lengths, cumulative)],
+            "pad_tokens": self.capacity - cumulative[-1],
+            "cumulative_lengths": list(cumulative),
         }
 
 
@@ -235,15 +237,7 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
             free[k] = room
             k //= 2
 
-    sequences = []
-    for contents in bins:
-        segments = []
-        offset = 0
-        for s in contents:
-            segments.append((s.id, offset, s.total_tokens))
-            offset += s.total_tokens
-        sequences.append(PackedSequence(capacity=capacity, segments=tuple(segments)))
-    return sequences
+    return [PackedSequence(capacity, tuple((s.id, s.total_tokens) for s in b)) for b in bins]
 
 
 def naive_batch_waste(samples: Sequence[SampleRecord], batch_size: int) -> NaiveBaseline:
@@ -271,7 +265,7 @@ def build_attention_metadata(seq: PackedSequence) -> tuple[list[int], list[int]]
     it byte for byte against these lists.
     """
     positions = []
-    for _, _, length in seq.segments:
+    for _, length in seq.lengths:
         positions.extend(range(length))
     positions.extend([PAD_POSITION] * seq.pad_tokens)
     return list(seq.cumulative_lengths), positions

@@ -323,7 +323,7 @@ def check_ffd_opt(seed: int) -> CheckResult:
             for i, length in enumerate(lengths)
         ]
         sequences = packing.pack_ffd(samples, capacity)
-        contents = [[sid for sid, _, _ in seq.segments] for seq in sequences]
+        contents = [[sid for sid, _ in seq.lengths] for seq in sequences]
         if contents != linear_first_fit(samples, capacity):
             return CheckResult("ffd-opt", False, "bins differ from a plain first-fit scan")
         opt = optimal_bin_count(lengths, capacity)

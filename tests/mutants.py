@@ -1,19 +1,29 @@
-"""Broken copies of the code that each `verify` check guards.
+"""Broken copies of the code that each `verify` check or fast path guards.
 
-A test swaps a mutant in with `monkeypatch.setattr(mutant.module,
+`MUTANTS`: a test swaps a mutant in with `monkeypatch.setattr(mutant.module,
 mutant.attr, mutant.replacement)`; `verify` must then fail the mutant's
 own check and no other. Each mutant keeps the signature of the code it
 replaces and breaks it in the one way its docstring names.
+
+`FAST_PATH_MUTANTS`: each fast path maps to its oracle comparison and to
+mutants written as one text edit of the fast path's own source
+(`recompiled`). With a mutant swapped in, the comparison over a fixed
+corpus must find a mismatch.
 """
 
+import __future__
 import dataclasses
+import inspect
 import io
+import json
+import random
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from navit_pack import cli, encoder, objectives, packing, vet
+from navit_pack import cli, encoder, objectives, packing, selfcheck, vet
 
 
 class Mutant(NamedTuple):
@@ -84,15 +94,11 @@ def block_diag_forward_first_boundary_moved(packed, weights, rope):
 
 
 def _sequences(bins, capacity):
-    """`PackedSequence`s holding the samples of each bin back to back."""
-    sequences = []
-    for contents in bins:
-        segments, offset = [], 0
-        for s in contents:
-            segments.append((s.id, offset, s.total_tokens))
-            offset += s.total_tokens
-        sequences.append(packing.PackedSequence(capacity=capacity, segments=tuple(segments)))
-    return sequences
+    """`PackedSequence`s holding the samples of each bin in order."""
+    return [
+        packing.PackedSequence(capacity, tuple((s.id, s.total_tokens) for s in contents))
+        for contents in bins
+    ]
 
 
 def pack_one_per_sequence(samples, capacity):
@@ -143,6 +149,94 @@ MUTANTS = {
     "ffd-one-per-sequence": Mutant("ffd-opt", packing, "pack_ffd", pack_one_per_sequence),
     "ffd-next-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_next_fit_decreasing),
     "ffd-unsorted-first-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_first_fit_unsorted),
+}
+
+
+def recompiled(module, attr, old, new):
+    """`module.attr` compiled from its own source with the one occurrence of
+    `old` replaced by `new`, its globals a copy of the module's."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, attr)))
+    if source.count(old) != 1:
+        raise ValueError(f"{module.__name__}.{attr} holds {old!r} {source.count(old)} times")
+    namespace = dict(vars(module))
+    code = compile(
+        source.replace(old, new), module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[attr]
+
+
+def oracle_line(seq):
+    """The `pack` line of `seq`: `json.dumps` of its dict and per-token position ids."""
+    _, positions = packing.build_attention_metadata(seq)
+    return json.dumps({**seq.to_json_dict(), "position_ids": positions}, separators=(",", ":"))
+
+
+# Sequences with and without padding whose segments end on both sides of
+# a change in digit count.
+_LINE_CORPUS = [
+    packing.PackedSequence(capacity, tuple((f"s{i}", n) for i, n in enumerate(lengths)))
+    for capacity, lengths in [
+        (1, [1]), (1, []), (12, [5, 4]), (101, [9, 10, 11, 1, 60]), (1001, [999, 1]),
+        (1001, [100, 101]),
+    ]
+]
+
+
+def sequence_line_differs():
+    """Whether `cli._sequence_line` writes a line of the corpus other than
+    `oracle_line` does."""
+    return any(
+        cli._sequence_line(seq, cli._position_runs(seq.capacity)) != oracle_line(seq)
+        for seq in _LINE_CORPUS
+    )
+
+
+# (lengths, capacity) manifests: hand-made exact fits, then seeded ones.
+_rng = random.Random(5)
+_FFD_CORPUS = [([7, 5, 4, 4, 2], 10), ([10, 10], 10), ([6, 4, 6, 4, 5, 5], 10)] + [
+    ([_rng.randint(1, 12) for _ in range(_rng.randint(1, 10))], 12) for _ in range(40)
+]
+
+
+def pack_ffd_differs():
+    """Whether `packing.pack_ffd` puts a manifest of the corpus in other
+    bins than `selfcheck.linear_first_fit`, or fails on one."""
+    for lengths, capacity in _FFD_CORPUS:
+        samples = [packing.SampleRecord(f"s{i:02d}", n) for i, n in enumerate(lengths)]
+        try:
+            bins = [[sid for sid, _ in seq.lengths] for seq in packing.pack_ffd(samples, capacity)]
+        except (ValueError, IndexError):  # an overfull bin, or one past the last open bin
+            return True
+        if bins != selfcheck.linear_first_fit(samples, capacity):
+            return True
+    return False
+
+
+class FastPath(NamedTuple):
+    module: object
+    attr: str
+    differs: Callable[[], bool]
+    mutants: dict[str, tuple[str, str]]  # label: (text of the fast path, its mutant)
+
+
+FAST_PATH_MUTANTS = {
+    "cli._sequence_line": FastPath(cli, "_sequence_line", sequence_line_differs, {
+        "pad-slice-one-id-short": (
+            "pads[: width * seq.pad_tokens - 1]", "pads[: width * (seq.pad_tokens - 1) - 1]"
+        ),
+        "id-slice-off-by-one": ("ids[: ends[length]]", "ids[: ends[length - 1]]"),
+        "space-after-spliced-comma": ('[:-1]},"position_ids"', '[:-1]}, "position_ids"'),
+    }),
+    "packing.pack_ffd": FastPath(packing, "pack_ffd", pack_ffd_differs, {
+        "gt-for-ge": ("free[2 * k] >= need", "free[2 * k] > need"),
+        "right-first": (
+            "k = 2 * k if free[2 * k] >= need else 2 * k + 1",
+            "k = 2 * k + 1 if free[2 * k + 1] >= need else 2 * k",
+        ),
+        "upward-update-stops-at-once": ("if free[k] == room:", "if True:"),
+    }),
 }
 
 

@@ -15,6 +15,7 @@ from navit_pack.chat import (
     ImagePart,
     ImageSpan,
     MalformedThinkBlock,
+    RenderedPrompt,
     Role,
     TextPart,
     TextSpan,
@@ -62,6 +63,13 @@ class TestRender:
         assert on.token_stream[:-1] == off.token_stream[:-1]
         assert on.token_stream[-1] == TextSpan(THINKING_INVITE)
         assert off.token_stream[-1] == TextSpan(THINKING_SUPPRESS)
+        assert on.thinking_enabled and not off.thinking_enabled
+
+    def test_thinking_flag_read_from_the_last_span(self):
+        invite, suppress = TextSpan(THINKING_INVITE), TextSpan(THINKING_SUPPRESS)
+        assert RenderedPrompt((suppress, invite)).thinking_enabled
+        assert not RenderedPrompt((invite, suppress)).thinking_enabled
+        assert not RenderedPrompt(()).thinking_enabled
 
     def test_unresolved_image_ref(self):
         message = ChatMessage(role=Role.USER, parts=(ImagePart("missing"),))

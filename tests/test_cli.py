@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from mutants import MUTANTS, run_verify
+from mutants import MUTANTS, oracle_line, run_verify
 from navit_pack import cli
 from navit_pack.objectives import (
     DpoConfig,
@@ -29,7 +29,6 @@ from navit_pack.objectives import (
 from navit_pack.packing import (
     PackedSequence,
     SampleRecord,
-    build_attention_metadata,
     pack_ffd,
     packing_report,
 )
@@ -273,18 +272,8 @@ class TestPackTooLong:
         assert line.endswith("(3 more)")
 
 
-def oracle_line(seq):
-    """The sequence line as `pack` wrote it with per-token lists."""
-    _, positions = build_attention_metadata(seq)
-    return json.dumps({**seq.to_json_dict(), "position_ids": positions}, separators=(",", ":"))
-
-
 def sequence_of(capacity, lengths, sample_id="s"):
-    segments, offset = [], 0
-    for i, length in enumerate(lengths):
-        segments.append((f"{sample_id}{i}", offset, length))
-        offset += length
-    return PackedSequence(capacity=capacity, segments=tuple(segments))
+    return PackedSequence(capacity, tuple((f"{sample_id}{i}", n) for i, n in enumerate(lengths)))
 
 
 # Capacities on both sides of each change in digit count.
@@ -375,6 +364,19 @@ class TestUnreadableInput:
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == f"{tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "name, shown",
+        [
+            ("x" * 3000, "x" * 61 + "...: File name too long"),
+            ("", "'': No such file or directory"),
+        ],
+    )
+    def test_file_name_is_cut_or_quoted(self, name, shown):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["plan", "--manifest", name]) == 1
+        assert err.getvalue() == shown + "\n"
 
     @pytest.mark.parametrize("command", ["plan", "pack"])
     def test_non_utf8_manifest(self, tmp_path, command):

@@ -119,12 +119,10 @@ class TestPlanResize:
     @pytest.mark.parametrize("rows,cols,expected", [(28, 28, 784), (1, 1, 1), (28, 56, 1568)])
     def test_token_count(self, rows, cols, expected):
         plan = ResizePlan(
-            source=ImageSize(cols * 16, rows * 16),
-            target=ImageSize(cols * 16, rows * 16),
-            grid_rows=rows,
-            grid_cols=cols,
+            source=ImageSize(cols * 16, rows * 16), grid_rows=rows, grid_cols=cols, patch_size=16
         )
         assert plan.token_count == expected
+        assert plan.target == ImageSize(cols * 16, rows * 16)
 
     def test_extreme_sliver_rejected(self):
         with pytest.raises(BudgetInfeasible):

@@ -35,7 +35,7 @@ def report_of(samples, capacity, batch_size):
 
 
 def contents_of(sequences):
-    return [[sid for sid, _, _ in seq.segments] for seq in sequences]
+    return [[sid for sid, _ in seq.lengths] for seq in sequences]
 
 
 class TestPackFfd:
@@ -201,13 +201,13 @@ class TestNaiveBaseline:
 
 class TestAttentionMetadata:
     def test_two_segments_with_padding(self):
-        seq = PackedSequence(capacity=6, segments=(("a", 0, 3), ("b", 3, 2)))
+        seq = PackedSequence(capacity=6, lengths=(("a", 3), ("b", 2)))
         cumulative, positions = build_attention_metadata(seq)
         assert positions == [0, 1, 2, 0, 1, PAD_POSITION]
         assert cumulative == [0, 3, 5]
 
     def test_full_sequence(self):
-        seq = PackedSequence(capacity=4, segments=(("a", 0, 4),))
+        seq = PackedSequence(capacity=4, lengths=(("a", 4),))
         cumulative, positions = build_attention_metadata(seq)
         assert positions == [0, 1, 2, 3]
         assert cumulative == [0, 4]
@@ -316,29 +316,41 @@ class TestManifestParsing:
 
 
 class TestPackedSequenceValidation:
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            PackedSequence(capacity=6, segments=(("a", 0, 2), ("b", 3, 2)))
-
     def test_lengths_beyond_capacity_rejected(self):
         with pytest.raises(ValueError, match="lengths 7 exceed capacity 6"):
-            PackedSequence(capacity=6, segments=(("a", 0, 4), ("b", 4, 3)))
+            PackedSequence(capacity=6, lengths=(("a", 4), ("b", 3)))
 
-    @pytest.mark.parametrize(
-        "segments, tail",
-        [
-            ((("x" * 10_000, 1, 2),), " starts at 1, expected 0"),
-            ((("x" * 10_000, 0, 0),), " has invalid length 0"),
-        ],
-    )
-    def test_long_id_is_cut(self, segments, tail):
+    def test_long_id_is_cut(self):
         with pytest.raises(ValueError) as e:
-            PackedSequence(capacity=6, segments=segments)
-        assert str(e.value) == f"segment '{'x' * 60}...{tail}"
+            PackedSequence(capacity=6, lengths=(("x" * 10_000, 0),))
+        assert str(e.value) == f"segment '{'x' * 60}... has invalid length 0"
 
     def test_derived_fields(self):
-        seq = PackedSequence(capacity=9, segments=(("a", 0, 4), ("b", 4, 3)))
+        seq = PackedSequence(capacity=9, lengths=(("a", 4), ("b", 3)))
         assert (seq.used_tokens, seq.pad_tokens) == (7, 2)
         assert seq.cumulative_lengths == (0, 4, 7)
-        empty = PackedSequence(capacity=3, segments=())
-        assert (empty.pad_tokens, empty.cumulative_lengths) == (3, (0,))
+        assert seq.segments == (("a", 0, 4), ("b", 4, 3))
+        empty = PackedSequence(capacity=3, lengths=())
+        assert (empty.pad_tokens, empty.cumulative_lengths, empty.segments) == (3, (0,), ())
+
+    @given(st.data())
+    def test_starts_are_sums_of_the_lengths_before(self, data):
+        capacity = data.draw(st.integers(min_value=1, max_value=200))
+        lengths = []
+        for n in data.draw(st.lists(st.integers(min_value=1, max_value=capacity), max_size=20)):
+            if sum(lengths) + n <= capacity:
+                lengths.append(n)
+        seq = PackedSequence(capacity, tuple((f"s{i}", n) for i, n in enumerate(lengths)))
+        for i, (sid, start, length) in enumerate(seq.segments):
+            assert (sid, start, length) == (f"s{i}", sum(lengths[:i]), lengths[i])
+        assert seq.cumulative_lengths[-1] == seq.used_tokens
+        triples, offset = [], 0
+        for i, n in enumerate(lengths):
+            triples.append([f"s{i}", offset, n])
+            offset += n
+        assert seq.to_json_dict() == {
+            "capacity": capacity,
+            "segments": triples,
+            "pad_tokens": capacity - offset,
+            "cumulative_lengths": [0, *(start + n for _, start, n in triples)],
+        }
