@@ -109,15 +109,18 @@ def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str
     return f'{head[:-1]},"position_ids":[{",".join(parts)}]}}'
 
 
-def _plan_json(plan: ResizePlan) -> dict:
-    target = plan.target
-    return {
-        "source": {"width": plan.source.width, "height": plan.source.height},
-        "target": {"width": target.width, "height": target.height},
-        "grid_rows": plan.grid_rows,
-        "grid_cols": plan.grid_cols,
-        "token_count": plan.token_count,
-    }
+def _plan_lines(record_id: str, plans: list[tuple[int, ResizePlan]]) -> Iterator[str]:
+    """Record `record_id`'s `plan` lines, one f-string per `(image index, plan)`. Each equals
+    `json.dumps` of its dict plus a newline, byte for byte: the oracle its tests hold it to."""
+    id_json = json.dumps(record_id)
+    for index, plan in plans:
+        source, target = plan.source, plan.target
+        yield (
+            f'{{"id":{id_json},"image_index":{index},"source":{{"width":{source.width},'
+            f'"height":{source.height}}},"target":{{"width":{target.width},"height":'
+            f'{target.height}}},"grid_rows":{plan.grid_rows},"grid_cols":{plan.grid_cols},'
+            f'"token_count":{plan.token_count}}}\n'
+        )
 
 
 def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
@@ -141,13 +144,13 @@ def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
 def cmd_plan(args: argparse.Namespace) -> None:
     budget = phase_budget(args.phase)
     for lineno, record in _records(args.manifest, parse_manifest_line):
+        plans = []
         for index, size in enumerate(record.images):
             try:
-                plan = _plan_image(index, size, budget)
+                plans.append((index, _plan_image(index, size, budget)))
             except BudgetInfeasible as e:
                 _diag(f"{args.manifest}:{lineno}: {e}")
-                continue
-            _emit({"id": record.id, "image_index": index, **_plan_json(plan)})
+        sys.stdout.writelines(_plan_lines(record.id, plans))
 
 
 def cmd_pack(args: argparse.Namespace) -> None:

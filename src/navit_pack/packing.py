@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, plan_resize
@@ -95,7 +96,9 @@ class SampleRecord:
     total_tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
-        total = self.text_tokens + sum(p.token_count for p in self.image_plans)
+        total = self.text_tokens
+        for plan in self.image_plans:
+            total += plan.token_count
         object.__setattr__(self, "total_tokens", total)
         if total < 1:
             raise ValueError(f"sample {_quoted(self.id)} has zero tokens")
@@ -193,13 +196,14 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     manifest. Raises SampleTooLong listing every sample that cannot fit
     at all, and ValueError on duplicate ids.
 
-    First fit is found with a max segment tree over the free tokens of
-    each bin, one leaf per possible bin: descending to the left child
-    whenever it has room reaches the leftmost bin with room in O(log n).
-    Bins not yet opened hold the full capacity, so they lie to the right
-    of every open bin and the leftmost of them is the next bin to open.
-    `selfcheck.linear_first_fit` is the plain scan over the open bins
-    that this must match exactly.
+    Two stable sorts, by id then by length descending, give that order. A
+    max segment tree over the bins' free tokens (unopened bins hold the
+    full capacity) finds the leftmost bin with room in one O(log n) walk.
+    A run of equal lengths takes one walk per bin, the bin found taking as
+    many as it has room for, as first fit would: the bins before it lack
+    room and it stays first until full. A walk places at least one sample,
+    so a broken walk overfills a bin rather than looping forever. The
+    oracle is `selfcheck.linear_first_fit`, a plain first-fit scan.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -212,32 +216,32 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     if too_long:
         raise SampleTooLong(too_long, capacity)
 
-    order = sorted(samples, key=lambda s: (-s.total_tokens, s.id))
-    leaves = 1
-    while leaves < len(order):
-        leaves *= 2
+    order = sorted([(s.id, s.total_tokens) for s in samples])
+    order.sort(key=itemgetter(1), reverse=True)
+    leaves = 1 << (len(order) - 1).bit_length()
     # free[leaves + i] = free tokens in bin i; free[k] = max(free[2k], free[2k + 1]).
     free = [capacity] * (2 * leaves)
-    bins: list[list[SampleRecord]] = []
-    for s in order:
-        need = s.total_tokens
-        k = 1
-        while k < leaves:
-            k = 2 * k if free[2 * k] >= need else 2 * k + 1
-        i = k - leaves
-        if i == len(bins):
-            bins.append([])
-        bins[i].append(s)
-        free[k] -= need
-        k //= 2
-        while k:
-            room = max(free[2 * k], free[2 * k + 1])
-            if free[k] == room:
-                break
-            free[k] = room
-            k //= 2
+    bins: list[list[tuple[str, int]]] = []
+    for need, group in groupby(order, itemgetter(1)):
+        run, start = list(group), 0
+        while start < len(run):
+            k = 1
+            while k < leaves:
+                k = 2 * k if free[2 * k] >= need else 2 * k + 1
+            take = max(1, min(len(run) - start, free[k] // need))
+            if k - leaves == len(bins):
+                bins.append([])
+            bins[k - leaves] += run[start : start + take]
+            start += take
+            free[k] -= take * need
+            while k > 1:
+                k //= 2
+                room = max(free[2 * k], free[2 * k + 1])
+                if free[k] == room:
+                    break
+                free[k] = room
 
-    return [PackedSequence(capacity, tuple((s.id, s.total_tokens) for s in b)) for b in bins]
+    return [PackedSequence(capacity, tuple(b)) for b in bins]
 
 
 def naive_batch_waste(samples: Sequence[SampleRecord], batch_size: int) -> NaiveBaseline:
@@ -439,5 +443,6 @@ def _plan_images(sizes: Iterable[ImageSize], budget: PixelBudget) -> tuple[Resiz
 
 
 def sample_from_record(record: ManifestRecord, budget: PixelBudget) -> SampleRecord:
-    """Plan the record's images under `budget` and total up its tokens."""
-    return SampleRecord(record.id, record.text_tokens, _plan_images(record.images, budget))
+    """Plan the record's images under `budget`, if it has any, and total up its tokens."""
+    plans = _plan_images(record.images, budget) if record.images else ()
+    return SampleRecord(record.id, record.text_tokens, plans)

@@ -356,6 +356,12 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(seed: int, only: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) with deterministic seeding."""
-    names = only if only is not None else CHECK_NAMES
-    return [_CHECKS[name](seed) for name in names]
+    """Run the named checks (all by default) seeded; one that raises fails with it as detail."""
+    results = []
+    for name in only if only is not None else CHECK_NAMES:
+        try:
+            result = _CHECKS[name](seed)
+        except Exception as e:
+            result = CheckResult(name, False, packing._clipped(f"raised {type(e).__name__}: {e}"))
+        results.append(result)
+    return results

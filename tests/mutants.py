@@ -3,12 +3,16 @@
 `MUTANTS`: a test swaps a mutant in with `monkeypatch.setattr(mutant.module,
 mutant.attr, mutant.replacement)`; `verify` must then fail the mutant's
 own check and no other. Each mutant keeps the signature of the code it
-replaces and breaks it in the one way its docstring names.
+replaces and breaks it in the one way its docstring, or its text edit,
+names.
 
 `FAST_PATH_MUTANTS`: each fast path maps to its oracle comparison and to
 mutants written as one text edit of the fast path's own source
 (`recompiled`). With a mutant swapped in, the comparison over a fixed
 corpus must find a mismatch.
+
+A mutant may loop forever; tests run each one under `alarm`, which stops
+it with an error that names it.
 """
 
 import __future__
@@ -17,13 +21,15 @@ import inspect
 import io
 import json
 import random
+import signal
 import textwrap
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from navit_pack import cli, encoder, objectives, packing, selfcheck, vet
+from navit_pack.geometry import ImageSize, ResizePlan
 
 
 class Mutant(NamedTuple):
@@ -131,6 +137,32 @@ def pack_first_fit_unsorted(samples, capacity):
     return _sequences(bins, capacity)
 
 
+def recompiled(module, attr, old, new):
+    """`module.attr` compiled from its own source with the one occurrence of
+    `old` replaced by `new`, its globals a copy of the module's."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, attr)))
+    if source.count(old) != 1:
+        raise ValueError(f"{module.__name__}.{attr} holds {old!r} {source.count(old)} times")
+    namespace = dict(vars(module))
+    code = compile(
+        source.replace(old, new), module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[attr]
+
+
+# Edits of `packing.pack_ffd`'s segment tree, each a broken first-fit walk.
+_FFD_TREE_EDITS = {
+    "gt-for-ge": ("free[2 * k] >= need", "free[2 * k] > need"),
+    "right-first": (
+        "k = 2 * k if free[2 * k] >= need else 2 * k + 1",
+        "k = 2 * k + 1 if free[2 * k + 1] >= need else 2 * k",
+    ),
+    "upward-update-stops-at-once": ("if free[k] == room:", "if True:"),
+}
+
+
 MUTANTS = {
     "vet-grad-no-pa-term": Mutant(
         "vet-grad", vet, "vet_embed_grad", vet_embed_grad_without_pa_term
@@ -149,22 +181,11 @@ MUTANTS = {
     "ffd-one-per-sequence": Mutant("ffd-opt", packing, "pack_ffd", pack_one_per_sequence),
     "ffd-next-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_next_fit_decreasing),
     "ffd-unsorted-first-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_first_fit_unsorted),
+    **{
+        f"ffd-{label}": Mutant("ffd-opt", packing, "pack_ffd", recompiled(packing, "pack_ffd", *e))
+        for label, e in _FFD_TREE_EDITS.items()
+    },
 }
-
-
-def recompiled(module, attr, old, new):
-    """`module.attr` compiled from its own source with the one occurrence of
-    `old` replaced by `new`, its globals a copy of the module's."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, attr)))
-    if source.count(old) != 1:
-        raise ValueError(f"{module.__name__}.{attr} holds {old!r} {source.count(old)} times")
-    namespace = dict(vars(module))
-    code = compile(
-        source.replace(old, new), module.__file__, "exec",
-        flags=__future__.annotations.compiler_flag, dont_inherit=True,
-    )
-    exec(code, namespace)
-    return namespace[attr]
 
 
 def oracle_line(seq):
@@ -193,18 +214,27 @@ def sequence_line_differs():
     )
 
 
-# (lengths, capacity) manifests: hand-made exact fits, then seeded ones.
+# (lengths, capacity) manifests: hand-made exact fits, runs of equal
+# lengths longer than one bin holds, then seeded ones.
 _rng = random.Random(5)
-_FFD_CORPUS = [([7, 5, 4, 4, 2], 10), ([10, 10], 10), ([6, 4, 6, 4, 5, 5], 10)] + [
-    ([_rng.randint(1, 12) for _ in range(_rng.randint(1, 10))], 12) for _ in range(40)
+_FFD_LENGTHS = [
+    ([7, 5, 4, 4, 2], 10), ([10, 10], 10), ([6, 4, 6, 4, 5, 5], 10),
+    ([3] * 10 + [2, 2], 10), ([5] * 7 + [4] * 5 + [1] * 30, 12), ([1] * 30 + [6], 12),
+] + [([_rng.randint(1, 12) for _ in range(_rng.randint(1, 10))], 12) for _ in range(40)]
+
+# Each manifest twice: ids in input order, then in a seeded order, so that
+# equal lengths must be ordered by id rather than by input position.
+_FFD_CORPUS = [
+    ([packing.SampleRecord(f"s{i:02d}", n) for i, n in zip(ids, lengths)], capacity)
+    for lengths, capacity in _FFD_LENGTHS
+    for ids in (range(len(lengths)), _rng.sample(range(len(lengths)), len(lengths)))
 ]
 
 
 def pack_ffd_differs():
     """Whether `packing.pack_ffd` puts a manifest of the corpus in other
     bins than `selfcheck.linear_first_fit`, or fails on one."""
-    for lengths, capacity in _FFD_CORPUS:
-        samples = [packing.SampleRecord(f"s{i:02d}", n) for i, n in enumerate(lengths)]
+    for samples, capacity in _FFD_CORPUS:
         try:
             bins = [[sid for sid, _ in seq.lengths] for seq in packing.pack_ffd(samples, capacity)]
         except (ValueError, IndexError):  # an overfull bin, or one past the last open bin
@@ -212,6 +242,47 @@ def pack_ffd_differs():
         if bins != selfcheck.linear_first_fit(samples, capacity):
             return True
     return False
+
+
+def oracle_plan_line(record_id, index, plan):
+    """The `plan` line of image `index` of record `record_id`: `json.dumps` of its dict."""
+    target = plan.target
+    return json.dumps({
+        "id": record_id,
+        "image_index": index,
+        "source": {"width": plan.source.width, "height": plan.source.height},
+        "target": {"width": target.width, "height": target.height},
+        "grid_rows": plan.grid_rows,
+        "grid_cols": plan.grid_cols,
+        "token_count": plan.token_count,
+    }, separators=(",", ":"))
+
+
+# (id, [(image index, plan)]) records: ids that JSON must escape, and
+# grids that are not square.
+_PLAN_CORPUS = [
+    (record_id, [
+        (index, ResizePlan(ImageSize(width, height), rows, cols, 16))
+        for index, (width, height, rows, cols) in enumerate(images)
+    ])
+    for record_id, images in [
+        ('say "hi"', [(640, 480, 30, 40)]),
+        ("C:\\data\\img", [(100, 300, 42, 14), (2000, 50, 7, 126)]),
+        ("café-日本-\U0001f600", [(1, 1, 28, 28)]),
+        ("tab\tnew\nline\x01", [(300, 100, 16, 48)]),
+        ("plain", [(4032, 3024, 84, 112), (224, 224, 28, 28), (3840, 2160, 63, 112)]),
+    ]
+]
+
+
+def plan_lines_differ():
+    """Whether `cli._plan_lines` writes a record of the corpus other than
+    `oracle_plan_line` does, line for line."""
+    return any(
+        "".join(cli._plan_lines(record_id, plans))
+        != "".join(oracle_plan_line(record_id, i, plan) + "\n" for i, plan in plans)
+        for record_id, plans in _PLAN_CORPUS
+    )
 
 
 class FastPath(NamedTuple):
@@ -230,14 +301,53 @@ FAST_PATH_MUTANTS = {
         "space-after-spliced-comma": ('[:-1]},"position_ids"', '[:-1]}, "position_ids"'),
     }),
     "packing.pack_ffd": FastPath(packing, "pack_ffd", pack_ffd_differs, {
-        "gt-for-ge": ("free[2 * k] >= need", "free[2 * k] > need"),
-        "right-first": (
-            "k = 2 * k if free[2 * k] >= need else 2 * k + 1",
-            "k = 2 * k + 1 if free[2 * k + 1] >= need else 2 * k",
+        **_FFD_TREE_EDITS,
+        "id-presort-dropped": (
+            "sorted([(s.id, s.total_tokens) for s in samples])",
+            "[(s.id, s.total_tokens) for s in samples]",
         ),
-        "upward-update-stops-at-once": ("if free[k] == room:", "if True:"),
+        "ascending-lengths": ("itemgetter(1), reverse=True", "itemgetter(1)"),
+        "take-past-run-end": (
+            "max(1, min(len(run) - start, free[k] // need))", "max(1, free[k] // need)"
+        ),
+        "take-past-free-room": (
+            "max(1, min(len(run) - start, free[k] // need))", "max(1, len(run) - start)"
+        ),
+    }),
+    "cli._plan_lines": FastPath(cli, "_plan_lines", plan_lines_differ, {
+        "id-unescaped": ("json.dumps(record_id)", "f'\"{record_id}\"'"),
+        "id-not-ascii-escaped": (
+            "json.dumps(record_id)", "json.dumps(record_id, ensure_ascii=False)"
+        ),
+        "rows-for-cols": ('"grid_cols":{plan.grid_cols}', '"grid_cols":{plan.grid_rows}'),
     }),
 }
+
+
+class MutantTimeout(BaseException):
+    """A mutant still running when its alarm rang. A `BaseException`, so
+    that no handler for a check's or path's own errors takes it."""
+
+
+# Seconds a mutant may run, about ten times a whole `verify` run.
+_ALARM_S = 5.0
+
+
+@contextmanager
+def alarm(label):
+    """Stop the block with `MutantTimeout` naming `label` if it runs longer
+    than `_ALARM_S`, so that a mutant that loops forever fails its test."""
+
+    def ring(signum, frame):
+        raise MutantTimeout(f"{label} still running after {_ALARM_S} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, _ALARM_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_verify(*argv):

@@ -38,7 +38,7 @@ from navit_pack.vet import (
     vet_embed,
     vet_embed_grad,
 )
-from mutants import MUTANTS, run_verify
+from mutants import MUTANTS, alarm, run_verify
 from test_geometry import SMALL, oracle_plan, oracle_plan_fast
 
 
@@ -377,7 +377,8 @@ def test_c12_end_to_end_determinism_and_faults(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(mutant.module, mutant.attr, mutant.replacement)
                 for seed in ("0", "1", "2"):
-                    code, statuses, err = run_verify("verify", "--seed", seed)
+                    with alarm(f"{label}, seed {seed}"):
+                        code, statuses, err = run_verify("verify", "--seed", seed)
                     failed = [name for name, status in statuses.items() if status == "FAIL"]
                     assert failed == [mutant.check], f"{label}, seed {seed}: {failed} failed"
                     assert code == 1

@@ -42,12 +42,16 @@ def validator(name):
         return Draft202012Validator(json.load(f))
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, cwd=None):
+    """The CLI in a child process, run from `cwd` if given; it imports the
+    package from this checkout's `src` wherever it runs."""
     return subprocess.run(
         [sys.executable, "-m", "navit_pack", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
 
 
@@ -360,10 +364,13 @@ class TestSequenceLine:
 
 class TestUnreadableInput:
     def test_directory_as_manifest(self, tmp_path):
-        result = run_cli("pack", "--manifest", str(tmp_path))
+        # A short relative name: `main` cuts a file name over 64 characters,
+        # and tmp_path can be longer.
+        (tmp_path / "manifests").mkdir()
+        result = run_cli("pack", "--manifest", "manifests", cwd=tmp_path)
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == f"{tmp_path}: Is a directory\n"
+        assert result.stderr == "manifests: Is a directory\n"
 
     @pytest.mark.parametrize(
         "name, shown",
@@ -1022,6 +1029,22 @@ class TestVerify:
         assert statuses.pop("vet-grad") == "FAIL"
         assert statuses and set(statuses.values()) == {"pass"}
         assert err == "failed checks: vet-grad\n"
+
+    def test_check_that_raises_fails_and_the_rest_run(self, monkeypatch):
+        from navit_pack import selfcheck
+
+        def raising(seed):
+            raise ZeroDivisionError("x" * 100)
+
+        monkeypatch.setitem(selfcheck._CHECKS, "vet-grad", raising)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify"])
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "vet-grad       FAIL  raised ZeroDivisionError: " + "x" * 35 + "..."
+        assert [line.split()[1] for line in lines[1:]] == ["pass"] * 4
+        assert code == 1
+        assert err.getvalue() == "failed checks: vet-grad\n"
 
     @pytest.mark.parametrize("command", ["verify", "grad-check"])
     def test_fault_inject_is_usage_error(self, command):

@@ -1,12 +1,12 @@
 """Each fast path's oracle comparison sees every mutant of `FAST_PATH_MUTANTS`."""
 
-from mutants import FAST_PATH_MUTANTS, recompiled
+from mutants import FAST_PATH_MUTANTS, alarm, recompiled
 
 
 def test_fast_path_mutants_fail_their_oracle(monkeypatch):
     for path, fast in FAST_PATH_MUTANTS.items():
         assert not fast.differs(), f"{path} differs from its oracle"
         for label, (old, new) in fast.mutants.items():
-            with monkeypatch.context() as m:
+            with monkeypatch.context() as m, alarm(f"{path}: mutant {label}"):
                 m.setattr(fast.module, fast.attr, recompiled(fast.module, fast.attr, old, new))
                 assert fast.differs(), f"{path}: mutant {label} matches its oracle"
