@@ -11,10 +11,10 @@ exactly its resize plan's token count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Union
 
-from .geometry import ResizePlan
+from .geometry import ResizePlan, _Value
 from .packing import _quoted
 
 __all__ = [
@@ -68,48 +68,42 @@ class Role(enum.Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
-class TextPart:
-    text: str
+class TextPart(namedtuple("TextPart", "text"), _Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ImagePart:
-    image_id: str
+class ImagePart(namedtuple("ImagePart", "image_id"), _Value):
+    __slots__ = ()
 
 
 Part = Union[TextPart, ImagePart]
 
 
-@dataclass(frozen=True)
-class ChatMessage:
-    role: Role
-    parts: tuple[Part, ...]
+class ChatMessage(namedtuple("ChatMessage", "role parts"), _Value):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(cls, role: Role, parts: tuple[Part, ...]) -> ChatMessage:
+        if not parts:
             raise ValueError("message parts must be non-empty")
+        return tuple.__new__(cls, (role, parts))
 
 
-@dataclass(frozen=True)
-class TextSpan:
-    text: str
+class TextSpan(namedtuple("TextSpan", "text"), _Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ImageSpan:
-    image_id: str
-    token_count: int
+class ImageSpan(namedtuple("ImageSpan", "image_id token_count"), _Value):
+    __slots__ = ()
 
 
 Span = Union[TextSpan, ImageSpan]
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
-    """A rendered prompt. Stored: `token_stream`; the rest is computed from it."""
+class RenderedPrompt(namedtuple("RenderedPrompt", "token_stream"), _Value):
+    """A rendered prompt. Stored: `token_stream`, a tuple of spans; the rest
+    is computed from it."""
 
-    token_stream: tuple[Span, ...]
+    __slots__ = ()
 
     @property
     def thinking_enabled(self) -> bool:
@@ -181,12 +175,11 @@ def render(
     return RenderedPrompt(token_stream=tuple(spans))
 
 
-@dataclass(frozen=True)
-class ThinkingOutput:
-    """Split model output: optional thinking section plus the answer."""
+class ThinkingOutput(namedtuple("ThinkingOutput", "thinking answer"), _Value):
+    """Split model output: optional thinking section (None when absent) plus
+    the answer."""
 
-    thinking: str | None
-    answer: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"thinking": self.thinking, "answer": self.answer}

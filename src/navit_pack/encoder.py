@@ -10,11 +10,12 @@ mechanisms, not model quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import ShapeMismatch
+from .geometry import _Value
 
 __all__ = [
     "AttentionParams",
@@ -35,8 +36,7 @@ _TILE_ENTRIES = 1 << 17
 _ROPE_BASE = 10000.0
 
 
-@dataclass(frozen=True)
-class RopeConfig:
+class RopeConfig(namedtuple("RopeConfig", "d_head"), _Value):
     """Rotary embedding setup for 2D positions.
 
     The first half of the head dimensions rotate by the row coordinate and
@@ -45,77 +45,85 @@ class RopeConfig:
     multiple of 4.
     """
 
-    d_head: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d_head < 4 or self.d_head % 4:
-            raise ValueError(f"d_head must be a positive multiple of 4, got {self.d_head}")
+    def __new__(cls, d_head: int) -> RopeConfig:
+        if d_head < 4 or d_head % 4:
+            raise ValueError(f"d_head must be a positive multiple of 4, got {d_head}")
+        return tuple.__new__(cls, (d_head,))
 
 
-@dataclass(frozen=True)
-class LearnedPosTable:
+class LearnedPosTable(namedtuple("LearnedPosTable", "grid_rows grid_cols table"), _Value):
     """Learned absolute position embeddings on a fixed patch grid."""
 
-    grid_rows: int
-    grid_cols: int
-    table: np.ndarray  # (grid_rows * grid_cols, d_model)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.grid_rows < 1 or self.grid_cols < 1:
+    def __new__(
+        cls,
+        grid_rows: int,
+        grid_cols: int,
+        table: np.ndarray,  # (grid_rows * grid_cols, d_model)
+    ) -> LearnedPosTable:
+        if grid_rows < 1 or grid_cols < 1:
             raise ValueError("grid must have at least one cell per side")
-        if self.table.ndim != 2 or self.table.shape[0] != self.grid_rows * self.grid_cols:
+        if table.ndim != 2 or table.shape[0] != grid_rows * grid_cols:
             raise ShapeMismatch(
-                f"table has {self.table.shape} rows, expected "
-                f"{self.grid_rows * self.grid_cols}"
+                f"table has {table.shape} rows, expected {grid_rows * grid_cols}"
             )
+        return tuple.__new__(cls, (grid_rows, grid_cols, table))
 
 
-@dataclass(frozen=True)
-class PatchSequence:
+class PatchSequence(
+    namedtuple("PatchSequence", "embeddings positions sample_boundaries"), _Value
+):
     """Packed patch features with their 2D positions and sample boundaries.
 
     `sample_boundaries` are cumulative token offsets: starts at 0, ends at
     the token count, strictly ascending (no empty samples).
     """
 
-    embeddings: np.ndarray  # (n_tokens, d_model)
-    positions: np.ndarray  # (n_tokens, 2) of (row, col)
-    sample_boundaries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.embeddings.ndim != 2:
-            raise ShapeMismatch(f"embeddings must be 2D, got shape {self.embeddings.shape}")
-        n = self.embeddings.shape[0]
-        pos = np.asarray(self.positions)
+    def __new__(
+        cls,
+        embeddings: np.ndarray,  # (n_tokens, d_model)
+        positions: np.ndarray,  # (n_tokens, 2) of (row, col)
+        sample_boundaries: tuple[int, ...],
+    ) -> PatchSequence:
+        if embeddings.ndim != 2:
+            raise ShapeMismatch(f"embeddings must be 2D, got shape {embeddings.shape}")
+        n = embeddings.shape[0]
+        pos = np.asarray(positions)
         if pos.shape != (n, 2):
             raise ShapeMismatch(f"positions shape {pos.shape} != ({n}, 2)")
         if n and pos.min() < 0:
             raise ValueError("positions must be non-negative")
-        b = self.sample_boundaries
+        b = sample_boundaries
         if not b or b[0] != 0 or b[-1] != n:
             raise ValueError(f"boundaries must run 0..{n}, got {b}")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise ValueError(f"boundaries must be strictly ascending, got {b}")
+        return tuple.__new__(cls, (embeddings, positions, sample_boundaries))
 
 
-@dataclass(frozen=True)
-class AttentionParams:
-    """Projection matrices for one attention head."""
+class AttentionParams(namedtuple("AttentionParams", "wq wk wv wo"), _Value):
+    """Projection matrices for one attention head: `wq`, `wk` and `wv` are
+    (d_model, d_head), `wo` is (d_head, d_model)."""
 
-    wq: np.ndarray  # (d_model, d_head)
-    wk: np.ndarray  # (d_model, d_head)
-    wv: np.ndarray  # (d_model, d_head)
-    wo: np.ndarray  # (d_head, d_model)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d_model, d_head = self.wq.shape
+    def __new__(
+        cls, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray, wo: np.ndarray
+    ) -> AttentionParams:
+        d_model, d_head = wq.shape
         for name, mat, shape in (
-            ("wk", self.wk, (d_model, d_head)),
-            ("wv", self.wv, (d_model, d_head)),
-            ("wo", self.wo, (d_head, d_model)),
+            ("wk", wk, (d_model, d_head)),
+            ("wv", wv, (d_model, d_head)),
+            ("wo", wo, (d_head, d_model)),
         ):
             if mat.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {mat.shape}, expected {shape}")
+        return tuple.__new__(cls, (wq, wk, wv, wo))
 
     @property
     def d_model(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "BudgetInfeasible",
@@ -44,14 +44,34 @@ class Phase(enum.Enum):
     P3 = "p3"
 
 
-@dataclass(frozen=True)
-class ImageSize:
-    width: int
-    height: int
+class _Value(tuple):
+    """Base of the package's value types, each a `namedtuple` subclass with
+    this mixed in and `__slots__ = ()`: immutable, built by keyword or
+    position, and a `__new__` that checks its fields, if it has one.
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image sides must be >= 1, got {self.width}x{self.height}")
+    A value equals only a value of its own type with equal fields (never a
+    plain tuple, nor another type with the same fields), and hashes as its
+    fields do. `_replace` and `_make` skip `__new__`: build with the type.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class ImageSize(namedtuple("ImageSize", "width height"), _Value):
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int) -> ImageSize:
+        if width < 1 or height < 1:
+            raise ValueError(f"image sides must be >= 1, got {width}x{height}")
+        return tuple.__new__(cls, (width, height))
 
     @property
     def pixels(self) -> int:
@@ -62,41 +82,36 @@ class ImageSize:
         return self.width / self.height
 
 
-@dataclass(frozen=True)
-class PixelBudget:
+class PixelBudget(namedtuple("PixelBudget", "min_pixels max_pixels patch_size"), _Value):
     """Closed interval of allowed total pixel counts plus the patch side."""
 
-    min_pixels: int
-    max_pixels: int
-    patch_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.patch_size < 1:
-            raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.min_pixels > self.max_pixels:
+    def __new__(cls, min_pixels: int, max_pixels: int, patch_size: int) -> PixelBudget:
+        if patch_size < 1:
+            raise ValueError(f"patch_size must be >= 1, got {patch_size}")
+        if min_pixels > max_pixels:
+            raise ValueError(f"min_pixels {min_pixels} exceeds max_pixels {max_pixels}")
+        if min_pixels < patch_size**2:
             raise ValueError(
-                f"min_pixels {self.min_pixels} exceeds max_pixels {self.max_pixels}"
+                f"min_pixels {min_pixels} is below one patch "
+                f"({patch_size}^2 = {patch_size ** 2})"
             )
-        if self.min_pixels < self.patch_size**2:
-            raise ValueError(
-                f"min_pixels {self.min_pixels} is below one patch "
-                f"({self.patch_size}^2 = {self.patch_size ** 2})"
-            )
+        return tuple.__new__(cls, (min_pixels, max_pixels, patch_size))
 
 
-@dataclass(frozen=True)
-class ResizePlan:
+class ResizePlan(namedtuple("ResizePlan", "source grid_rows grid_cols patch_size"), _Value):
     """Planned patch grid for one image. Stored: `source`, the grid and the
     patch side. Computed: `target` (the grid times the side), `token_count`."""
 
-    source: ImageSize
-    grid_rows: int
-    grid_cols: int
-    patch_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.grid_rows < 1 or self.grid_cols < 1:
+    def __new__(
+        cls, source: ImageSize, grid_rows: int, grid_cols: int, patch_size: int
+    ) -> ResizePlan:
+        if grid_rows < 1 or grid_cols < 1:
             raise ValueError("grid must have at least one patch per side")
+        return tuple.__new__(cls, (source, grid_rows, grid_cols, patch_size))
 
     @property
     def target(self) -> ImageSize:

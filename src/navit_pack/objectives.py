@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import enum
 import string
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isfinite
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteInput
+from .geometry import _Value
 from .packing import ManifestError, _entry, _json_record, _list, _name, _number, _quoted
 
 if TYPE_CHECKING:
@@ -65,8 +66,12 @@ class UnknownAnswerLetter(KeyError):
     """The answer letter does not appear among the options."""
 
 
-@dataclass(frozen=True)
-class PreferenceGroup:
+class PreferenceGroup(
+    namedtuple(
+        "PreferenceGroup", "query_id responses logprob_policy logprob_reference scores"
+    ),
+    _Value,
+):
     """Scored candidate responses for one query, held as columns.
 
     Entry k of `responses`, `logprob_policy`, `logprob_reference` and
@@ -75,24 +80,28 @@ class PreferenceGroup:
     finite floats, at least two candidates and distinct responses.
     """
 
-    query_id: str
-    responses: tuple[str, ...]
-    logprob_policy: tuple[float, ...]
-    logprob_reference: tuple[float, ...]
-    scores: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.responses)
-        if not n == len(self.logprob_policy) == len(self.logprob_reference) == len(self.scores):
-            raise LengthMismatch(f"group {_quoted(self.query_id)} has columns of unequal length")
-        columns = (self.logprob_policy, self.logprob_reference, self.scores)
+    def __new__(
+        cls,
+        query_id: str,
+        responses: tuple[str, ...],
+        logprob_policy: tuple[float, ...],
+        logprob_reference: tuple[float, ...],
+        scores: tuple[float, ...],
+    ) -> PreferenceGroup:
+        n = len(responses)
+        if not n == len(logprob_policy) == len(logprob_reference) == len(scores):
+            raise LengthMismatch(f"group {_quoted(query_id)} has columns of unequal length")
+        columns = (logprob_policy, logprob_reference, scores)
         for name, column in zip(_NUMBER_KEYS, columns):
             if not all(map(isfinite, column)):
                 raise NonFiniteInput(f"{name} must be finite")
         if n < 2:
-            raise GroupTooSmall(f"group {_quoted(self.query_id)} has {n} candidates, need >= 2")
-        if len(set(self.responses)) != n:
-            raise ValueError(f"group {_quoted(self.query_id)} has duplicate responses")
+            raise GroupTooSmall(f"group {_quoted(query_id)} has {n} candidates, need >= 2")
+        if len(set(responses)) != n:
+            raise ValueError(f"group {_quoted(query_id)} has duplicate responses")
+        return tuple.__new__(cls, (query_id, responses) + columns)
 
     def score_variance(self) -> float:
         """Population variance of the scores; inf or nan when it overflows."""
@@ -100,16 +109,15 @@ class PreferenceGroup:
             return float(np.var(self.scores))
 
 
-@dataclass(frozen=True)
-class DpoConfig:
-    beta: float = 0.1
-    nll_weight: float = 0.0
+class DpoConfig(namedtuple("DpoConfig", "beta nll_weight"), _Value):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.nll_weight < 0.0:
-            raise ValueError(f"nll_weight must be non-negative, got {self.nll_weight}")
+    def __new__(cls, beta: float = 0.1, nll_weight: float = 0.0) -> DpoConfig:
+        if not beta > 0.0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        if nll_weight < 0.0:
+            raise ValueError(f"nll_weight must be non-negative, got {nll_weight}")
+        return tuple.__new__(cls, (beta, nll_weight))
 
 
 def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int, int]]:

@@ -20,12 +20,12 @@ A diagnostic that echoes a string from the input quotes it with
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, plan_resize
+from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, _Value, plan_resize
 
 __all__ = [
     "ManifestError",
@@ -77,54 +77,57 @@ class ManifestError(ValueError):
     """An input record is malformed."""
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    """One parsed manifest line before geometry planning."""
+class ManifestRecord(namedtuple("ManifestRecord", "id text_tokens images"), _Value):
+    """One parsed manifest line before geometry planning: `images` is a
+    tuple of `ImageSize`."""
 
-    id: str
-    text_tokens: int
-    images: tuple[ImageSize, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """A sample's token footprint: text tokens plus planned image tokens."""
+class SampleRecord(
+    namedtuple("SampleRecord", "id text_tokens image_plans total_tokens"), _Value
+):
+    """A sample's token footprint: text tokens plus planned image tokens.
+    `total_tokens` is stored, totalled by the constructor."""
 
-    id: str
-    text_tokens: int
-    image_plans: tuple[ResizePlan, ...] = ()
-    total_tokens: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        total = self.text_tokens
-        for plan in self.image_plans:
+    def __new__(
+        cls, id: str, text_tokens: int, image_plans: tuple[ResizePlan, ...] = ()
+    ) -> SampleRecord:
+        total = text_tokens
+        for plan in image_plans:
             total += plan.token_count
-        object.__setattr__(self, "total_tokens", total)
         if total < 1:
-            raise ValueError(f"sample {_quoted(self.id)} has zero tokens")
-        if self.text_tokens < 0:
-            raise ValueError(f"sample {_quoted(self.id)} has negative text_tokens")
+            raise ValueError(f"sample {_quoted(id)} has zero tokens")
+        if text_tokens < 0:
+            raise ValueError(f"sample {_quoted(id)} has negative text_tokens")
+        return tuple.__new__(cls, (id, text_tokens, image_plans, total))
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments, for copy and pickle: all but the total."""
+        return self[:3]
 
 
-@dataclass(frozen=True)
-class PackedSequence:
+class PackedSequence(namedtuple("PackedSequence", "capacity lengths"), _Value):
     """One fixed-capacity sequence of contiguous sample segments.
 
     Stored: `capacity` and `lengths`, each segment's (sample id, length) in
     order. Computed: `segments`, their starts, and the padding after them.
     """
 
-    capacity: int
-    lengths: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        for sample_id, length in self.lengths:
-            if not 1 <= length <= self.capacity:
+    def __new__(cls, capacity: int, lengths: tuple[tuple[str, int], ...]) -> PackedSequence:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        for sample_id, length in lengths:
+            if not 1 <= length <= capacity:
                 raise ValueError(f"segment {_quoted(sample_id)} has invalid length {length}")
-        if self.used_tokens > self.capacity:
-            raise ValueError(f"lengths {self.used_tokens} exceed capacity {self.capacity}")
+        self = tuple.__new__(cls, (capacity, lengths))
+        if self.used_tokens > capacity:
+            raise ValueError(f"lengths {self.used_tokens} exceed capacity {capacity}")
+        return self
 
     @property
     def used_tokens(self) -> int:
@@ -156,20 +159,24 @@ class PackedSequence:
         }
 
 
-@dataclass(frozen=True)
-class NaiveBaseline:
+class NaiveBaseline(namedtuple("NaiveBaseline", "total_slots pad_tokens"), _Value):
     """Slot accounting for naive batching: pad every batch to its max length."""
 
-    total_slots: int
-    pad_tokens: int
+    __slots__ = ()
 
     @property
     def pad_fraction(self) -> float:
         return self.pad_tokens / self.total_slots if self.total_slots else 0.0
 
 
-@dataclass(frozen=True)
-class PackingReport:
+class PackingReport(
+    namedtuple(
+        "PackingReport",
+        "n_samples n_sequences capacity packed_pad_fraction naive_pad_fraction "
+        "useful_token_speedup_proxy",
+    ),
+    _Value,
+):
     """Waste comparison between packed sequences and the naive baseline.
 
     The speedup proxy is naive total slots over packed total slots for
@@ -177,15 +184,10 @@ class PackingReport:
     wall-clock speedup.
     """
 
-    n_samples: int
-    n_sequences: int
-    capacity: int
-    packed_pad_fraction: float
-    naive_pad_fraction: float
-    useful_token_speedup_proxy: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSequence]:

@@ -9,11 +9,12 @@ training path can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteInput, ShapeMismatch
+from .geometry import _Value
 
 __all__ = [
     "ProbVisualToken",
@@ -26,36 +27,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VisualHead:
+class VisualHead(namedtuple("VisualHead", "projection temperature"), _Value):
     """Projection onto the visual vocabulary plus a softmax temperature."""
 
-    projection: np.ndarray  # (d_model, vocab_size)
-    temperature: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.projection.ndim != 2 or self.projection.shape[1] < 2:
-            raise ShapeMismatch(
-                f"projection must be (d_model, vocab>=2), got {self.projection.shape}"
-            )
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+    def __new__(
+        cls,
+        projection: np.ndarray,  # (d_model, vocab_size)
+        temperature: float = 1.0,
+    ) -> VisualHead:
+        if projection.ndim != 2 or projection.shape[1] < 2:
+            raise ShapeMismatch(f"projection must be (d_model, vocab>=2), got {projection.shape}")
+        if not temperature > 0.0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        return tuple.__new__(cls, (projection, temperature))
 
     @property
     def vocab_size(self) -> int:
         return self.projection.shape[1]
 
 
-@dataclass(frozen=True)
-class ProbVisualToken:
+class ProbVisualToken(namedtuple("ProbVisualToken", "probs"), _Value):
     """Probability distribution over the visual vocabulary for one patch."""
 
-    probs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.probs.ndim != 1:
-            raise ShapeMismatch(f"probs must be a vector, got shape {self.probs.shape}")
-        _check_probs(self.probs[None, :])
+    def __new__(cls, probs: np.ndarray) -> ProbVisualToken:
+        if probs.ndim != 1:
+            raise ShapeMismatch(f"probs must be a vector, got shape {probs.shape}")
+        _check_probs(probs[None, :])
+        return tuple.__new__(cls, (probs,))
 
 
 def _check_probs(probs: np.ndarray) -> None:
@@ -78,17 +80,17 @@ def _check_probs(probs: np.ndarray) -> None:
     raise error(f"probabilities must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True)
-class VisualEmbeddingTable:
-    """One embedding row per visual word."""
+class VisualEmbeddingTable(namedtuple("VisualEmbeddingTable", "table"), _Value):
+    """One embedding row per visual word: `table` is (vocab_size, d_embed)."""
 
-    table: np.ndarray  # (vocab_size, d_embed)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.table.ndim != 2:
-            raise ShapeMismatch(f"table must be 2D, got shape {self.table.shape}")
-        if not np.isfinite(self.table).all():
+    def __new__(cls, table: np.ndarray) -> VisualEmbeddingTable:
+        if table.ndim != 2:
+            raise ShapeMismatch(f"table must be 2D, got shape {table.shape}")
+        if not np.isfinite(table).all():
             raise NonFiniteInput("embedding table contains non-finite entries")
+        return tuple.__new__(cls, (table,))
 
     @property
     def vocab_size(self) -> int:
@@ -138,14 +140,9 @@ def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken
     view of its row.
     """
     _, probs = _head_probs(features, head)
-    # Each row was checked with its array: skip the per-row __post_init__.
-    new, set_field = object.__new__, object.__setattr__
-    tokens = []
-    for row in probs:
-        token = new(ProbVisualToken)
-        set_field(token, "probs", row)
-        tokens.append(token)
-    return tokens
+    # Each row was checked with its array: skip the per-row check of
+    # `ProbVisualToken.__new__`.
+    return [tuple.__new__(ProbVisualToken, (row,)) for row in probs]
 
 
 def vet_embed(token: ProbVisualToken, vet: VisualEmbeddingTable) -> np.ndarray:
@@ -158,13 +155,12 @@ def vet_embed(token: ProbVisualToken, vet: VisualEmbeddingTable) -> np.ndarray:
     return token.probs @ vet.table
 
 
-@dataclass(frozen=True)
-class VetGradients:
-    """Gradients of upstream . vet_embed(head_forward(features))."""
+class VetGradients(namedtuple("VetGradients", "d_features d_projection d_table"), _Value):
+    """Gradients of upstream . vet_embed(head_forward(features)): `d_features`
+    is (n, d_model), `d_projection` (d_model, vocab_size) and `d_table`
+    (vocab_size, d_embed)."""
 
-    d_features: np.ndarray  # (n, d_model)
-    d_projection: np.ndarray  # (d_model, vocab_size)
-    d_table: np.ndarray  # (vocab_size, d_embed)
+    __slots__ = ()
 
 
 def vet_embed_grad(

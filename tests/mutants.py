@@ -12,11 +12,11 @@ mutants written as one text edit of the fast path's own source
 corpus must find a mismatch.
 
 A mutant may loop forever; tests run each one under `alarm`, which stops
-it with an error that names it.
+it with an error that names it. A fast-path mutant stopped so counts as
+seen: its corpus holds a case that it never finishes.
 """
 
 import __future__
-import dataclasses
 import inspect
 import io
 import json
@@ -28,8 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from navit_pack import cli, encoder, objectives, packing, selfcheck, vet
-from navit_pack.geometry import ImageSize, ResizePlan
+from navit_pack import cli, encoder, geometry, objectives, packing, selfcheck, vet
+from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
+from test_geometry import oracle_plan_fast
 
 
 class Mutant(NamedTuple):
@@ -95,7 +96,7 @@ def block_diag_forward_first_boundary_moved(packed, weights, rope):
     b = list(packed.sample_boundaries)
     if len(b) > 2:
         b[1] += 1
-    moved = dataclasses.replace(packed, sample_boundaries=tuple(sorted(set(b))))
+    moved = encoder.PatchSequence(packed.embeddings, packed.positions, tuple(sorted(set(b))))
     return _block_diag_forward(moved, weights, rope)
 
 
@@ -152,14 +153,20 @@ def recompiled(module, attr, old, new):
     return namespace[attr]
 
 
-# Edits of `packing.pack_ffd`'s segment tree, each a broken first-fit walk.
-_FFD_TREE_EDITS = {
+# Edits of `packing.pack_ffd` that `verify`'s ffd-opt sees as well as the
+# fast-path corpus: three broken first-fit walks of its segment tree, and
+# equal lengths left in input order rather than ordered by id.
+_FFD_EDITS = {
     "gt-for-ge": ("free[2 * k] >= need", "free[2 * k] > need"),
     "right-first": (
         "k = 2 * k if free[2 * k] >= need else 2 * k + 1",
         "k = 2 * k + 1 if free[2 * k + 1] >= need else 2 * k",
     ),
     "upward-update-stops-at-once": ("if free[k] == room:", "if True:"),
+    "id-presort-dropped": (
+        "sorted([(s.id, s.total_tokens) for s in samples])",
+        "[(s.id, s.total_tokens) for s in samples]",
+    ),
 }
 
 
@@ -183,7 +190,7 @@ MUTANTS = {
     "ffd-unsorted-first-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_first_fit_unsorted),
     **{
         f"ffd-{label}": Mutant("ffd-opt", packing, "pack_ffd", recompiled(packing, "pack_ffd", *e))
-        for label, e in _FFD_TREE_EDITS.items()
+        for label, e in _FFD_EDITS.items()
     },
 }
 
@@ -285,6 +292,46 @@ def plan_lines_differ():
     )
 
 
+# (width, height, budget) sources, each with a grid that fits: P1 and P2
+# sources from square to slivers past the distortion limit, one-value
+# budgets that a few rows fit, and narrow budgets of many rows. The phase
+# sources come first: `gt-for-ge-fit` differs on their slivers and loops
+# forever on the one-value and narrow budgets.
+_RESIZE_CORPUS = [
+    (w, h, phase_budget(phase))
+    for phase in (geometry.Phase.P1, geometry.Phase.P2)
+    for w, h in [
+        (640, 480), (4032, 3024), (100, 300), (2000, 50), (1, 1), (224, 224), (3840, 2160),
+        (7, 9000), (9000, 7), (20000, 9),
+    ]
+] + [
+    (100, 200, PixelBudget(200704, 200704, 16)), (5, 5, PixelBudget(1009, 1009, 1)),
+    (3, 7, PixelBudget(720, 720, 1)), (7, 3, PixelBudget(720, 720, 1)),
+    (50, 1, PixelBudget(360, 360, 1)), (1, 50, PixelBudget(360, 360, 1)),
+] + [
+    (w, h, PixelBudget(lo * patch**2, lo * patch**2 + extra, patch))
+    for w, h in [(300, 100), (100, 300), (640, 480)]
+    for lo, patch, extra in [(1000, 4, 40), (997, 2, 7), (5000, 1, 3), (4097, 8, 128)]
+]
+
+
+def plan_differs():
+    """Whether `geometry.plan_resize` picks a grid for a source of the corpus
+    other than `test_geometry.oracle_plan_fast`, the brute-force search over
+    every row count; a rejected source's diagnostic names its grid."""
+    for w, h, budget in _RESIZE_CORPUS:
+        rows, cols = oracle_plan_fast(w, h, budget)
+        try:
+            plan = geometry.plan_resize(ImageSize(w, h), budget)
+        except geometry.BudgetInfeasible as e:
+            if not str(e).startswith(f"best grid {rows}x{cols} "):
+                return True
+        else:
+            if (plan.grid_rows, plan.grid_cols) != (rows, cols):
+                return True
+    return False
+
+
 class FastPath(NamedTuple):
     module: object
     attr: str
@@ -301,11 +348,7 @@ FAST_PATH_MUTANTS = {
         "space-after-spliced-comma": ('[:-1]},"position_ids"', '[:-1]}, "position_ids"'),
     }),
     "packing.pack_ffd": FastPath(packing, "pack_ffd", pack_ffd_differs, {
-        **_FFD_TREE_EDITS,
-        "id-presort-dropped": (
-            "sorted([(s.id, s.total_tokens) for s in samples])",
-            "[(s.id, s.total_tokens) for s in samples]",
-        ),
+        **_FFD_EDITS,
         "ascending-lengths": ("itemgetter(1), reverse=True", "itemgetter(1)"),
         "take-past-run-end": (
             "max(1, min(len(run) - start, free[k] // need))", "max(1, free[k] // need)"
@@ -320,6 +363,11 @@ FAST_PATH_MUTANTS = {
             "json.dumps(record_id)", "json.dumps(record_id, ensure_ascii=False)"
         ),
         "rows-for-cols": ('"grid_cols":{plan.grid_cols}', '"grid_cols":{plan.grid_rows}'),
+    }),
+    "geometry._fitting_row": FastPath(geometry, "_fitting_row", plan_differs, {
+        "floor-for-ceil": ("-(-n_lo // q)", "n_lo // q"),
+        "gt-for-ge-fit": ("if r >= first:", "if r > first:"),
+        "down-past-next-q": ("n_hi // (q + 1)", "n_hi // (q + 2)"),
     }),
 }
 

@@ -1076,6 +1076,10 @@ class TestVerify:
 
 
 class TestStartup:
+    """What a fresh process loads to run a subcommand. No subcommand loads
+    `dataclasses`, and those that start without numpy load no `inspect`
+    either (numpy's own import loads `inspect`)."""
+
     def test_data_path_commands_do_not_import_numpy(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text(MANIFEST)
@@ -1089,7 +1093,8 @@ class TestStartup:
             f"         cli.main(['chat', '--conversation', {str(conv)!r}]),\n"
             "         cli.main(['parse'])]\n"
             "loaded = sorted(m for m in sys.modules\n"
-            "                if m in ('numpy', 'logging') or m.startswith('navit_pack'))\n"
+            "                if m in ('numpy', 'logging', 'dataclasses', 'inspect')\n"
+            "                or m.startswith('navit_pack'))\n"
             "print(json.dumps({'codes': codes, 'loaded': loaded}), file=sys.stderr)\n"
         )
         result = subprocess.run(
@@ -1113,12 +1118,23 @@ class TestStartup:
             "from navit_pack import cli\n"
             f"codes = [cli.main(['prefs', c, '--groups', {str(groups)!r}])\n"
             "         for c in ('pairs', 'dpo', 'grpo')]\n"
-            "codes.append(cli.main(['verify']))\n"
-            "print(json.dumps({'codes': codes, 'chat': 'navit_pack.chat' in sys.modules}),\n"
-            "      file=sys.stderr)\n"
+            "codes += [cli.main(['verify']), cli.main(['grad-check'])]\n"
+            "print(json.dumps({'codes': codes, 'chat': 'navit_pack.chat' in sys.modules,\n"
+            "                  'dataclasses': 'dataclasses' in sys.modules}), file=sys.stderr)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert json.loads(result.stderr.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "chat": False}
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "codes": [0, 0, 0, 0, 0], "chat": False, "dataclasses": False
+        }
+
+    def test_encode_imports_do_not_load_dataclasses(self):
+        script = (
+            "import sys\n"
+            "import navit_pack.encoder, navit_pack.geometry, navit_pack.packing, navit_pack.vet\n"
+            "print('dataclasses' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.stdout == "False\n", result.stderr
 
     def test_check_names_match_selfcheck(self):
         from navit_pack.selfcheck import CHECK_NAMES

@@ -1,0 +1,127 @@
+"""The value types' shared contract: repr, type-strict equality, hash,
+immutability, and copies that equal the original."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from navit_pack import chat, encoder, geometry, objectives, packing, selfcheck, vet
+
+SIZE = geometry.ImageSize(3, 4)
+PLAN_TEXT = (
+    "ResizePlan(source=ImageSize(width=3, height=4), grid_rows=2, grid_cols=3, patch_size=16)"
+)
+ONE = np.ones((1, 1))
+
+# One value of each value type, with its repr. Some share their fields
+# with a value of another type: `TextPart("hi")`, `ImagePart("hi")` and
+# `TextSpan("hi")`; `ImageSize(3, 4)` and `NaiveBaseline(3, 4)`.
+VALUES = [
+    (SIZE, "ImageSize(width=3, height=4)"),
+    (
+        geometry.PixelBudget(256, 1024, 16),
+        "PixelBudget(min_pixels=256, max_pixels=1024, patch_size=16)",
+    ),
+    (geometry.ResizePlan(SIZE, 2, 3, 16), PLAN_TEXT),
+    (
+        packing.ManifestRecord("a", 3, (SIZE,)),
+        "ManifestRecord(id='a', text_tokens=3, images=(ImageSize(width=3, height=4),))",
+    ),
+    (
+        packing.SampleRecord("a", 3, (geometry.ResizePlan(SIZE, 2, 3, 16),)),
+        f"SampleRecord(id='a', text_tokens=3, image_plans=({PLAN_TEXT},), total_tokens=9)",
+    ),
+    (
+        packing.PackedSequence(8, (("a", 3), ("b", 2))),
+        "PackedSequence(capacity=8, lengths=(('a', 3), ('b', 2)))",
+    ),
+    (packing.NaiveBaseline(3, 4), "NaiveBaseline(total_slots=3, pad_tokens=4)"),
+    (
+        packing.PackingReport(1, 1, 8, 0.25, 0.5, 1.0),
+        "PackingReport(n_samples=1, n_sequences=1, capacity=8, packed_pad_fraction=0.25, "
+        "naive_pad_fraction=0.5, useful_token_speedup_proxy=1.0)",
+    ),
+    (chat.TextPart("hi"), "TextPart(text='hi')"),
+    (chat.ImagePart("hi"), "ImagePart(image_id='hi')"),
+    (
+        chat.ChatMessage(chat.Role.USER, (chat.TextPart("hi"), chat.ImagePart("img"))),
+        "ChatMessage(role=<Role.USER: 'user'>, parts=(TextPart(text='hi'), "
+        "ImagePart(image_id='img')))",
+    ),
+    (chat.TextSpan("hi"), "TextSpan(text='hi')"),
+    (chat.ImageSpan("hi", 4), "ImageSpan(image_id='hi', token_count=4)"),
+    (
+        chat.RenderedPrompt((chat.TextSpan("hi"), chat.ImageSpan("img", 4))),
+        "RenderedPrompt(token_stream=(TextSpan(text='hi'), "
+        "ImageSpan(image_id='img', token_count=4)))",
+    ),
+    (chat.ThinkingOutput(None, "hi"), "ThinkingOutput(thinking=None, answer='hi')"),
+    (encoder.RopeConfig(4), "RopeConfig(d_head=4)"),
+    (
+        encoder.LearnedPosTable(1, 1, np.ones((1, 2))),
+        "LearnedPosTable(grid_rows=1, grid_cols=1, table=array([[1., 1.]]))",
+    ),
+    (
+        encoder.PatchSequence(np.ones((1, 2)), np.zeros((1, 2), dtype=int), (0, 1)),
+        "PatchSequence(embeddings=array([[1., 1.]]), positions=array([[0, 0]]), "
+        "sample_boundaries=(0, 1))",
+    ),
+    (
+        encoder.AttentionParams(ONE, ONE, ONE, ONE),
+        "AttentionParams(wq=array([[1.]]), wk=array([[1.]]), wv=array([[1.]]), "
+        "wo=array([[1.]]))",
+    ),
+    (
+        vet.VisualHead(np.ones((1, 2))),
+        "VisualHead(projection=array([[1., 1.]]), temperature=1.0)",
+    ),
+    (vet.ProbVisualToken(np.array([0.5, 0.5])), "ProbVisualToken(probs=array([0.5, 0.5]))"),
+    (vet.VisualEmbeddingTable(np.ones((1, 2))), "VisualEmbeddingTable(table=array([[1., 1.]]))"),
+    (
+        vet.VetGradients(ONE, ONE, ONE),
+        "VetGradients(d_features=array([[1.]]), d_projection=array([[1.]]), "
+        "d_table=array([[1.]]))",
+    ),
+    (
+        objectives.PreferenceGroup("q", ("a", "b"), (0.0, 1.0), (0.0, 1.0), (1.0, 0.0)),
+        "PreferenceGroup(query_id='q', responses=('a', 'b'), logprob_policy=(0.0, 1.0), "
+        "logprob_reference=(0.0, 1.0), scores=(1.0, 0.0))",
+    ),
+    (objectives.DpoConfig(), "DpoConfig(beta=0.1, nll_weight=0.0)"),
+    (
+        selfcheck.CheckResult("ffd-opt", True, "ok"),
+        "CheckResult(name='ffd-opt', passed=True, detail='ok')",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_type_contract(value, text):
+    assert repr(value) == text
+
+    # Equal only to a value of the same type: not to a plain tuple of its
+    # fields, a subclass, or another value type.
+    assert value != tuple(value) and tuple(value) != value
+    assert not value == tuple(value)
+    subclass = type("Sub", (type(value),), {"__slots__": ()})
+    assert value != tuple.__new__(subclass, tuple(value))
+    for other, _ in VALUES:
+        if type(other) is not type(value):
+            assert value != other and not value == other
+
+    # A value that holds an array is unhashable, as the array is.
+    digest = None if "array(" in text else hash(value)
+    # A copy goes through the constructor with the fields the copy stores.
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and repr(twin) == text
+        if digest is not None:
+            assert twin == value and hash(twin) == digest
+
+    first_field = text[text.index("(") + 1 : text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(value, first_field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert repr(value) == text
