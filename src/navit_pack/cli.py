@@ -93,20 +93,25 @@ def _position_runs(capacity: int) -> tuple[str, list[int], str]:
 
 
 def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str:
-    """The `pack` output line for `seq`, with its per-token position ids.
-
-    Byte-identical to `json.dumps` of `seq.to_json_dict()` plus the
-    `position_ids` of `build_attention_metadata(seq)`, but the ids are
-    sliced from `runs`, the `_position_runs` of `seq.capacity`, instead of
-    built and encoded per token.
-    """
+    """The `pack` line of `seq` in one f-string, as `_plan_lines` writes a `plan` line.
+    Byte-identical to its oracle `tests/mutants.oracle_line`: `json.dumps` of the dict of
+    `seq.to_json_dict()` and `build_attention_metadata(seq)`'s `position_ids`. The ids are
+    slices of `runs`, the `_position_runs` of `seq.capacity`, not encoded per token."""
     ids, ends, pads = runs
-    parts = [ids[: ends[length]] for _, length in seq.lengths]
-    if seq.pad_tokens:
-        width = len(str(PAD_POSITION)) + 1
-        parts.append(pads[: width * seq.pad_tokens - 1])
-    head = json.dumps(seq.to_json_dict(), separators=(",", ":"))
-    return f'{head[:-1]},"position_ids":[{",".join(parts)}]}}'
+    capacity, lengths = seq
+    segments, cumulative, positions, start = [], ["0"], [], 0
+    for sid, length in lengths:
+        segments.append(f"[{json.dumps(sid)},{start},{length}]")
+        positions.append(ids[: ends[length]])
+        start += length
+        cumulative.append(str(start))
+    if start < capacity:
+        positions.append(pads[: (len(str(PAD_POSITION)) + 1) * (capacity - start) - 1])
+    return (
+        f'{{"capacity":{capacity},"segments":[{",".join(segments)}],"pad_tokens":'
+        f'{capacity - start},"cumulative_lengths":[{",".join(cumulative)}],'
+        f'"position_ids":[{",".join(positions)}]}}'
+    )
 
 
 def _plan_lines(record_id: str, plans: list[tuple[int, ResizePlan]]) -> Iterator[str]:

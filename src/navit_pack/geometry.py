@@ -151,12 +151,6 @@ def clamp_scale(source: ImageSize, budget: PixelBudget) -> float:
     return 1.0
 
 
-def _ideal_grid(source: ImageSize, budget: PixelBudget) -> tuple[float, float]:
-    """Real-valued (rows, cols) the uniform scale would produce before snapping."""
-    s = clamp_scale(source, budget)
-    return s * source.height / budget.patch_size, s * source.width / budget.patch_size
-
-
 def grid_key(
     rows: int, cols: int, ideal_rows: float, ideal_cols: float, source_aspect: float
 ) -> tuple[float, float, int, int]:
@@ -221,8 +215,11 @@ def _best_grid(source: ImageSize, budget: PixelBudget) -> tuple[tuple, int, int]
             f"no patch grid with side {budget.patch_size} fits "
             f"[{budget.min_pixels}, {budget.max_pixels}] pixels"
         )
-    ideal_rows, ideal_cols = _ideal_grid(source, budget)
+    scale = clamp_scale(source, budget)  # the ideal grid: real-valued, before snapping
+    ideal_rows = scale * source.height / budget.patch_size
+    ideal_cols = scale * source.width / budget.patch_size
     floor_cols, ceil_cols = math.floor(ideal_cols), math.ceil(ideal_cols)
+    aspect = source.aspect
     start = min(max(math.floor(ideal_rows), 1), n_hi)
     best = None
     for step, r in ((-1, start), (1, start + 1)):
@@ -235,11 +232,12 @@ def _best_grid(source: ImageSize, budget: PixelBudget) -> tuple[tuple, int, int]
                 bound = math.inf
             if best is not None and bound > best[0][0]:
                 break
-            for c in {min(max(floor_cols, c_lo), c_hi), min(max(ceil_cols, c_lo), c_hi)}:
+            low, high = min(max(floor_cols, c_lo), c_hi), min(max(ceil_cols, c_lo), c_hi)
+            for c in (low,) if low == high else (low, high):
                 try:
-                    key = grid_key(r, c, ideal_rows, ideal_cols, source.aspect)
+                    key = grid_key(r, c, ideal_rows, ideal_cols, aspect)
                 except OverflowError:
-                    key = math.inf, relative_distortion(r, c, source.aspect), r * c, r
+                    key = math.inf, relative_distortion(r, c, aspect), r * c, r
                 if best is None or key < best[0]:
                     best = key, r, c
             if gap >= 0:
@@ -271,4 +269,4 @@ def plan_resize(source: ImageSize, budget: PixelBudget) -> ResizePlan:
             f"(> {DEFAULT_MAX_DISTORTION}) for source "
             f"{_short(source.width)}x{_short(source.height)}"
         )
-    return ResizePlan(source=source, grid_rows=rows, grid_cols=cols, patch_size=budget.patch_size)
+    return ResizePlan(source, rows, cols, budget.patch_size)

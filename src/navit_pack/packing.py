@@ -14,7 +14,9 @@ Every input record goes through one set of field checks kept here
 raises ManifestError naming the place of the fault ("candidate 2: "),
 which is formatted only then, so a valid record costs no formatting.
 A diagnostic that echoes a string from the input quotes it with
-`_quoted`, which bounds its length with `_clipped`.
+`_quoted`, which bounds its length with `_clipped`. `_json_record` decodes
+a line with one call of the C scanner and falls back to `json.loads`, so
+that each value and each error is `json.loads`'s own.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ _TOO_LONG_SHOWN = 10
 
 _MANIFEST_KEYS = {"id", "text_tokens", "images"}
 _IMAGE_KEYS = {"width", "height"}
+_scan_once = json.JSONDecoder().scan_once  # `(value, end)` of the JSON value at an index
 
 
 class SampleTooLong(ValueError):
@@ -150,12 +153,11 @@ class PackedSequence(namedtuple("PackedSequence", "capacity lengths"), _Value):
         return tuple((sid, start, length) for (sid, length), start in zip(self.lengths, starts))
 
     def to_json_dict(self) -> dict:
-        cumulative = self.cumulative_lengths
         return {
             "capacity": self.capacity,
-            "segments": [[sid, start, n] for (sid, n), start in zip(self.lengths, cumulative)],
-            "pad_tokens": self.capacity - cumulative[-1],
-            "cumulative_lengths": list(cumulative),
+            "segments": [list(segment) for segment in self.segments],
+            "pad_tokens": self.pad_tokens,
+            "cumulative_lengths": list(self.cumulative_lengths),
         }
 
 
@@ -339,9 +341,16 @@ def _record(value: object, allowed: set[str], what: str = "record") -> dict:
 
 
 def _json_record(line: str, allowed: set[str], what: str = "record") -> dict:
-    """The JSON text `line` as a `what` holding only `allowed` fields."""
+    """The JSON text `line` as a `what` holding only `allowed` fields. The scanner's value
+    stands when it ends the line but for a final newline, exactly when `json.loads` agrees."""
     try:
-        value = json.loads(line)
+        try:
+            value, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            value = json.loads(line)
+        else:
+            if end != len(line) and (end != len(line) - 1 or line[end] != "\n"):
+                value = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"invalid JSON: {e}") from e
     except ValueError as e:  # an integer beyond Python's digit limit
@@ -412,10 +421,12 @@ def parse_manifest_line(line: str) -> ManifestRecord:
         raise ManifestError("missing or invalid 'text_tokens' (integer required)")
     if text_tokens < 0:
         raise ManifestError("'text_tokens' must be non-negative")
+    if "images" not in obj:
+        return ManifestRecord(record_id, text_tokens, ())
     images = []
     for i, img in enumerate(_list(obj, "images")):
         images.append(parse_image_size(_entry(img, _IMAGE_KEYS, "image", i), i))
-    return ManifestRecord(id=record_id, text_tokens=text_tokens, images=tuple(images))
+    return ManifestRecord(record_id, text_tokens, tuple(images))
 
 
 def parse_image_size(img: dict, index: int) -> ImageSize:
@@ -427,7 +438,7 @@ def parse_image_size(img: dict, index: int) -> ImageSize:
         if not _is_int(val) or val < 1:
             raise ManifestError(f"image {index}: {key!r} must be a positive integer")
         _float(val, key, "image", index)
-    return ImageSize(width=img["width"], height=img["height"])
+    return ImageSize(img["width"], img["height"])
 
 
 def _plan_image(index: int, size: ImageSize, budget: PixelBudget) -> ResizePlan:
@@ -446,5 +457,5 @@ def _plan_images(sizes: Iterable[ImageSize], budget: PixelBudget) -> tuple[Resiz
 
 def sample_from_record(record: ManifestRecord, budget: PixelBudget) -> SampleRecord:
     """Plan the record's images under `budget`, if it has any, and total up its tokens."""
-    plans = _plan_images(record.images, budget) if record.images else ()
-    return SampleRecord(record.id, record.text_tokens, plans)
+    record_id, text_tokens, images = record
+    return SampleRecord(record_id, text_tokens, _plan_images(images, budget) if images else ())

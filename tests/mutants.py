@@ -31,6 +31,7 @@ import numpy as np
 from navit_pack import cli, encoder, geometry, objectives, packing, selfcheck, vet
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
 from test_geometry import oracle_plan_fast
+from test_golden import EDGE_LINES
 
 
 class Mutant(NamedTuple):
@@ -251,6 +252,41 @@ def pack_ffd_differs():
     return False
 
 
+def oracle_json_record(line, allowed, what="record"):
+    """`packing._json_record` by `json.loads` alone."""
+    try:
+        value = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise packing.ManifestError(f"invalid JSON: {e}") from e
+    except ValueError as e:  # an integer beyond Python's digit limit
+        raise packing.ManifestError(str(e)) from e
+    return packing._record(value, allowed, what)
+
+
+def _outcome(parse, line):
+    """`repr` of the manifest record that `parse` makes of `line`, or the
+    text of the `ManifestError` it raises."""
+    try:
+        return repr(parse(line, packing._MANIFEST_KEYS))
+    except packing.ManifestError as e:
+        return "error", str(e)
+
+
+# The edge lines of the golden corpus as a file holds them, then without
+# their newline, as the last line of a file or a conversation holds them,
+# and empty text.
+_JSON_CORPUS = [*EDGE_LINES, *(line[:-1] for line in EDGE_LINES if line[-1:] == "\n"), "", "\n"]
+
+
+def json_record_differs():
+    """Whether `packing._json_record` gives a line of the corpus another
+    record, or another error, than `oracle_json_record` does."""
+    return any(
+        _outcome(packing._json_record, line) != _outcome(oracle_json_record, line)
+        for line in _JSON_CORPUS
+    )
+
+
 def oracle_plan_line(record_id, index, plan):
     """The `plan` line of image `index` of record `record_id`: `json.dumps` of its dict."""
     target = plan.target
@@ -341,11 +377,24 @@ class FastPath(NamedTuple):
 
 FAST_PATH_MUTANTS = {
     "cli._sequence_line": FastPath(cli, "_sequence_line", sequence_line_differs, {
-        "pad-slice-one-id-short": (
-            "pads[: width * seq.pad_tokens - 1]", "pads[: width * (seq.pad_tokens - 1) - 1]"
-        ),
+        "pad-slice-one-id-short": ("(capacity - start) - 1]", "(capacity - start - 1) - 1]"),
         "id-slice-off-by-one": ("ids[: ends[length]]", "ids[: ends[length - 1]]"),
-        "space-after-spliced-comma": ('[:-1]},"position_ids"', '[:-1]}, "position_ids"'),
+        "space-after-spliced-comma": ("}],'", "}], '"),
+        "segment-start-off-by-one": ("{start},{length}]", "{start + 1},{length}]"),
+        "cumulative-without-leading-zero": ('["0"]', "[]"),
+    }),
+    # Id 10 is the first of two digits: its width taken from id 9 leaves
+    # `ends[11]` one short.
+    "cli._position_runs": FastPath(cli, "_position_runs", sequence_line_differs, {
+        "ends-width-of-previous-id": ("len(str(i))", "len(str(max(i - 1, 0)))"),
+    }),
+    "packing._json_record": FastPath(packing, "_json_record", json_record_differs, {
+        "newline-unchecked": (
+            '(end != len(line) - 1 or line[end] != "\\n")', "end != len(line) - 1"
+        ),
+        "trailing-space-accepted": (
+            '(end != len(line) - 1 or line[end] != "\\n")', 'line[end] not in "\\n "'
+        ),
     }),
     "packing.pack_ffd": FastPath(packing, "pack_ffd", pack_ffd_differs, {
         **_FFD_EDITS,

@@ -8,7 +8,7 @@ and a file of scored groups. Each case in `golden.json` names an argv
 exit status; a `chat` case also pins its sidecar. Covered: `plan` at p1
 and p2, `pack` at two capacities, `chat` with and without `--thinking`,
 `parse` strict and lenient, `prefs pairs` with default and non-default
-flags, and the malformed manifest under `plan` and `pack`.
+flags, and the malformed and edge-line manifests under `plan` and `pack`.
 
 `prefs dpo|grpo` and `verify` are not pinned here: they print numpy
 results, and numpy's SIMD `exp` and `log` may differ in the last ulp
@@ -80,6 +80,26 @@ _MALFORMED_LINES = (
 )
 
 
+# Lines at the edges of what `json.loads` accepts, each written as is: a
+# BOM on the first line, CRLF (which reading turns into LF), whitespace
+# around a record, extra data, NaN and Infinity, an integer past Python's
+# 4,300-digit limit, nesting past the recursion limit, and a last line with
+# no newline. Every value and error must be `json.loads`'s own.
+EDGE_LINES = (
+    '\ufeff{"id": "bom", "text_tokens": 1}\n',
+    '{"id": "crlf", "text_tokens": 2, "images": [{"width": 640, "height": 480}]}\r\n',
+    '  {"id": "leading-spaces", "text_tokens": 3, "images": [{"width": 90, "height": 3000}]}\n',
+    '{"id": "trailing-spaces", "text_tokens": 4, "images": [{"width": 2000, "height": 40}]} \t \n',
+    '{"id": "extra-data", "text_tokens": 5} x\n',
+    '{"id": "extra-brace", "text_tokens": 5}}\n',
+    '{"id": "nan", "text_tokens": NaN}\n',
+    '{"id": "infinity", "text_tokens": 1, "images": [{"width": Infinity, "height": 9}]}\n',
+    '{"id": "huge", "text_tokens": ' + "9" * 5000 + "}\n",
+    '{"id": "deep", "text_tokens": 1, "images": ' + "[" * 100_000 + "]" * 100_000 + "}\n",
+    '{"id": "last-line", "text_tokens": 6, "images": [{"width": 1, "height": 1}]}',
+)
+
+
 def _malformed_manifest(rng):
     lines = _manifest(rng, 12).splitlines()
     for bad in _MALFORMED_LINES:
@@ -121,6 +141,7 @@ def write_inputs(directory):
     files = {
         "manifest.jsonl": _manifest(rng, 150),
         "malformed.jsonl": _malformed_manifest(rng),
+        "edge.jsonl": "".join(EDGE_LINES),
         "conversation.json": _conversation(rng),
         "think.txt": "Let me see. <think>two plus two\nis four</think> The answer is 4. ",
         "unclosed.txt": "Answer first <think>then a thought that never ends\n",
