@@ -181,9 +181,6 @@ class ThinkingOutput(namedtuple("ThinkingOutput", "thinking answer"), _Value):
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {"thinking": self.thinking, "answer": self.answer}
-
 
 def parse_thinking(raw: str, lenient: bool = False) -> ThinkingOutput:
     """Split raw model output into its first think block and the answer.

@@ -94,8 +94,8 @@ def _position_runs(capacity: int) -> tuple[str, list[int], str]:
 
 def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str:
     """The `pack` line of `seq` in one f-string, as `_plan_lines` writes a `plan` line.
-    Byte-identical to its oracle `tests/mutants.oracle_line`: `json.dumps` of the dict of
-    `seq.to_json_dict()` and `build_attention_metadata(seq)`'s `position_ids`. The ids are
+    Byte-identical to its oracle `tests/mutants.oracle_line`: `json.dumps` of a dict of
+    `seq`'s fields and `build_attention_metadata(seq)`'s `position_ids`. The ids are
     slices of `runs`, the `_position_runs` of `seq.capacity`, not encoded per token."""
     ids, ends, pads = runs
     capacity, lengths = seq
@@ -181,7 +181,7 @@ def cmd_pack(args: argparse.Namespace) -> None:
     runs = _position_runs(args.capacity)
     for seq in sequences:
         print(_sequence_line(seq, runs))
-    _emit(report.to_json_dict())
+    _emit(report._asdict())
 
 
 def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSize]]:
@@ -256,7 +256,7 @@ def cmd_parse(args: argparse.Namespace) -> None:
     except MalformedThinkBlock as e:
         _diag(f"malformed think block: {e}")
         return
-    _emit(result.to_json_dict())
+    _emit(result._asdict())
 
 
 def cmd_verify(args: argparse.Namespace) -> None:

@@ -51,7 +51,9 @@ class _Value(tuple):
 
     A value equals only a value of its own type with equal fields (never a
     plain tuple, nor another type with the same fields), and hashes as its
-    fields do. `_replace` and `_make` skip `__new__`: build with the type.
+    fields do. It has no order and no `+` or `*`: those raise `TypeError`,
+    with a plain tuple on either side too. `_replace` and `_make` skip
+    `__new__`: build with the type.
     """
 
     __slots__ = ()
@@ -63,6 +65,12 @@ class _Value(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+    def _refused(self, other: object):
+        raise TypeError(f"{type(self).__name__} is a value: it has no order, + or *")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refused
+    __add__ = __radd__ = __mul__ = __rmul__ = _refused
 
 
 class ImageSize(namedtuple("ImageSize", "width height"), _Value):

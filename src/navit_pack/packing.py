@@ -152,14 +152,6 @@ class PackedSequence(namedtuple("PackedSequence", "capacity lengths"), _Value):
         starts = self.cumulative_lengths
         return tuple((sid, start, length) for (sid, length), start in zip(self.lengths, starts))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "segments": [list(segment) for segment in self.segments],
-            "pad_tokens": self.pad_tokens,
-            "cumulative_lengths": list(self.cumulative_lengths),
-        }
-
 
 class NaiveBaseline(namedtuple("NaiveBaseline", "total_slots pad_tokens"), _Value):
     """Slot accounting for naive batching: pad every batch to its max length."""
@@ -187,9 +179,6 @@ class PackingReport(
     """
 
     __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSequence]:

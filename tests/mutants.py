@@ -1,18 +1,18 @@
-"""Broken copies of the code that each `verify` check or fast path guards.
+"""Broken copies of the code that `verify`'s checks and the fast paths'
+oracles guard, in one table.
 
-`MUTANTS`: a test swaps a mutant in with `monkeypatch.setattr(mutant.module,
-mutant.attr, mutant.replacement)`; `verify` must then fail the mutant's
-own check and no other. Each mutant keeps the signature of the code it
-replaces and breaks it in the one way its docstring, or its text edit,
-names.
-
-`FAST_PATH_MUTANTS`: each fast path maps to its oracle comparison and to
-mutants written as one text edit of the fast path's own source
-(`recompiled`). With a mutant swapped in, the comparison over a fixed
-corpus must find a mismatch.
+`MUTANTS` maps a label to a `Mutant`: the `(module, attr)` it patches, its
+change and its oracles. The change is one text edit `(old, new)` of the
+live source, compiled by `recompiled`, so a mutant breaks today's code;
+only other packing algorithms are whole replacements. A test swaps a
+mutant in with `monkeypatch.setattr(mutant.module, mutant.attr,
+mutant.replacement())`, and each of its oracles must then see it:
+`verify` fails its `check` and no other (`test_c12`), and its `differs`
+comparison of a fast path with a slow oracle over a fixed corpus finds a
+mismatch (`test_mutants`).
 
 A mutant may loop forever; tests run each one under `alarm`, which stops
-it with an error that names it. A fast-path mutant stopped so counts as
+it with an error that names it. A `differs` mutant stopped so counts as
 seen: its corpus holds a case that it never finishes.
 """
 
@@ -20,85 +20,54 @@ import __future__
 import inspect
 import io
 import json
+import math
+import os
 import random
 import signal
+import tempfile
 import textwrap
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from navit_pack import cli, encoder, geometry, objectives, packing, selfcheck, vet
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
+from navit_pack.objectives import DpoConfig, dpo_losses, pair_indices, parse_group_line
 from test_geometry import oracle_plan_fast
 from test_golden import EDGE_LINES
 
 
+def recompiled(module, attr, old, new):
+    """`module.attr` compiled from its own source with the one occurrence of
+    `old` replaced by `new`, its globals a copy of the module's."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, attr)))
+    if source.count(old) != 1:
+        raise ValueError(f"{module.__name__}.{attr} holds {old!r} {source.count(old)} times")
+    namespace = dict(vars(module))
+    code = compile(
+        source.replace(old, new), module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[attr]
+
+
 class Mutant(NamedTuple):
-    check: str
+    """`module.attr` broken by `change`: a text edit `(old, new)` of its
+    source, or a whole replacement. `check` names the `verify` check that
+    must fail alone, `differs` the oracle comparison that must see it; a
+    mutant has one or both."""
+
     module: object
     attr: str
-    replacement: Callable
+    change: tuple[str, str] | Callable
+    check: str | None = None
+    differs: Callable[[], bool] | None = None
 
-
-def vet_embed_grad_without_pa_term(features, head, table, upstream):
-    """`vet.vet_embed_grad` with the `- (p.a) p` term dropped from d_logits."""
-    u = np.asarray(upstream, dtype=np.float64)
-    f, probs = vet._head_probs(features, head)
-    d_logits = probs * (table.table @ u)[None, :]
-    return vet.VetGradients(
-        d_features=d_logits @ head.projection.T / head.temperature,
-        d_projection=f.T @ d_logits / head.temperature,
-        d_table=probs.sum(axis=0)[:, None] * u[None, :],
-    )
-
-
-_dpo_losses = objectives.dpo_losses
-
-
-def dpo_losses_with_plus_g_reference_chosen(lp_c, lr_c, lp_r, lr_r, cfg):
-    """`objectives.dpo_losses` returning +g, not -g, as the lr_c partial."""
-    loss, d_lp_c, d_lp_r, _, g = _dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg)
-    return loss, d_lp_c, d_lp_r, g, g
-
-
-def rotate_pairs_reflected(x, angles):
-    """`encoder._rotate_pairs` with the odd output `even*sin - odd*cos`: a
-    reflection, not a rotation."""
-    cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = x[:, 0::2], x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin - odd * cos
-    return out
-
-
-_apply_rope_2d = encoder.apply_rope_2d
-
-
-def apply_rope_2d_row_only(q_or_k, positions, config):
-    """`encoder.apply_rope_2d` rotating both halves by the row coordinate."""
-    return _apply_rope_2d(q_or_k, np.asarray(positions)[:, [0, 0]], config)
-
-
-def apply_rope_2d_swapped_axes(q_or_k, positions, config):
-    """`encoder.apply_rope_2d` rotating the first half by the column
-    coordinate and the second half by the row."""
-    return _apply_rope_2d(q_or_k, np.asarray(positions)[:, [1, 0]], config)
-
-
-_block_diag_forward = encoder.block_diag_forward
-
-
-def block_diag_forward_first_boundary_moved(packed, weights, rope):
-    """`encoder.block_diag_forward` with the boundary between the first two
-    samples moved one token right (the first sample takes one token of the
-    second; a second sample of one token is absorbed)."""
-    b = list(packed.sample_boundaries)
-    if len(b) > 2:
-        b[1] += 1
-    moved = encoder.PatchSequence(packed.embeddings, packed.positions, tuple(sorted(set(b))))
-    return _block_diag_forward(moved, weights, rope)
+    def replacement(self):
+        """The broken `module.attr`."""
+        if callable(self.change):
+            return self.change
+        return recompiled(self.module, self.attr, *self.change)
 
 
 def _sequences(bins, capacity):
@@ -139,67 +108,20 @@ def pack_first_fit_unsorted(samples, capacity):
     return _sequences(bins, capacity)
 
 
-def recompiled(module, attr, old, new):
-    """`module.attr` compiled from its own source with the one occurrence of
-    `old` replaced by `new`, its globals a copy of the module's."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, attr)))
-    if source.count(old) != 1:
-        raise ValueError(f"{module.__name__}.{attr} holds {old!r} {source.count(old)} times")
-    namespace = dict(vars(module))
-    code = compile(
-        source.replace(old, new), module.__file__, "exec",
-        flags=__future__.annotations.compiler_flag, dont_inherit=True,
-    )
-    exec(code, namespace)
-    return namespace[attr]
-
-
-# Edits of `packing.pack_ffd` that `verify`'s ffd-opt sees as well as the
-# fast-path corpus: three broken first-fit walks of its segment tree, and
-# equal lengths left in input order rather than ordered by id.
-_FFD_EDITS = {
-    "gt-for-ge": ("free[2 * k] >= need", "free[2 * k] > need"),
-    "right-first": (
-        "k = 2 * k if free[2 * k] >= need else 2 * k + 1",
-        "k = 2 * k + 1 if free[2 * k + 1] >= need else 2 * k",
-    ),
-    "upward-update-stops-at-once": ("if free[k] == room:", "if True:"),
-    "id-presort-dropped": (
-        "sorted([(s.id, s.total_tokens) for s in samples])",
-        "[(s.id, s.total_tokens) for s in samples]",
-    ),
-}
-
-
-MUTANTS = {
-    "vet-grad-no-pa-term": Mutant(
-        "vet-grad", vet, "vet_embed_grad", vet_embed_grad_without_pa_term
-    ),
-    "dpo-grad-plus-g": Mutant(
-        "dpo-grad", objectives, "dpo_losses", dpo_losses_with_plus_g_reference_chosen
-    ),
-    "rope-reflection": Mutant("rope-relative", encoder, "_rotate_pairs", rotate_pairs_reflected),
-    "rope-row-only": Mutant("rope-relative", encoder, "apply_rope_2d", apply_rope_2d_row_only),
-    "rope-swapped-axes": Mutant(
-        "rope-relative", encoder, "apply_rope_2d", apply_rope_2d_swapped_axes
-    ),
-    "pack-boundary-moved": Mutant(
-        "pack-equiv", encoder, "block_diag_forward", block_diag_forward_first_boundary_moved
-    ),
-    "ffd-one-per-sequence": Mutant("ffd-opt", packing, "pack_ffd", pack_one_per_sequence),
-    "ffd-next-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_next_fit_decreasing),
-    "ffd-unsorted-first-fit": Mutant("ffd-opt", packing, "pack_ffd", pack_first_fit_unsorted),
-    **{
-        f"ffd-{label}": Mutant("ffd-opt", packing, "pack_ffd", recompiled(packing, "pack_ffd", *e))
-        for label, e in _FFD_EDITS.items()
-    },
-}
+def sequence_dict(seq):
+    """The fields of `seq`'s `pack` line before its position ids."""
+    return {
+        "capacity": seq.capacity,
+        "segments": [list(segment) for segment in seq.segments],
+        "pad_tokens": seq.pad_tokens,
+        "cumulative_lengths": list(seq.cumulative_lengths),
+    }
 
 
 def oracle_line(seq):
     """The `pack` line of `seq`: `json.dumps` of its dict and per-token position ids."""
     _, positions = packing.build_attention_metadata(seq)
-    return json.dumps({**seq.to_json_dict(), "position_ids": positions}, separators=(",", ":"))
+    return json.dumps({**sequence_dict(seq), "position_ids": positions}, separators=(",", ":"))
 
 
 # Sequences with and without padding whose segments end on both sides of
@@ -368,36 +290,139 @@ def plan_differs():
     return False
 
 
-class FastPath(NamedTuple):
-    module: object
-    attr: str
-    differs: Callable[[], bool]
-    mutants: dict[str, tuple[str, str]]  # label: (text of the fast path, its mutant)
+def prefs_oracle(
+    text, command, path, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0
+):
+    """Expected `prefs` stdout and stderr: one `json.dumps` per line, from
+    one `dpo_losses` call per pair and one `grpo_advantages_rows` call per
+    group. Each group goes through the difficulty filter and then the
+    objective before the next, so diagnostics come in line order."""
+    groups = [(n, parse_group_line(line)) for n, line in enumerate(text.splitlines(), 1)]
+    out, err = [], []
+
+    def not_finite(lineno, group, what):
+        err.append(f"{path}:{lineno}: query {group.query_id!r}: {what} is not finite\n")
+
+    for lineno, group in groups:
+        if min_score_variance > 0.0:
+            variance = group.score_variance()
+            if not math.isfinite(variance):
+                not_finite(lineno, group, "score variance")
+                continue
+            if variance < min_score_variance:
+                continue
+        scores, lp, lr = group.scores, group.logprob_policy, group.logprob_reference
+        records = []
+        if command == "grpo":
+            advantages = objectives.grpo_advantages_rows([scores])[0].tolist()
+            records.append({"query_id": group.query_id, "advantages": advantages})
+            numbers, what = advantages, "advantage"
+        elif command == "pairs":
+            for i, j in pair_indices(scores, margin):
+                records.append(
+                    {
+                        "query_id": group.query_id,
+                        "chosen_index": i,
+                        "rejected_index": j,
+                        "chosen_response": group.responses[i],
+                        "rejected_response": group.responses[j],
+                        "score_gap": scores[i] - scores[j],
+                    }
+                )
+            numbers, what = [r["score_gap"] for r in records], "score gap"
+        else:
+            for i, j in pair_indices(scores, margin):
+                columns = dpo_losses(lp[i], lr[i], lp[j], lr[j], DpoConfig(beta, nll_weight))
+                records.append(
+                    {
+                        "query_id": group.query_id,
+                        "chosen_index": i,
+                        "rejected_index": j,
+                        **dict(zip(_DPO_FIELDS, map(float, columns))),
+                    }
+                )
+            numbers, what = [r[k] for r in records for k in _DPO_FIELDS], "loss or gradient"
+        if all(map(math.isfinite, numbers)):
+            out.extend(records)
+        else:
+            not_finite(lineno, group, what)
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in out), "".join(err)
 
 
-FAST_PATH_MUTANTS = {
-    "cli._sequence_line": FastPath(cli, "_sequence_line", sequence_line_differs, {
-        "pad-slice-one-id-short": ("(capacity - start) - 1]", "(capacity - start - 1) - 1]"),
-        "id-slice-off-by-one": ("ids[: ends[length]]", "ids[: ends[length - 1]]"),
-        "space-after-spliced-comma": ("}],'", "}], '"),
-        "segment-start-off-by-one": ("{start},{length}]", "{start + 1},{length}]"),
-        "cumulative-without-leading-zero": ('["0"]', "[]"),
-    }),
-    # Id 10 is the first of two digits: its width taken from id 9 leaves
-    # `ends[11]` one short.
-    "cli._position_runs": FastPath(cli, "_position_runs", sequence_line_differs, {
-        "ends-width-of-previous-id": ("len(str(i))", "len(str(max(i - 1, 0)))"),
-    }),
-    "packing._json_record": FastPath(packing, "_json_record", json_record_differs, {
-        "newline-unchecked": (
-            '(end != len(line) - 1 or line[end] != "\\n")', "end != len(line) - 1"
+_DPO_FIELDS = (
+    "loss", "d_logprob_policy_chosen", "d_logprob_policy_rejected",
+    "d_logprob_reference_chosen", "d_logprob_reference_rejected",
+)
+
+
+# Groups for `prefs dpo --nll-weight -0.0`, each candidate scored by its
+# index: pairs whose `g` is negative, then one whose margin of 10000
+# underflows `g` to -0.0, so that `g - nll_weight` is 0.0 and not `g`.
+_PREFS_GROUPS = "".join(
+    json.dumps({"query_id": f"q{n}", "candidates": [
+        {"response": str(j), "logprob_policy": lp, "logprob_reference": lr, "score": float(j)}
+        for j, (lp, lr) in enumerate(rows)
+    ]}) + "\n"
+    for n, rows in enumerate([
+        [(-1.0, -2.0), (-3.0, -1.0), (-2.0, -2.5)], [(-5000.0, 0.0), (0.0, -5000.0)]
+    ])
+)
+
+
+def prefs_differs():
+    """Whether `prefs dpo --nll-weight -0.0` writes other stdout or stderr
+    for the corpus than `prefs_oracle` does."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "groups.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(_PREFS_GROUPS)
+        _, out, err = run_in_process("prefs", "dpo", "--groups", path, "--nll-weight", "-0.0")
+        return (out, err) != prefs_oracle(_PREFS_GROUPS, "dpo", path, nll_weight=-0.0)
+
+
+def _mutants(module, attr, changes, check=None, differs=None):
+    """`{label: Mutant}` of `module.attr`, one per change, all with the same oracles."""
+    return {label: Mutant(module, attr, c, check, differs) for label, c in changes.items()}
+
+
+MUTANTS = {
+    **_mutants(vet, "vet_embed_grad", {
+        "vet-grad-no-pa-term": ("probs * a[None, :] - probs * pa[:, None]", "probs * a[None, :]"),
+    }, "vet-grad"),
+    **_mutants(objectives, "dpo_losses", {
+        "dpo-grad-plus-g": ("return loss, g - nll, -g, -g, g", "return loss, g - nll, -g, g, g"),
+    }, "dpo-grad"),
+    **_mutants(encoder, "_rotate_pairs", {
+        "rope-reflection": ("even * sin + odd * cos", "even * sin - odd * cos"),
+    }, "rope-relative"),
+    **_mutants(encoder, "apply_rope_2d", {
+        "rope-row-only": ("pos[:, :, None] * freqs", "pos[:, [0, 0], None] * freqs"),
+        "rope-swapped-axes": ("pos[:, :, None] * freqs", "pos[:, ::-1, None] * freqs"),
+    }, "rope-relative"),
+    # Each block but the last takes the first token of the next as a key.
+    **_mutants(encoder, "block_diag_forward", {
+        "pack-boundary-moved": ("k[lo:hi], v[lo:hi]", "k[lo:hi + 1], v[lo:hi + 1]"),
+    }, "pack-equiv"),
+    **_mutants(packing, "pack_ffd", {
+        "ffd-one-per-sequence": pack_one_per_sequence,
+        "ffd-next-fit": pack_next_fit_decreasing,
+        "ffd-unsorted-first-fit": pack_first_fit_unsorted,
+    }, "ffd-opt"),
+    # Three broken first-fit walks of the segment tree, and equal lengths
+    # left in input order rather than ordered by id.
+    **_mutants(packing, "pack_ffd", {
+        "ffd-gt-for-ge": ("free[2 * k] >= need", "free[2 * k] > need"),
+        "ffd-right-first": (
+            "k = 2 * k if free[2 * k] >= need else 2 * k + 1",
+            "k = 2 * k + 1 if free[2 * k + 1] >= need else 2 * k",
         ),
-        "trailing-space-accepted": (
-            '(end != len(line) - 1 or line[end] != "\\n")', 'line[end] not in "\\n "'
+        "ffd-upward-update-stops-at-once": ("if free[k] == room:", "if True:"),
+        "ffd-id-presort-dropped": (
+            "sorted([(s.id, s.total_tokens) for s in samples])",
+            "[(s.id, s.total_tokens) for s in samples]",
         ),
-    }),
-    "packing.pack_ffd": FastPath(packing, "pack_ffd", pack_ffd_differs, {
-        **_FFD_EDITS,
+    }, "ffd-opt", pack_ffd_differs),
+    **_mutants(packing, "pack_ffd", {
         "ascending-lengths": ("itemgetter(1), reverse=True", "itemgetter(1)"),
         "take-past-run-end": (
             "max(1, min(len(run) - start, free[k] // need))", "max(1, free[k] // need)"
@@ -405,19 +430,49 @@ FAST_PATH_MUTANTS = {
         "take-past-free-room": (
             "max(1, min(len(run) - start, free[k] // need))", "max(1, len(run) - start)"
         ),
-    }),
-    "cli._plan_lines": FastPath(cli, "_plan_lines", plan_lines_differ, {
+    }, differs=pack_ffd_differs),
+    **_mutants(cli, "_sequence_line", {
+        "pad-slice-one-id-short": ("(capacity - start) - 1]", "(capacity - start - 1) - 1]"),
+        "id-slice-off-by-one": ("ids[: ends[length]]", "ids[: ends[length - 1]]"),
+        "space-after-spliced-comma": ("}],'", "}], '"),
+        "segment-start-off-by-one": ("{start},{length}]", "{start + 1},{length}]"),
+        "cumulative-without-leading-zero": ('["0"]', "[]"),
+    }, differs=sequence_line_differs),
+    # Id 10 is the first of two digits: its width taken from id 9 leaves
+    # `ends[11]` one short.
+    **_mutants(cli, "_position_runs", {
+        "ends-width-of-previous-id": ("len(str(i))", "len(str(max(i - 1, 0)))"),
+    }, differs=sequence_line_differs),
+    **_mutants(packing, "_json_record", {
+        "newline-unchecked": (
+            '(end != len(line) - 1 or line[end] != "\\n")', "end != len(line) - 1"
+        ),
+        "trailing-space-accepted": (
+            '(end != len(line) - 1 or line[end] != "\\n")', 'line[end] not in "\\n "'
+        ),
+    }, differs=json_record_differs),
+    **_mutants(cli, "_plan_lines", {
         "id-unescaped": ("json.dumps(record_id)", "f'\"{record_id}\"'"),
         "id-not-ascii-escaped": (
             "json.dumps(record_id)", "json.dumps(record_id, ensure_ascii=False)"
         ),
         "rows-for-cols": ('"grid_cols":{plan.grid_cols}', '"grid_cols":{plan.grid_rows}'),
-    }),
-    "geometry._fitting_row": FastPath(geometry, "_fitting_row", plan_differs, {
+    }, differs=plan_lines_differ),
+    **_mutants(geometry, "_fitting_row", {
         "floor-for-ceil": ("-(-n_lo // q)", "n_lo // q"),
         "gt-for-ge-fit": ("if r >= first:", "if r > first:"),
         "down-past-next-q": ("n_hi // (q + 1)", "n_hi // (q + 2)"),
-    }),
+    }, differs=plan_differs),
+    **_mutants(cli, "_negated", {
+        "negated-always-prefixed": ('text[1:] if text[0] == "-" else "-" + text', '"-" + text'),
+    }, differs=prefs_differs),
+    # With `nll_weight` -0.0, `g - nll_weight` no longer shares `g`'s text.
+    **_mutants(cli, "_dpo_text", {
+        "same-ignores-zero-sign": (
+            "cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0",
+            "cfg.nll_weight == 0.0",
+        ),
+    }, differs=prefs_differs),
 }
 
 
@@ -447,11 +502,17 @@ def alarm(label):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_verify(*argv):
-    """`(exit status, {check: status}, stderr)` of `cli.main(argv)`, run in
-    this process so that a monkeypatched mutant is the code it runs."""
+def run_in_process(*argv):
+    """`(exit status, stdout, stderr)` of `cli.main(argv)`, run in this
+    process so that a monkeypatched mutant is the code it runs."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(list(argv))
-    statuses = {line.split()[0]: line.split()[1] for line in out.getvalue().splitlines()}
-    return code, statuses, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_verify(*argv):
+    """`(exit status, {check: status}, stderr)` of `run_in_process(*argv)`."""
+    code, out, err = run_in_process(*argv)
+    statuses = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    return code, statuses, err

@@ -374,8 +374,10 @@ def test_c12_end_to_end_determinism_and_faults(monkeypatch):
         assert first.stdout == second.stdout and first.stderr == second.stderr
 
         for label, mutant in MUTANTS.items():
+            if mutant.check is None:
+                continue
             with monkeypatch.context() as m:
-                m.setattr(mutant.module, mutant.attr, mutant.replacement)
+                m.setattr(mutant.module, mutant.attr, mutant.replacement())
                 for seed in ("0", "1", "2"):
                     with alarm(f"{label}, seed {seed}"):
                         code, statuses, err = run_verify("verify", "--seed", seed)

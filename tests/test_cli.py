@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -17,15 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from mutants import MUTANTS, oracle_line, run_verify
+from mutants import MUTANTS, oracle_line, prefs_oracle, run_in_process, run_verify
 from navit_pack import cli
-from navit_pack.objectives import (
-    DpoConfig,
-    dpo_losses,
-    grpo_advantages_rows,
-    pair_indices,
-    parse_group_line,
-)
 from navit_pack.packing import (
     PackedSequence,
     SampleRecord,
@@ -342,7 +334,7 @@ class TestSequenceLine:
         sequences = pack_ffd(samples, 1101)
         report = packing_report(samples, sequences, 1101, 8)
         expected = [oracle_line(seq) for seq in sequences]
-        expected.append(json.dumps(report.to_json_dict(), separators=(",", ":")))
+        expected.append(json.dumps(report._asdict(), separators=(",", ":")))
         assert result.stdout == "".join(line + "\n" for line in expected)
 
     def test_pack_keeps_no_position_runs(self, tmp_path):
@@ -706,74 +698,6 @@ def candidates_json(*rows):
     )
 
 
-def prefs_oracle(
-    text, command, path, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0
-):
-    """Expected `prefs` stdout and stderr: one `json.dumps` per line, from
-    one `dpo_losses` call per pair and one `grpo_advantages_rows` call per
-    group. Each group goes through the difficulty filter and then the
-    objective before the next, so diagnostics come in line order."""
-    groups = [(n, parse_group_line(line)) for n, line in enumerate(text.splitlines(), 1)]
-    out, err = [], []
-
-    def not_finite(lineno, group, what):
-        err.append(f"{path}:{lineno}: query {group.query_id!r}: {what} is not finite\n")
-
-    for lineno, group in groups:
-        if min_score_variance > 0.0:
-            variance = group.score_variance()
-            if not math.isfinite(variance):
-                not_finite(lineno, group, "score variance")
-                continue
-            if variance < min_score_variance:
-                continue
-        scores, lp, lr = group.scores, group.logprob_policy, group.logprob_reference
-        records = []
-        if command == "grpo":
-            advantages = grpo_advantages_rows([scores])[0].tolist()
-            records.append({"query_id": group.query_id, "advantages": advantages})
-            numbers, what = advantages, "advantage"
-        elif command == "pairs":
-            for i, j in pair_indices(scores, margin):
-                records.append(
-                    {
-                        "query_id": group.query_id,
-                        "chosen_index": i,
-                        "rejected_index": j,
-                        "chosen_response": group.responses[i],
-                        "rejected_response": group.responses[j],
-                        "score_gap": scores[i] - scores[j],
-                    }
-                )
-            numbers, what = [r["score_gap"] for r in records], "score gap"
-        else:
-            for i, j in pair_indices(scores, margin):
-                columns = dpo_losses(lp[i], lr[i], lp[j], lr[j], DpoConfig(beta, nll_weight))
-                records.append(
-                    {
-                        "query_id": group.query_id,
-                        "chosen_index": i,
-                        "rejected_index": j,
-                        **dict(zip(_DPO_FIELDS, map(float, columns))),
-                    }
-                )
-            numbers, what = [r[k] for r in records for k in _DPO_FIELDS], "loss or gradient"
-        if all(map(math.isfinite, numbers)):
-            out.extend(records)
-        else:
-            not_finite(lineno, group, what)
-    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in out), "".join(err)
-
-
-_DPO_FIELDS = (
-    "loss",
-    "d_logprob_policy_chosen",
-    "d_logprob_policy_rejected",
-    "d_logprob_reference_chosen",
-    "d_logprob_reference_rejected",
-)
-
-
 _SMALL = [2, 3, 4, 5, 6, 7, 8]
 
 
@@ -1023,7 +947,7 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["verify", "grad-check"])
     def test_mutant_fails_named_check(self, monkeypatch, command):
         mutant = MUTANTS["vet-grad-no-pa-term"]
-        monkeypatch.setattr(mutant.module, mutant.attr, mutant.replacement)
+        monkeypatch.setattr(mutant.module, mutant.attr, mutant.replacement())
         code, statuses, err = run_verify(command)
         assert code == 1
         assert statuses.pop("vet-grad") == "FAIL"
@@ -1037,14 +961,12 @@ class TestVerify:
             raise ZeroDivisionError("x" * 100)
 
         monkeypatch.setitem(selfcheck._CHECKS, "vet-grad", raising)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["verify"])
-        lines = out.getvalue().splitlines()
+        code, out, err = run_in_process("verify")
+        lines = out.splitlines()
         assert lines[0] == "vet-grad       FAIL  raised ZeroDivisionError: " + "x" * 35 + "..."
         assert [line.split()[1] for line in lines[1:]] == ["pass"] * 4
         assert code == 1
-        assert err.getvalue() == "failed checks: vet-grad\n"
+        assert err == "failed checks: vet-grad\n"
 
     @pytest.mark.parametrize("command", ["verify", "grad-check"])
     def test_fault_inject_is_usage_error(self, command):

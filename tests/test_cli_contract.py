@@ -14,9 +14,7 @@ so a fixed corpus (`rng = random.Random(seed)`) can be replayed against
 two versions of the program and their stderr compared byte for byte.
 """
 
-import contextlib
 import copy
-import io
 import json
 import random
 import tempfile
@@ -27,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from navit_pack import cli
+from mutants import run_in_process
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -180,11 +178,9 @@ def run_case(command, rng, directory):
     else:
         path.write_text(_dumps(mutate(conversation(rng), rng)), encoding="utf-8")
         argv = [*argv, "--conversation", str(path), "--sidecar", str(sidecar)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = run_in_process(*argv)
     side = sidecar.read_text(encoding="utf-8") if sidecar.exists() else None
-    return str(path), code, out.getvalue(), err.getvalue(), side
+    return str(path), code, out, err, side
 
 
 _VALIDATORS = {}
@@ -240,13 +236,11 @@ def test_deeply_nested_line_is_a_diagnostic(command, tmp_path):
     kind, argv, _ = COMMANDS[command]
     path = tmp_path / f"{kind}.json"
     path.write_text("[" * 100_000 + "\n", encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, f"--{kind}", str(path)])
+    code, out, err = run_in_process(*argv, f"--{kind}", str(path))
     where = f"{path}:" if kind == "conversation" else f"{path}:1:"
-    assert (code, out.getvalue()) == (1, "")
-    assert err.getvalue().startswith(f"{where} invalid JSON: ")
-    assert err.getvalue().count("\n") == 1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{where} invalid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_corpus_reaches_both_outcomes():

@@ -12,7 +12,7 @@ flags, and the malformed and edge-line manifests under `plan` and `pack`.
 
 `prefs dpo|grpo` and `verify` are not pinned here: they print numpy
 results, and numpy's SIMD `exp` and `log` may differ in the last ulp
-between CPUs. They stay on their oracles (`test_cli.prefs_oracle` and
+between CPUs. They stay on their oracles (`mutants.prefs_oracle` and
 the `verify` tests).
 
 A change that moves a pinned byte on purpose rewrites the hashes with

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mutants import sequence_dict
 from navit_pack.encoder import AttentionParams, PatchSequence, RopeConfig, block_diag_forward
 from navit_pack.geometry import ImageSize, PixelBudget, plan_resize
 from navit_pack.packing import (
@@ -348,7 +349,7 @@ class TestPackedSequenceValidation:
         for i, n in enumerate(lengths):
             triples.append([f"s{i}", offset, n])
             offset += n
-        assert seq.to_json_dict() == {
+        assert sequence_dict(seq) == {
             "capacity": capacity,
             "segments": triples,
             "pad_tokens": capacity - offset,

@@ -1,7 +1,8 @@
-"""The value types' shared contract: repr, type-strict equality, hash,
-immutability, and copies that equal the original."""
+"""The value types' shared contract: repr, type-strict equality, no order
+or arithmetic, hash, immutability, and copies that equal the original."""
 
 import copy
+import operator
 import pickle
 
 import numpy as np
@@ -110,6 +111,15 @@ def test_value_type_contract(value, text):
     for other, _ in VALUES:
         if type(other) is not type(value):
             assert value != other and not value == other
+
+    # No order and no `+` or `*`, with a value or a plain tuple on either
+    # side; iteration and indexing stay, for `_asdict` and `_replace`.
+    for other in (value, tuple(value), (1,), SIZE, 2):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.mul):
+            for a, b in [(value, other), (other, value)]:
+                with pytest.raises(TypeError):
+                    op(a, b)
+    assert list(value) == [value[i] for i in range(len(value))]
 
     # A value that holds an array is unhashable, as the array is.
     digest = None if "array(" in text else hash(value)
