@@ -14,8 +14,8 @@ import enum
 from collections import namedtuple
 from typing import Mapping, Union
 
+from .errors import _quoted
 from .geometry import ResizePlan, _Value
-from .packing import _quoted
 
 __all__ = [
     "ChatMessage",

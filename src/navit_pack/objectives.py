@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteInput
+from .errors import LengthMismatch, NonFiniteInput, _quoted
 from .geometry import _Value
-from .packing import ManifestError, _entry, _json_record, _list, _name, _number, _quoted
+from .packing import ManifestError, _entry, _json_record, _list, _name, _number
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike

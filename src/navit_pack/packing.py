@@ -10,12 +10,12 @@ baseline.
 Every input record goes through one set of field checks kept here
 (`_json_record`, `_record`, `_entry`, `_list`, `_name`, `_is_int`,
 `_number`, `_float`): manifest lines, scored groups
-(`objectives.parse_group_line`) and conversations (`cli`). A failed check
-raises ManifestError naming the place of the fault ("candidate 2: "),
+(`objectives.parse_group_line`) and conversations (`cli_chat`). A failed
+check raises ManifestError naming the place of the fault ("candidate 2: "),
 which is formatted only then, so a valid record costs no formatting.
 A diagnostic that echoes a string from the input quotes it with
-`_quoted`, which bounds its length with `_clipped`. `_json_record` decodes
-a line with one call of the C scanner and falls back to `json.loads`, so
+`errors._quoted`, which cuts it with `_clipped`. `_json_record` decodes a
+line with one call of the C scanner and falls back to `json.loads`, so
 that each value and each error is `json.loads`'s own.
 """
 
@@ -27,6 +27,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .errors import _quoted
 from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, _Value, plan_resize
 
 __all__ = [
@@ -49,10 +50,6 @@ __all__ = [
 
 # Position id assigned to padding slots; pads belong to no attention block.
 PAD_POSITION = -1
-
-# The longest quotation of an input value in a diagnostic, `...` included,
-# so that a diagnostic stays one short line whatever the input holds.
-_QUOTE_LIMIT = 64
 
 # At most this many ids are named when samples exceed the capacity.
 _TOO_LONG_SHOWN = 10
@@ -304,20 +301,6 @@ def packing_report(
         naive_pad_fraction=naive.pad_fraction,
         useful_token_speedup_proxy=naive.total_slots / packed_slots,
     )
-
-
-def _clipped(text: str) -> str:
-    """`text` if it is at most _QUOTE_LIMIT characters long, else its first
-    _QUOTE_LIMIT - 3 characters and `...`."""
-    if len(text) <= _QUOTE_LIMIT:
-        return text
-    return text[: _QUOTE_LIMIT - 3] + "..."
-
-
-def _quoted(value: object) -> str:
-    """`repr(value)` for a diagnostic that echoes an id, field name, role
-    or image reference read from the input, cut by `_clipped`."""
-    return _clipped(repr(value))
 
 
 def _record(value: object, allowed: set[str], what: str = "record") -> dict:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import encoder, objectives, packing, vet
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, _clipped
 from .geometry import _Value
 
 __all__ = [
@@ -362,6 +362,6 @@ def run_checks(seed: int, only: tuple[str, ...] | None = None) -> list[CheckResu
         try:
             result = _CHECKS[name](seed)
         except Exception as e:
-            result = CheckResult(name, False, packing._clipped(f"raised {type(e).__name__}: {e}"))
+            result = CheckResult(name, False, _clipped(f"raised {type(e).__name__}: {e}"))
         results.append(result)
     return results

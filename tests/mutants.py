@@ -24,16 +24,17 @@ import math
 import os
 import random
 import signal
+import sys
 import tempfile
 import textwrap
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
-from navit_pack import cli, encoder, geometry, objectives, packing, selfcheck, vet
+from navit_pack import cli, cli_pack, cli_prefs, encoder, geometry, objectives, packing
+from navit_pack import selfcheck, vet
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
 from navit_pack.objectives import DpoConfig, dpo_losses, pair_indices, parse_group_line
 from test_geometry import oracle_plan_fast
-from test_golden import EDGE_LINES
 
 
 def recompiled(module, attr, old, new):
@@ -136,10 +137,10 @@ _LINE_CORPUS = [
 
 
 def sequence_line_differs():
-    """Whether `cli._sequence_line` writes a line of the corpus other than
+    """Whether `cli_pack._sequence_line` writes a line of the corpus other than
     `oracle_line` does."""
     return any(
-        cli._sequence_line(seq, cli._position_runs(seq.capacity)) != oracle_line(seq)
+        cli_pack._sequence_line(seq, cli_pack._position_runs(seq.capacity)) != oracle_line(seq)
         for seq in _LINE_CORPUS
     )
 
@@ -194,6 +195,26 @@ def _outcome(parse, line):
         return "error", str(e)
 
 
+# Lines at the edges of what `json.loads` accepts, each written as is: a
+# BOM on the first line, CRLF (which reading turns into LF), whitespace
+# around a record, extra data, NaN and Infinity, an integer past Python's
+# 4,300-digit limit, nesting past the recursion limit, and a last line with
+# no newline. Every value and error must be `json.loads`'s own.
+EDGE_LINES = (
+    '\ufeff{"id": "bom", "text_tokens": 1}\n',
+    '{"id": "crlf", "text_tokens": 2, "images": [{"width": 640, "height": 480}]}\r\n',
+    '  {"id": "leading-spaces", "text_tokens": 3, "images": [{"width": 90, "height": 3000}]}\n',
+    '{"id": "trailing-spaces", "text_tokens": 4, "images": [{"width": 2000, "height": 40}]} \t \n',
+    '{"id": "extra-data", "text_tokens": 5} x\n',
+    '{"id": "extra-brace", "text_tokens": 5}}\n',
+    '{"id": "nan", "text_tokens": NaN}\n',
+    '{"id": "infinity", "text_tokens": 1, "images": [{"width": Infinity, "height": 9}]}\n',
+    '{"id": "huge", "text_tokens": ' + "9" * 5000 + "}\n",
+    '{"id": "deep", "text_tokens": 1, "images": ' + "[" * 100_000 + "]" * 100_000 + "}\n",
+    '{"id": "last-line", "text_tokens": 6, "images": [{"width": 1, "height": 1}]}',
+)
+
+
 # The edge lines of the golden corpus as a file holds them, then without
 # their newline, as the last line of a file or a conversation holds them,
 # and empty text.
@@ -241,10 +262,10 @@ _PLAN_CORPUS = [
 
 
 def plan_lines_differ():
-    """Whether `cli._plan_lines` writes a record of the corpus other than
+    """Whether `cli_pack._plan_lines` writes a record of the corpus other than
     `oracle_plan_line` does, line for line."""
     return any(
-        "".join(cli._plan_lines(record_id, plans))
+        "".join(cli_pack._plan_lines(record_id, plans))
         != "".join(oracle_plan_line(record_id, i, plan) + "\n" for i, plan in plans)
         for record_id, plans in _PLAN_CORPUS
     )
@@ -431,7 +452,7 @@ MUTANTS = {
             "max(1, min(len(run) - start, free[k] // need))", "max(1, len(run) - start)"
         ),
     }, differs=pack_ffd_differs),
-    **_mutants(cli, "_sequence_line", {
+    **_mutants(cli_pack, "_sequence_line", {
         "pad-slice-one-id-short": ("(capacity - start) - 1]", "(capacity - start - 1) - 1]"),
         "id-slice-off-by-one": ("ids[: ends[length]]", "ids[: ends[length - 1]]"),
         "space-after-spliced-comma": ("}],'", "}], '"),
@@ -439,9 +460,12 @@ MUTANTS = {
         "cumulative-without-leading-zero": ('["0"]', "[]"),
     }, differs=sequence_line_differs),
     # Id 10 is the first of two digits: its width taken from id 9 leaves
-    # `ends[11]` one short.
-    **_mutants(cli, "_position_runs", {
-        "ends-width-of-previous-id": ("len(str(i))", "len(str(max(i - 1, 0)))"),
+    # `ends[11]` one short. Each id is given the width of the one before
+    # it, and id 0 its own.
+    **_mutants(cli_pack, "_position_runs", {
+        "ends-width-of-previous-id": (
+            'accumulate(map(len, ids.split(",")))', 'accumulate(map(len, ids.split(",")), initial=1)'
+        ),
     }, differs=sequence_line_differs),
     **_mutants(packing, "_json_record", {
         "newline-unchecked": (
@@ -451,10 +475,10 @@ MUTANTS = {
             '(end != len(line) - 1 or line[end] != "\\n")', 'line[end] not in "\\n "'
         ),
     }, differs=json_record_differs),
-    **_mutants(cli, "_plan_lines", {
-        "id-unescaped": ("json.dumps(record_id)", "f'\"{record_id}\"'"),
+    **_mutants(cli_pack, "_plan_lines", {
+        "id-unescaped": ("encode_basestring_ascii(record_id)", "f'\"{record_id}\"'"),
         "id-not-ascii-escaped": (
-            "json.dumps(record_id)", "json.dumps(record_id, ensure_ascii=False)"
+            "encode_basestring_ascii(record_id)", "json.dumps(record_id, ensure_ascii=False)"
         ),
         "rows-for-cols": ('"grid_cols":{plan.grid_cols}', '"grid_cols":{plan.grid_rows}'),
     }, differs=plan_lines_differ),
@@ -463,11 +487,11 @@ MUTANTS = {
         "gt-for-ge-fit": ("if r >= first:", "if r > first:"),
         "down-past-next-q": ("n_hi // (q + 1)", "n_hi // (q + 2)"),
     }, differs=plan_differs),
-    **_mutants(cli, "_negated", {
+    **_mutants(cli_prefs, "_negated", {
         "negated-always-prefixed": ('text[1:] if text[0] == "-" else "-" + text', '"-" + text'),
     }, differs=prefs_differs),
     # With `nll_weight` -0.0, `g - nll_weight` no longer shares `g`'s text.
-    **_mutants(cli, "_dpo_text", {
+    **_mutants(cli_prefs, "_dpo_text", {
         "same-ignores-zero-sign": (
             "cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0",
             "cfg.nll_weight == 0.0",
@@ -502,12 +526,19 @@ def alarm(label):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_in_process(*argv):
-    """`(exit status, stdout, stderr)` of `cli.main(argv)`, run in this
-    process so that a monkeypatched mutant is the code it runs."""
+def run_in_process(*argv, stdin=b""):
+    """`(exit status, stdout, stderr)` of `cli.main(argv)` reading the bytes
+    `stdin`, run in this process so that a monkeypatched mutant is the code
+    it runs. A usage error or `--help` gives the status it exits with."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
+    saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    finally:
+        sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 
 

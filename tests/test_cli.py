@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from mutants import MUTANTS, oracle_line, prefs_oracle, run_in_process, run_verify
-from navit_pack import cli
+from navit_pack import cli, cli_pack, cli_prefs
 from navit_pack.packing import (
     PackedSequence,
     SampleRecord,
@@ -281,19 +281,19 @@ class TestSequenceLine:
     def test_one_segment_fills_capacity(self, capacity):
         seq = sequence_of(capacity, [capacity])
         assert seq.pad_tokens == 0
-        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
+        assert cli_pack._sequence_line(seq, cli_pack._position_runs(seq.capacity)) == oracle_line(seq)
 
     @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
     def test_all_pads(self, capacity):
         seq = sequence_of(capacity, [])
-        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
+        assert cli_pack._sequence_line(seq, cli_pack._position_runs(seq.capacity)) == oracle_line(seq)
 
     @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
     def test_one_token_segments(self, capacity):
         full = sequence_of(capacity, [1] * capacity)
-        assert cli._sequence_line(full, cli._position_runs(full.capacity)) == oracle_line(full)
+        assert cli_pack._sequence_line(full, cli_pack._position_runs(full.capacity)) == oracle_line(full)
         half = sequence_of(capacity, [1] * (capacity // 2))
-        assert cli._sequence_line(half, cli._position_runs(half.capacity)) == oracle_line(half)
+        assert cli_pack._sequence_line(half, cli_pack._position_runs(half.capacity)) == oracle_line(half)
 
     @pytest.mark.parametrize("capacity", DIGIT_CAPACITIES)
     def test_segments_ending_at_digit_boundaries(self, capacity):
@@ -304,11 +304,11 @@ class TestSequenceLine:
                 lengths.append(n)
                 used += n
         seq = sequence_of(capacity, lengths)
-        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
+        assert cli_pack._sequence_line(seq, cli_pack._position_runs(seq.capacity)) == oracle_line(seq)
 
     def test_escaped_sample_ids(self):
         seq = sequence_of(12, [5, 4], sample_id='q"\\\u00e9\n')
-        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
+        assert cli_pack._sequence_line(seq, cli_pack._position_runs(seq.capacity)) == oracle_line(seq)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -320,7 +320,7 @@ class TestSequenceLine:
                 lengths.append(n)
                 used += n
         seq = sequence_of(capacity, lengths)
-        assert cli._sequence_line(seq, cli._position_runs(seq.capacity)) == oracle_line(seq)
+        assert cli_pack._sequence_line(seq, cli_pack._position_runs(seq.capacity)) == oracle_line(seq)
 
     def test_pack_stdout_matches_oracle(self, tmp_path):
         lengths = [1, 9, 10, 11, 99, 100, 101, 500, 1000, 1001, 3, 3, 3]
@@ -369,6 +369,9 @@ class TestUnreadableInput:
         [
             ("x" * 3000, "x" * 61 + "...: File name too long"),
             ("", "'': No such file or directory"),
+            # A name that is not printable would break or blur the line.
+            ("a\nb", "'a\\nb': No such file or directory"),
+            ("\udcff", "'\\udcff': No such file or directory"),
         ],
     )
     def test_file_name_is_cut_or_quoted(self, name, shown):
@@ -376,6 +379,16 @@ class TestUnreadableInput:
         with contextlib.redirect_stderr(err):
             assert cli.main(["plan", "--manifest", name]) == 1
         assert err.getvalue() == shown + "\n"
+
+    def test_undecodable_argv_name_is_quoted(self, tmp_path):
+        # Python decodes the byte 0xff of an argv path as the surrogate
+        # escape U+DCFF; the diagnostic quotes it, so it stays ASCII.
+        result = subprocess.run(
+            [sys.executable, "-m", "navit_pack", "plan", "--manifest", b"\xffm.jsonl"],
+            capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"'\\udcffm.jsonl': No such file or directory\n"
 
     @pytest.mark.parametrize("command", ["plan", "pack"])
     def test_non_utf8_manifest(self, tmp_path, command):
@@ -795,13 +808,13 @@ class TestNegatedRepr:
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_equals_repr_of_negation(self, x):
-        assert cli._negated(repr(x)) == repr(-x)
+        assert cli_prefs._negated(repr(x)) == repr(-x)
 
     @pytest.mark.parametrize(
         "x", [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
     )
     def test_edge_values(self, x):
-        assert cli._negated(repr(x)) == repr(-x)
+        assert cli_prefs._negated(repr(x)) == repr(-x)
 
 
 class TestLongInputEchoes:
@@ -842,8 +855,11 @@ class TestLongInputEchoes:
              "--phase: invalid phase 'p" + "1" * 60 + "...'; choose from p1, p2, p3"),
             (["pack", "--capacity", "1" * 3000], "--capacity: must be <= 1048576, got " + "1" * 61 + "..."),
             (["pack", "--capacity", "x" * 3000], "--capacity: invalid int value: '" + "x" * 61 + "...'"),
+            # Escapes that lengthen the echo are cut too.
+            (["pack", "--capacity", "\udcff" * 3000],
+             "--capacity: invalid int value: '" + "\\udcff" * 10 + "..."),
         ],
-        ids=["phase", "capacity-too-large", "capacity-not-int"],
+        ids=["phase", "capacity-too-large", "capacity-not-int", "capacity-escaped"],
     )
     def test_long_option_value(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
@@ -859,6 +875,7 @@ ARGV_ECHOES = {
     "command": lambda token: [token],
     "prefs-mode": lambda token: ["prefs", token],
     "unknown-option": lambda token: ["plan", "--manifest", "m.jsonl", "--bogus" + token],
+    "explicit-argument": lambda token: ["plan", "-h=" + token],
 }
 
 
@@ -997,10 +1014,51 @@ class TestVerify:
             assert len(result.stderr.encode()) < 600
 
 
+def loaded_modules(script):
+    """The `navit_pack` modules that a fresh interpreter holds after it runs
+    `script`, which may end in a `SystemExit`."""
+    script = (
+        "import json, sys\n"
+        "try:\n"
+        f"    exec({script!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('navit_pack'))),\n"
+        "      file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    return json.loads(result.stderr.splitlines()[-1])
+
+
 class TestStartup:
     """What a fresh process loads to run a subcommand. No subcommand loads
     `dataclasses`, and those that start without numpy load no `inspect`
-    either (numpy's own import loads `inspect`)."""
+    either (numpy's own import loads `inspect`). Parsing argv loads only
+    the parser; a subcommand loads its own command module and no other."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--help"], ["pack", "--help"], ["verify", "--help"], ["prefs", "dpo", "--help"],
+         ["plan", "--phase", "zz"]],
+        ids=" ".join,
+    )
+    def test_parsing_loads_only_the_parser(self, argv):
+        script = f"from navit_pack import cli\ncli.main({argv!r})\n"
+        assert loaded_modules(script) == ["navit_pack", "navit_pack.cli", "navit_pack.errors"]
+
+    def test_plan_and_pack_load_no_other_command_module(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(MANIFEST)
+        script = (
+            "import contextlib, io\n"
+            "from navit_pack import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['plan', '--manifest', {str(manifest)!r}]) == 0\n"
+            f"    assert cli.main(['pack', '--manifest', {str(manifest)!r}]) == 0\n"
+        )
+        loaded = loaded_modules(script)
+        assert "navit_pack.cli_pack" in loaded
+        assert "navit_pack.cli_chat" not in loaded and "navit_pack.cli_prefs" not in loaded
 
     def test_data_path_commands_do_not_import_numpy(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
@@ -1028,6 +1086,9 @@ class TestStartup:
             "navit_pack",
             "navit_pack.chat",
             "navit_pack.cli",
+            "navit_pack.cli_chat",
+            "navit_pack.cli_pack",
+            "navit_pack.errors",
             "navit_pack.geometry",
             "navit_pack.packing",
         ]
@@ -1042,11 +1103,12 @@ class TestStartup:
             "         for c in ('pairs', 'dpo', 'grpo')]\n"
             "codes += [cli.main(['verify']), cli.main(['grad-check'])]\n"
             "print(json.dumps({'codes': codes, 'chat': 'navit_pack.chat' in sys.modules,\n"
+            "                  'cli_pack': 'navit_pack.cli_pack' in sys.modules,\n"
             "                  'dataclasses': 'dataclasses' in sys.modules}), file=sys.stderr)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert json.loads(result.stderr.splitlines()[-1]) == {
-            "codes": [0, 0, 0, 0, 0], "chat": False, "dataclasses": False
+            "codes": [0, 0, 0, 0, 0], "chat": False, "cli_pack": False, "dataclasses": False
         }
 
     def test_encode_imports_do_not_load_dataclasses(self):

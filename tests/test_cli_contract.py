@@ -9,16 +9,22 @@ run in-process through `cli.main`, and each run must end one of two ways:
 exit 0 with schema-valid output and nothing on stderr, or exit 1 with
 only `path:` (or `path:line:`) diagnostics. No exception may escape.
 
+The same contract holds under any argv (`test_any_argv_keeps_the_contract`),
+with a third way to end: exit 2 with a usage error under 600 characters.
+
 `run_case(command, rng, directory)` is deterministic for a seeded `rng`,
 so a fixed corpus (`rng = random.Random(seed)`) can be replayed against
 two versions of the program and their stderr compared byte for byte.
 """
 
+import argparse
 import copy
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +32,8 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from mutants import run_in_process
+from navit_pack import cli, selfcheck
+from navit_pack.errors import _clipped
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -250,3 +258,120 @@ def test_corpus_reaches_both_outcomes():
         for command in COMMANDS:
             codes = {run_case(command, random.Random(seed), directory)[1] for seed in range(20)}
             assert codes == {0, 1}, command
+
+
+# Input files for the argv property, by name, written into the working
+# directory before each run: a run may overwrite one with a sidecar.
+ARGV_FILES = {
+    "manifest.jsonl": json.dumps(manifest_record(random.Random(1), 0)).encode() + b"\n",
+    "malformed.jsonl": b'{"id": "a", "text_tokens": -1}\n',
+    "groups.jsonl": json.dumps(group_record(random.Random(2), 0)).encode() + b"\n",
+    "conversation.json": json.dumps(conversation(random.Random(3))).encode(),
+    "latin1.jsonl": b'{"id": "\xe9", "text_tokens": 1}\n',
+}
+# The options a subcommand needs to run, each naming a valid input.
+NEEDS = {
+    "plan": ["--manifest", "manifest.jsonl"],
+    "pack": ["--manifest", "manifest.jsonl"],
+    "chat": ["--conversation", "conversation.json"],
+    "prefs": ["--groups", "groups.jsonl"],
+}
+OPTION_VALUES = [
+    *ARGV_FILES, "missing.jsonl", "adir", "sidecar.json", ".", "p1", "p2", "P3", "p4",
+    "0", "1", "-1", "8", "1048576", "1048577", "0.5", "-0.0", "1e-9", "inf", "nan", "1e400", "x",
+]
+
+
+def _parsers(parser, prefix=()):
+    """`(argv prefix, parser)` of `parser` and of every subcommand under it."""
+    yield list(prefix), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*prefix, name))
+
+
+PARSERS = {" ".join(prefix) or "navit-pack": (prefix, p) for prefix, p in _parsers(cli.build_parser())}
+
+
+def _words(parser):
+    """The option strings and subcommand names that `parser` knows."""
+    words = []
+    for action in parser._actions:
+        words += action.option_strings or list(action.choices or ())
+    return words
+
+
+# Any argv token a process can get: bytes without NUL, decoded as Python
+# decodes its argv, so each byte that is not UTF-8 becomes a surrogate
+# escape; text; the empty string; and tokens 3,000 characters long.
+_JUNK = st.one_of(
+    st.binary(max_size=10).map(lambda b: os.fsdecode(b.replace(b"\0", b""))),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=10),
+    st.just(""),
+    st.sampled_from(["x", "1", "-", "--x", "é", "\udcff", "'", "\n"]).map(lambda t: t * 3000),
+)
+
+
+def _argv(command):
+    """Argv of `command`: its prefix, perhaps the options it needs, then up
+    to four tokens that are option strings, subcommand names, option values
+    (alone or as `--option=value`) and junk."""
+    prefix, parser = PARSERS[command]
+    words = st.sampled_from(_words(parser))
+    values = st.one_of(st.sampled_from(OPTION_VALUES), st.integers(-10, 5000).map(str), _JUNK)
+    token = st.one_of(words, values, st.tuples(words, values).map("=".join))
+    needs = NEEDS.get(prefix[0] if prefix else "", [])
+    return st.tuples(st.sampled_from([[], needs]), st.lists(token, max_size=4)).map(
+        lambda parts: [*prefix, *parts[0], *parts[1]]
+    )
+
+
+def _shown(argv):
+    """Each way a diagnostic may name a file given in `argv`, as `path:`:
+    cut, or quoted and cut."""
+    tokens = [*argv, *(t.partition("=")[2] for t in argv)]
+    return ("<stdin>:", *(f"{_clipped(form)}:" for t in tokens for form in (t, repr(t))))
+
+
+@pytest.fixture(scope="module")
+def argv_directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("command", PARSERS)
+def test_any_argv_keeps_the_contract(command, data, argv_directory):
+    """Every argv ends one of three ways: exit 0 with nothing on stderr,
+    exit 1 with only `path:` diagnostics naming a file in argv, or exit 2
+    with a usage error under 600 characters. Each echoed token is cut to
+    64 characters; in bytes, one character may take up to six as stderr
+    writes it (`\\udcff`), so the byte bound is held for one long token in
+    `test_cli.TestArgparseEchoes`. The `verify` checks are swapped for ones
+    that pass at once: here only the argv matters, and their own outcomes
+    are tested with `verify`."""
+    argv = data.draw(_argv(command))
+    for name, content in ARGV_FILES.items():
+        (argv_directory / name).write_bytes(content)
+    (argv_directory / "adir").mkdir(exist_ok=True)
+    passing = {
+        name: (lambda seed, name=name: selfcheck.CheckResult(name, True, f"seed {seed}"))
+        for name in selfcheck.CHECK_NAMES
+    }
+    here = os.getcwd()
+    os.chdir(argv_directory)
+    try:
+        with mock.patch.dict(selfcheck._CHECKS, passing):
+            code, out, err = run_in_process(*argv)
+    finally:
+        os.chdir(here)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert err and all(line.startswith(_shown(argv)) for line in err.splitlines()), err
+    else:
+        assert code == 2
+        assert out == "" and err.startswith("usage: navit-pack")
+        assert len(err) < 600

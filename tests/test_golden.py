@@ -4,7 +4,7 @@
 manifest with malformed lines, a conversation, two think-tagged outputs
 and a file of scored groups. Each case in `golden.json` names an argv
 (and, for `parse`, a stdin file) run in that directory through
-`cli.main`, in process, with the sha256 of its stdout and stderr and its
+`mutants.run_in_process`, with the sha256 of its stdout and stderr and its
 exit status; a `chat` case also pins its sidecar. Covered: `plan` at p1
 and p2, `pack` at two capacities, `chat` with and without `--thinking`,
 `parse` strict and lenient, `prefs pairs` with default and non-default
@@ -19,17 +19,14 @@ A change that moves a pinned byte on purpose rewrites the hashes with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
-import sys
 import tempfile
 from pathlib import Path
 
-from navit_pack import cli
+from mutants import EDGE_LINES, run_in_process
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
@@ -77,26 +74,6 @@ _MALFORMED_LINES = (
     '{"id": "sliver", "text_tokens": 1, "images": [{"width": 10000, "height": 3}]}',
     "[1, 2, 3]",
     "",
-)
-
-
-# Lines at the edges of what `json.loads` accepts, each written as is: a
-# BOM on the first line, CRLF (which reading turns into LF), whitespace
-# around a record, extra data, NaN and Infinity, an integer past Python's
-# 4,300-digit limit, nesting past the recursion limit, and a last line with
-# no newline. Every value and error must be `json.loads`'s own.
-EDGE_LINES = (
-    '\ufeff{"id": "bom", "text_tokens": 1}\n',
-    '{"id": "crlf", "text_tokens": 2, "images": [{"width": 640, "height": 480}]}\r\n',
-    '  {"id": "leading-spaces", "text_tokens": 3, "images": [{"width": 90, "height": 3000}]}\n',
-    '{"id": "trailing-spaces", "text_tokens": 4, "images": [{"width": 2000, "height": 40}]} \t \n',
-    '{"id": "extra-data", "text_tokens": 5} x\n',
-    '{"id": "extra-brace", "text_tokens": 5}}\n',
-    '{"id": "nan", "text_tokens": NaN}\n',
-    '{"id": "infinity", "text_tokens": 1, "images": [{"width": Infinity, "height": 9}]}\n',
-    '{"id": "huge", "text_tokens": ' + "9" * 5000 + "}\n",
-    '{"id": "deep", "text_tokens": 1, "images": ' + "[" * 100_000 + "]" * 100_000 + "}\n",
-    '{"id": "last-line", "text_tokens": 6, "images": [{"width": 1, "height": 1}]}',
 )
 
 
@@ -158,18 +135,10 @@ def _sha256(text):
 def run_case(case):
     """The pinned record of `case` (its argv and stdin with their output
     hashes and exit status), run in the current directory."""
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(
-        Path(case["stdin"]).read_bytes() if "stdin" in case else b""
-    ))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(case["argv"])
-    finally:
-        sys.stdin = stdin
+    stdin = Path(case["stdin"]).read_bytes() if "stdin" in case else b""
+    code, out, err = run_in_process(*case["argv"], stdin=stdin)
     record = {k: case[k] for k in ("argv", "stdin") if k in case}
-    record.update(stdout=_sha256(out.getvalue()), stderr=_sha256(err.getvalue()), exit=code)
+    record.update(stdout=_sha256(out), stderr=_sha256(err), exit=code)
     if "--sidecar" in case["argv"]:
         sidecar = Path(case["argv"][case["argv"].index("--sidecar") + 1])
         record["sidecar"] = _sha256(sidecar.read_text(encoding="utf-8"))
