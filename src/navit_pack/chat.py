@@ -15,7 +15,8 @@ from collections import namedtuple
 from typing import Mapping, Union
 
 from .errors import _quoted
-from .geometry import ResizePlan, _Value
+from .geometry import ResizePlan
+from .records import _Value
 
 __all__ = [
     "ChatMessage",

@@ -16,7 +16,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from . import __version__
-from .errors import _QUOTE_LIMIT, _clipped
+from .errors import _QUOTE_LIMIT, _clipped, _quoted
 
 if TYPE_CHECKING:
     from .geometry import Phase
@@ -41,6 +41,11 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _shown(path: str) -> str:
+    """`path` for a one-line diagnostic: bare if printable and non-empty, else `_quoted`."""
+    return path if path.isprintable() and path else _quoted(path)
+
+
 def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
     """`(lineno, parse(line))` for each non-blank line of `path`.
 
@@ -54,7 +59,7 @@ def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
             try:
                 value = parse(line)
             except ValueError as e:
-                _diag(f"{path}:{lineno}: {e}")
+                _diag(f"{_shown(path)}:{lineno}: {e}")
                 continue
             yield lineno, value
 
@@ -235,9 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command(args)
     except OSError as e:
-        name = e.filename  # cut like an echoed value; an empty or unprintable one is quoted
-        shown = name if name is None or name.isprintable() and name else repr(name)
-        _diag(str(e) if name is None else f"{_clipped(shown)}: {e.strerror}")
+        name = e.filename  # cut like an echoed value
+        _diag(str(e) if name is None else f"{_clipped(_shown(name))}: {e.strerror}")
     except UnicodeDecodeError as e:
-        _diag(f"{_input_path(args)}: not UTF-8 text ({e.reason})")
+        _diag(f"{_shown(_input_path(args))}: not UTF-8 text ({e.reason})")
     return 1 if _diagnostics else 0

@@ -19,7 +19,8 @@ from .chat import (
 )
 from .errors import _quoted
 from .geometry import ImageSize, phase_budget
-from .packing import ManifestError, _entry, _json_record, _list, _plan_images, parse_image_size
+from .packing import _plan_images, parse_image_size
+from .records import ManifestError, _entry, _json_record, _list
 
 _CONVERSATION_KEYS = {"messages", "images"}
 _CHAT_IMAGE_KEYS = {"id", "width", "height"}
@@ -69,7 +70,7 @@ def cmd_chat(args: argparse.Namespace) -> None:
         plans = dict(zip(sizes, _plan_images(sizes.values(), phase_budget(args.phase))))
         prompt = render(messages, args.thinking, plans)
     except (ValueError, UnresolvedImageRef) as e:
-        cli._diag(f"{args.conversation}: {e}")
+        cli._diag(f"{cli._shown(args.conversation)}: {e}")
         return
     sys.stdout.write(prompt.flat_text())
     if args.sidecar:

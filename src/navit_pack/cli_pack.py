@@ -15,7 +15,6 @@ from .errors import _quoted
 from .geometry import BudgetInfeasible, ResizePlan, phase_budget
 from .packing import (
     PAD_POSITION,
-    ManifestError,
     PackedSequence,
     SampleRecord,
     SampleTooLong,
@@ -25,6 +24,7 @@ from .packing import (
     parse_manifest_line,
     sample_from_record,
 )
+from .records import ManifestError
 
 
 def _position_runs(capacity: int) -> tuple[str, list[int], str]:
@@ -83,7 +83,7 @@ def cmd_plan(args: argparse.Namespace) -> None:
             try:
                 plans.append((index, _plan_image(index, size, budget)))
             except BudgetInfeasible as e:
-                cli._diag(f"{args.manifest}:{lineno}: {e}")
+                cli._diag(f"{cli._shown(args.manifest)}:{lineno}: {e}")
         sys.stdout.writelines(_plan_lines(record.id, plans))
 
 
@@ -104,7 +104,7 @@ def cmd_pack(args: argparse.Namespace) -> None:
     try:
         sequences = pack_ffd(samples, args.capacity)
     except SampleTooLong as e:
-        cli._diag(f"{args.manifest}: {e}")
+        cli._diag(f"{cli._shown(args.manifest)}: {e}")
         return
     report = packing_report(samples, sequences, args.capacity, args.batch_size)
     runs = _position_runs(args.capacity)

@@ -168,6 +168,7 @@ def cmd_prefs(args: argparse.Namespace) -> None:
         chunk_text = _grpo_text
     # Faults are written in line order: those of one chunk sorted together,
     # the chunks in file order.
+    path = cli._shown(args.groups)
     for start in range(0, len(groups), _PREFS_CHUNK):
         chunk = groups[start : start + _PREFS_CHUNK]
         faults = []
@@ -184,4 +185,4 @@ def cmd_prefs(args: argparse.Namespace) -> None:
         sys.stdout.write(text)
         for lineno, group, what in sorted(faults + rendered, key=lambda f: f[0]):
             quoted = _quoted(group.query_id)
-            cli._diag(f"{args.groups}:{lineno}: query {quoted}: {what} is not finite")
+            cli._diag(f"{path}:{lineno}: query {quoted}: {what} is not finite")

@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ShapeMismatch
-from .geometry import _Value
+from .records import _Value
 
 __all__ = [
     "AttentionParams",

@@ -12,6 +12,8 @@ import enum
 import math
 from collections import namedtuple
 
+from .records import _Value
+
 __all__ = [
     "BudgetInfeasible",
     "ImageSize",
@@ -42,35 +44,6 @@ class Phase(enum.Enum):
     P1 = "p1"
     P2 = "p2"
     P3 = "p3"
-
-
-class _Value(tuple):
-    """Base of the package's value types, each a `namedtuple` subclass with
-    this mixed in and `__slots__ = ()`: immutable, built by keyword or
-    position, and a `__new__` that checks its fields, if it has one.
-
-    A value equals only a value of its own type with equal fields (never a
-    plain tuple, nor another type with the same fields), and hashes as its
-    fields do. It has no order and no `+` or `*`: those raise `TypeError`,
-    with a plain tuple on either side too. `_replace` and `_make` skip
-    `__new__`: build with the type.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def _refused(self, other: object):
-        raise TypeError(f"{type(self).__name__} is a value: it has no order, + or *")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _refused
-    __add__ = __radd__ = __mul__ = __rmul__ = _refused
 
 
 class ImageSize(namedtuple("ImageSize", "width height"), _Value):

@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteInput, _quoted
-from .geometry import _Value
-from .packing import ManifestError, _entry, _json_record, _list, _name, _number
+from .records import ManifestError, _Value, _entry, _json_record, _list, _name, _number
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -97,16 +96,22 @@ class PreferenceGroup(
         for name, column in zip(_NUMBER_KEYS, columns):
             if not all(map(isfinite, column)):
                 raise NonFiniteInput(f"{name} must be finite")
-        if n < 2:
-            raise GroupTooSmall(f"group {_quoted(query_id)} has {n} candidates, need >= 2")
-        if len(set(responses)) != n:
-            raise ValueError(f"group {_quoted(query_id)} has duplicate responses")
+        _check_responses(query_id, responses)
         return tuple.__new__(cls, (query_id, responses) + columns)
 
     def score_variance(self) -> float:
         """Population variance of the scores; inf or nan when it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.var(self.scores))
+
+
+def _check_responses(query_id: str, responses: Sequence[str]) -> None:
+    """Raise unless a group has at least two candidates, with distinct responses."""
+    n = len(responses)
+    if n < 2:
+        raise GroupTooSmall(f"group {_quoted(query_id)} has {n} candidates, need >= 2")
+    if len(set(responses)) != n:
+        raise ValueError(f"group {_quoted(query_id)} has duplicate responses")
 
 
 class DpoConfig(namedtuple("DpoConfig", "beta nll_weight"), _Value):
@@ -291,6 +296,7 @@ def parse_group_line(line: str) -> PreferenceGroup:
         policy.append(lp)
         reference.append(lr)
         scores.append(score)
-    return PreferenceGroup(
-        query_id, tuple(responses), tuple(policy), tuple(reference), tuple(scores)
-    )
+    _check_responses(query_id, responses)
+    # Every column is checked: skip the re-check of `PreferenceGroup.__new__`.
+    fields = (query_id, tuple(responses), tuple(policy), tuple(reference), tuple(scores))
+    return tuple.__new__(PreferenceGroup, fields)

@@ -6,32 +6,20 @@ itself this module produces the attention metadata that keeps packed
 samples independent (position ids restarting per segment, cumulative
 block boundaries) and a waste report comparing against the naive padded
 baseline.
-
-Every input record goes through one set of field checks kept here
-(`_json_record`, `_record`, `_entry`, `_list`, `_name`, `_is_int`,
-`_number`, `_float`): manifest lines, scored groups
-(`objectives.parse_group_line`) and conversations (`cli_chat`). A failed
-check raises ManifestError naming the place of the fault ("candidate 2: "),
-which is formatted only then, so a valid record costs no formatting.
-A diagnostic that echoes a string from the input quotes it with
-`errors._quoted`, which cuts it with `_clipped`. `_json_record` decodes a
-line with one call of the C scanner and falls back to `json.loads`, so
-that each value and each error is `json.loads`'s own.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import _quoted
-from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, _Value, plan_resize
+from .geometry import BudgetInfeasible, ImageSize, PixelBudget, ResizePlan, plan_resize
+from .records import ManifestError, _Value, _entry, _float, _is_int, _json_record, _list, _name
 
 __all__ = [
-    "ManifestError",
     "ManifestRecord",
     "NaiveBaseline",
     "PackedSequence",
@@ -56,7 +44,6 @@ _TOO_LONG_SHOWN = 10
 
 _MANIFEST_KEYS = {"id", "text_tokens", "images"}
 _IMAGE_KEYS = {"width", "height"}
-_scan_once = json.JSONDecoder().scan_once  # `(value, end)` of the JSON value at an index
 
 
 class SampleTooLong(ValueError):
@@ -71,10 +58,6 @@ class SampleTooLong(ValueError):
         if more > 0:
             shown += f", ... ({more} more)"
         super().__init__(f"{len(self.ids)} samples exceed capacity {capacity}: {shown}")
-
-
-class ManifestError(ValueError):
-    """An input record is malformed."""
 
 
 class ManifestRecord(namedtuple("ManifestRecord", "id text_tokens images"), _Value):
@@ -301,82 +284,6 @@ def packing_report(
         naive_pad_fraction=naive.pad_fraction,
         useful_token_speedup_proxy=naive.total_slots / packed_slots,
     )
-
-
-def _record(value: object, allowed: set[str], what: str = "record") -> dict:
-    """`value` as a top-level JSON object holding only `allowed` fields."""
-    if not isinstance(value, dict):
-        raise ManifestError(f"{what} must be a JSON object, got {type(value).__name__}")
-    if not value.keys() <= allowed:
-        raise ManifestError(f"unknown field {_quoted(min(value.keys() - allowed))}")
-    return value
-
-
-def _json_record(line: str, allowed: set[str], what: str = "record") -> dict:
-    """The JSON text `line` as a `what` holding only `allowed` fields. The scanner's value
-    stands when it ends the line but for a final newline, exactly when `json.loads` agrees."""
-    try:
-        try:
-            value, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            value = json.loads(line)
-        else:
-            if end != len(line) and (end != len(line) - 1 or line[end] != "\n"):
-                value = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ManifestError(f"invalid JSON: {e}") from e
-    except ValueError as e:  # an integer beyond Python's digit limit
-        raise ManifestError(str(e)) from e
-    return _record(value, allowed, what)
-
-
-def _entry(value: object, allowed: set[str], what: str, index: int) -> dict:
-    """Item `index` of a list of `what`s, as an object with only `allowed` fields."""
-    if not isinstance(value, dict):
-        raise ManifestError(f"{what} {index} must be an object")
-    if not value.keys() <= allowed:
-        unknown = min(value.keys() - allowed)
-        raise ManifestError(f"{what} {index}: unknown field {_quoted(unknown)}")
-    return value
-
-
-def _list(obj: dict, key: str, where: str = "", required: bool = False) -> list:
-    """The list field `key` of `obj`; empty when an optional one is absent."""
-    value = obj.get(key, None if required else [])
-    if not isinstance(value, list):
-        raise ManifestError(f"{where}{key!r} must be a list")
-    return value
-
-
-def _name(obj: dict, key: str) -> str:
-    """The required non-empty string field `key` of `obj`."""
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ManifestError(f"missing or invalid {key!r} (non-empty string required)")
-    return value
-
-
-def _is_int(value: object) -> bool:
-    """A JSON integer: `bool` is an `int` to Python, not to JSON."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _float(value: int | float, key: str, what: str, index: int) -> float:
-    """`value` as a float; an integer beyond float range does not convert."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ManifestError(f"{what} {index}: {key!r} is too large") from None
-
-
-def _number(obj: dict, key: str, what: str, index: int) -> float:
-    """The JSON number field `key` of item `index` of a list of `what`s."""
-    value = obj[key]
-    if isinstance(value, float):
-        return value
-    if not _is_int(value):
-        raise ManifestError(f"{what} {index}: {key!r} must be a number")
-    return _float(value, key, what, index)
 
 
 def parse_manifest_line(line: str) -> ManifestRecord:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import encoder, objectives, packing, vet
 from .errors import ShapeMismatch, _clipped
-from .geometry import _Value
+from .records import _Value
 
 __all__ = [
     "CHECK_NAMES",
@@ -50,21 +50,16 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(a - n) / denom).max())
 
 
-def central_diff(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of scalar f at x, elementwise."""
+def stacked_central_diff(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6
+) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function at x from one call of f,
+    which maps every x + h*e_i, then every x - h*e_i, stacked on a new leading axis, to
+    one value each."""
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
-    xflat = x.reshape(-1)
-    for i in range(xflat.size):
-        orig = xflat[i]
-        xflat[i] = orig + h
-        f_plus = f(x)
-        xflat[i] = orig - h
-        f_minus = f(x)
-        xflat[i] = orig
-        flat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    steps = (h * np.eye(x.size)).reshape(x.size, *x.shape)
+    values = f(np.concatenate([x + steps, x - steps]))
+    return ((values[: x.size] - values[x.size :]) / (2.0 * h)).reshape(x.shape)
 
 
 def optimal_bin_count(lengths: list[int], capacity: int) -> int:
@@ -114,20 +109,22 @@ def linear_first_fit(samples: list[packing.SampleRecord], capacity: int) -> list
     return [[s.id for s in contents] for contents in bins]
 
 
-def _vet_loss(
+def _vet_losses(
     features: np.ndarray, projection: np.ndarray, table: np.ndarray,
     upstream: np.ndarray, temperature: float,
-) -> float:
-    head = vet.VisualHead(projection=projection, temperature=temperature)
-    vet_table = vet.VisualEmbeddingTable(table=table)
-    tokens = vet.head_forward(features, head)
-    return float(sum(vet.vet_embed(t, vet_table) @ upstream for t in tokens))
+) -> np.ndarray:
+    """sum over rows of upstream . (softmax(features @ projection / temperature) @ table),
+    written apart from `vet.head_forward` and `vet.vet_embed`. Any one argument
+    may be a stack of inputs along a leading axis; the result has one loss per input."""
+    logits = features @ projection / temperature
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return ((probs @ table) @ upstream).sum(axis=-1)
 
 
-def check_vet_grad(seed: int) -> CheckResult:
+def _vet_fixtures(seed: int):
+    """The `vet-grad` instances of `seed`: (features, projection, table, upstream, temperature)."""
     rng = np.random.default_rng([seed, 1])
-    tol = 1e-5
-    worst = 0.0
     for _ in range(_GRAD_INSTANCES):
         n = int(rng.integers(1, 4))
         d_model = int(rng.integers(2, 5))
@@ -137,8 +134,13 @@ def check_vet_grad(seed: int) -> CheckResult:
         projection = rng.uniform(-1.0, 1.0, (d_model, vocab))
         table = rng.uniform(-1.0, 1.0, (vocab, d_embed))
         upstream = rng.uniform(-1.0, 1.0, d_embed)
-        temperature = float(rng.uniform(0.5, 2.0))
+        yield features, projection, table, upstream, float(rng.uniform(0.5, 2.0))
 
+
+def check_vet_grad(seed: int) -> CheckResult:
+    tol = 1e-5
+    worst = 0.0
+    for features, projection, table, upstream, temperature in _vet_fixtures(seed):
         head = vet.VisualHead(projection=projection, temperature=temperature)
         grads = vet.vet_embed_grad(
             features, head, vet.VisualEmbeddingTable(table=table), upstream
@@ -146,10 +148,10 @@ def check_vet_grad(seed: int) -> CheckResult:
         args = {"features": features, "projection": projection, "table": table}
         for arg, value in args.items():
 
-            def loss_of(x: np.ndarray, _arg: str = arg) -> float:
-                return _vet_loss(**{**args, _arg: x}, upstream=upstream, temperature=temperature)
+            def losses(x: np.ndarray, _arg: str = arg) -> np.ndarray:
+                return _vet_losses(**{**args, _arg: x}, upstream=upstream, temperature=temperature)
 
-            numeric = central_diff(loss_of, value)
+            numeric = stacked_central_diff(losses, value)
             worst = max(worst, max_rel_err(getattr(grads, f"d_{arg}"), numeric))
     return CheckResult(
         name="vet-grad",
@@ -168,11 +170,11 @@ def check_dpo_grad(seed: int) -> CheckResult:
             beta=float(rng.uniform(0.05, 2.0)), nll_weight=float(rng.uniform(0.0, 1.0))
         )
 
-        def loss_of(x: np.ndarray) -> float:
-            return float(objectives.dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
+        def losses(x: np.ndarray) -> np.ndarray:
+            return objectives.dpo_losses(x[:, 0], x[:, 2], x[:, 1], x[:, 3], cfg)[0]
 
         _, *partials = objectives.dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)
-        numeric = central_diff(loss_of, lps.copy())
+        numeric = stacked_central_diff(losses, lps)
         worst = max(worst, max_rel_err(np.array(partials), numeric))
     return CheckResult(
         name="dpo-grad",

@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteInput, ShapeMismatch
-from .geometry import _Value
+from .records import _Value
 
 __all__ = [
     "ProbVisualToken",

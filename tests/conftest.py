@@ -1,6 +1,8 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from navit_pack.vet import VisualEmbeddingTable, VisualHead, head_forward, vet_embed
+
 settings.register_profile(
     "stable",
     derandomize=True,
@@ -33,3 +35,12 @@ def rel_err(analytic, numeric):
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     return float((np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)).max())
+
+
+def vet_loss(features, projection, table, upstream, temperature):
+    """sum_i upstream . vet_embed(head_forward(features)_i), one token at a time."""
+    head = VisualHead(projection=projection, temperature=temperature)
+    vet_table = VisualEmbeddingTable(table=table)
+    return float(
+        sum(vet_embed(t, vet_table) @ upstream for t in head_forward(features, head))
+    )

@@ -31,7 +31,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
 from navit_pack import cli, cli_pack, cli_prefs, encoder, geometry, objectives, packing
-from navit_pack import selfcheck, vet
+from navit_pack import records, selfcheck, vet
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
 from navit_pack.objectives import DpoConfig, dpo_losses, pair_indices, parse_group_line
 from test_geometry import oracle_plan_fast
@@ -176,14 +176,14 @@ def pack_ffd_differs():
 
 
 def oracle_json_record(line, allowed, what="record"):
-    """`packing._json_record` by `json.loads` alone."""
+    """`records._json_record` by `json.loads` alone."""
     try:
         value = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as e:
-        raise packing.ManifestError(f"invalid JSON: {e}") from e
+        raise records.ManifestError(f"invalid JSON: {e}") from e
     except ValueError as e:  # an integer beyond Python's digit limit
-        raise packing.ManifestError(str(e)) from e
-    return packing._record(value, allowed, what)
+        raise records.ManifestError(str(e)) from e
+    return records._record(value, allowed, what)
 
 
 def _outcome(parse, line):
@@ -191,7 +191,7 @@ def _outcome(parse, line):
     text of the `ManifestError` it raises."""
     try:
         return repr(parse(line, packing._MANIFEST_KEYS))
-    except packing.ManifestError as e:
+    except records.ManifestError as e:
         return "error", str(e)
 
 
@@ -222,10 +222,10 @@ _JSON_CORPUS = [*EDGE_LINES, *(line[:-1] for line in EDGE_LINES if line[-1:] == 
 
 
 def json_record_differs():
-    """Whether `packing._json_record` gives a line of the corpus another
+    """Whether `records._json_record` gives a line of the corpus another
     record, or another error, than `oracle_json_record` does."""
     return any(
-        _outcome(packing._json_record, line) != _outcome(oracle_json_record, line)
+        _outcome(records._json_record, line) != _outcome(oracle_json_record, line)
         for line in _JSON_CORPUS
     )
 
@@ -467,7 +467,7 @@ MUTANTS = {
             'accumulate(map(len, ids.split(",")))', 'accumulate(map(len, ids.split(",")), initial=1)'
         ),
     }, differs=sequence_line_differs),
-    **_mutants(packing, "_json_record", {
+    **_mutants(records, "_json_record", {
         "newline-unchecked": (
             '(end != len(line) - 1 or line[end] != "\\n")', "end != len(line) - 1"
         ),

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, rel_err, vet_loss
 from navit_pack.chat import THINK_CLOSE, THINK_OPEN, parse_thinking
 from navit_pack.encoder import (
     AttentionParams,
@@ -34,7 +34,6 @@ from navit_pack.vet import (
     ProbVisualToken,
     VisualEmbeddingTable,
     VisualHead,
-    head_forward,
     vet_embed,
     vet_embed_grad,
 )
@@ -140,14 +139,6 @@ def test_c03_vet_expectation():
         assert np.abs(uniform - table.table.mean(axis=0)).max() <= 1e-12
 
 
-def _vet_loss(features, projection, table, upstream, temperature):
-    head = VisualHead(projection=projection, temperature=temperature)
-    vet_table = VisualEmbeddingTable(table=table)
-    return float(
-        sum(vet_embed(t, vet_table) @ upstream for t in head_forward(features, head))
-    )
-
-
 def test_c04_gradient_checks():
     with criterion(4, "analytic gradients vs central differences"):
         rng = np.random.default_rng(4)
@@ -168,21 +159,21 @@ def test_c04_gradient_checks():
                 (
                     grads.d_features,
                     finite_difference(
-                        lambda f: _vet_loss(f, projection, table, upstream, temperature),
+                        lambda f: vet_loss(f, projection, table, upstream, temperature),
                         features,
                     ),
                 ),
                 (
                     grads.d_projection,
                     finite_difference(
-                        lambda p: _vet_loss(features, p, table, upstream, temperature),
+                        lambda p: vet_loss(features, p, table, upstream, temperature),
                         projection,
                     ),
                 ),
                 (
                     grads.d_table,
                     finite_difference(
-                        lambda t: _vet_loss(features, projection, t, upstream, temperature),
+                        lambda t: vet_loss(features, projection, t, upstream, temperature),
                         table,
                     ),
                 ),

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from conftest import finite_difference, rel_err, vet_loss
 from mutants import MUTANTS, oracle_line, prefs_oracle, run_in_process, run_verify
 from navit_pack import cli, cli_pack, cli_prefs
 from navit_pack.packing import (
@@ -946,6 +947,47 @@ class TestPrefsNonFinite:
         assert result.stdout == expected + expected.replace('"q1"', '"q3"')
 
 
+class TestUnprintableInputName:
+    """An input file whose name holds a newline: every diagnostic that names
+    it shows its `repr`, as the `OSError` form does, so that each stays one
+    stderr line."""
+
+    NAME = "a\nb.jsonl"
+    BAD_TEXT = '{"id": "a", "text_tokens": -1}\n'
+    WIDE = '{"id": "b", "text_tokens": 1, "images": [{"width": 10000, "height": 3}]}\n'
+
+    @pytest.mark.parametrize(
+        "argv, content, diagnostics",
+        [
+            (["plan", "--manifest", NAME], BAD_TEXT + WIDE,
+             [":1: 'text_tokens' must be non-negative",
+              f":2: image 0: {DISTORTIONS['10000x3'][1]}"]),
+            (["pack", "--manifest", NAME], BAD_TEXT + WIDE,
+             [":1: 'text_tokens' must be non-negative",
+              f":2: image 0: {DISTORTIONS['10000x3'][1]}"]),
+            (["pack", "--manifest", NAME, "--capacity", "4"], '{"id": "a", "text_tokens": 5}\n',
+             [": 1 samples exceed capacity 4: 'a'"]),
+            (["plan", "--manifest", NAME], b"\xff\n", [": not UTF-8 text (invalid start byte)"]),
+            (["prefs", "dpo", "--groups", NAME], '{"query_id": "q"}\n',
+             [":1: 'candidates' must be a list"]),
+            (["prefs", "dpo", "--groups", NAME],
+             candidates_json((-1e308, 1e308, 1.0), (-1.0, -1.0, 0.0)) + "\n",
+             [":1: query 'q2': loss or gradient is not finite"]),
+            (["prefs", "grpo", "--groups", NAME], '{"query_id": "q"}\n',
+             [":1: 'candidates' must be a list"]),
+            (["chat", "--conversation", NAME], '{"messages": []}', [": conversation has no messages"]),
+        ],
+        ids=["plan", "pack-parse", "pack-too-long", "not-utf8", "dpo-parse", "dpo-fault", "grpo",
+             "chat"],
+    )
+    def test_each_diagnostic_is_one_line(self, tmp_path, argv, content, diagnostics):
+        data = content if isinstance(content, bytes) else content.encode("utf-8")
+        (tmp_path / self.NAME).write_bytes(data)
+        result = run_cli(*argv, cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"'a\\nb.jsonl'{d}" for d in diagnostics]
+
+
 class TestVerify:
     def test_passes_and_is_deterministic(self):
         first = run_cli("verify", "--seed", "3")
@@ -960,6 +1002,37 @@ class TestVerify:
         a = run_cli("verify", "--seed", "1")
         b = run_cli("verify", "--seed", "2")
         assert a.returncode == 0 and b.returncode == 0
+
+    # The `dpo-grad` lines that `verify` wrote when it took each central
+    # difference with one loss call per perturbed entry.
+    DPO_GRAD_LINES = {
+        "0": "dpo-grad       pass  max rel err 1.255e-09 over 30 instances (tol 1e-06)",
+        "1": "dpo-grad       pass  max rel err 8.445e-10 over 30 instances (tol 1e-06)",
+        "2": "dpo-grad       pass  max rel err 9.685e-10 over 30 instances (tol 1e-06)",
+    }
+
+    @pytest.mark.parametrize("seed", DPO_GRAD_LINES)
+    def test_stacked_dpo_differences_keep_the_line(self, seed):
+        code, out, _ = run_in_process("verify", "--seed", seed)
+        assert code == 0
+        assert self.DPO_GRAD_LINES[seed] in out.splitlines()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_vet_differences_match_per_entry_ones(self, seed):
+        """On the `vet-grad` fixtures, the numeric gradient from one stacked
+        loss call matches central differences over `head_forward` and
+        `vet_embed`, one perturbed entry at a time."""
+        from navit_pack import selfcheck
+
+        for features, projection, table, upstream, temperature in selfcheck._vet_fixtures(seed):
+            args = {"features": features, "projection": projection, "table": table}
+            for arg, value in args.items():
+                rest = {**args, "upstream": upstream, "temperature": temperature}
+                stacked = selfcheck.stacked_central_diff(
+                    lambda x: selfcheck._vet_losses(**{**rest, arg: x}), value
+                )
+                per_entry = finite_difference(lambda x: vet_loss(**{**rest, arg: x}), value)
+                assert rel_err(stacked, per_entry) < 1e-9, (seed, arg)
 
     @pytest.mark.parametrize("command", ["verify", "grad-check"])
     def test_mutant_fails_named_check(self, monkeypatch, command):
@@ -1091,6 +1164,7 @@ class TestStartup:
             "navit_pack.errors",
             "navit_pack.geometry",
             "navit_pack.packing",
+            "navit_pack.records",
         ]
 
     def test_prefs_and_verify_do_not_import_chat(self, tmp_path):
@@ -1110,6 +1184,20 @@ class TestStartup:
         assert json.loads(result.stderr.splitlines()[-1]) == {
             "codes": [0, 0, 0, 0, 0], "chat": False, "cli_pack": False, "dataclasses": False
         }
+
+    def test_prefs_loads_no_packing_code(self, tmp_path):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(groups_jsonl([3, 4], 0), encoding="utf-8")
+        script = (
+            "import contextlib, io\n"
+            "from navit_pack import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for command in ('pairs', 'dpo', 'grpo'):\n"
+            f"        assert cli.main(['prefs', command, '--groups', {str(groups)!r}]) == 0\n"
+        )
+        loaded = loaded_modules(script)
+        assert "navit_pack.objectives" in loaded
+        assert "navit_pack.packing" not in loaded and "navit_pack.geometry" not in loaded
 
     def test_encode_imports_do_not_load_dataclasses(self):
         script = (

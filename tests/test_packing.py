@@ -13,7 +13,6 @@ from navit_pack.encoder import AttentionParams, PatchSequence, RopeConfig, block
 from navit_pack.geometry import ImageSize, PixelBudget, plan_resize
 from navit_pack.packing import (
     PAD_POSITION,
-    ManifestError,
     PackedSequence,
     SampleRecord,
     SampleTooLong,
@@ -24,6 +23,7 @@ from navit_pack.packing import (
     parse_manifest_line,
     sample_from_record,
 )
+from navit_pack.records import ManifestError
 from navit_pack.selfcheck import _dense_block_attention, linear_first_fit, optimal_bin_count
 
 
