@@ -32,6 +32,11 @@ __all__ = [
 _TILE_ENTRIES = 1 << 17
 
 
+# A tile whose shifted row sums are not all above this is redone with the
+# exact row max: its largest terms may have left the normal float range.
+_SUM_FLOOR = 1e-200
+
+
 # Base of the rotary frequencies, as in RoFormer.
 _ROPE_BASE = 10000.0
 
@@ -147,10 +152,10 @@ class AttentionParams(namedtuple("AttentionParams", "wq wk wv wo"), _Value):
 def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rotate consecutive (2i, 2i+1) pairs of x by the given angles."""
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = x[:, 0::2], x[:, 1::2]
+    even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
     return out
 
 
@@ -163,16 +168,22 @@ def apply_rope_2d(q_or_k: np.ndarray, positions: np.ndarray, config: RopeConfig)
     Rotations preserve vector norms, dot products between rotated vectors
     depend on positions only through their offset, and position (0, 0) is
     the exact identity, so all-zero positions give plain attention.
+
+    `q_or_k` is (n, d_head), or a (stack, n, d_head) stack of such arrays
+    that share the n positions, such as q and k of one sequence: each
+    slice comes out as its own call would give it, and the angles, cos
+    and sin are computed once for the whole stack.
     """
     x = np.asarray(q_or_k, dtype=np.float64)
     pos = np.asarray(positions, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.d_head:
+    if x.ndim not in (2, 3) or x.shape[-1] != config.d_head:
         raise ShapeMismatch(f"expected (n, {config.d_head}) vectors, got {x.shape}")
-    if pos.shape != (x.shape[0], 2):
-        raise ShapeMismatch(f"positions shape {pos.shape} != ({x.shape[0]}, 2)")
+    n = x.shape[-2]
+    if pos.shape != (n, 2):
+        raise ShapeMismatch(f"positions shape {pos.shape} != ({n}, 2)")
     d_axis = config.d_head // 2
     freqs = _ROPE_BASE ** (-2.0 * np.arange(d_axis // 2) / d_axis)
-    return _rotate_pairs(x, (pos[:, :, None] * freqs).reshape(x.shape[0], d_axis))
+    return _rotate_pairs(x, (pos[:, :, None] * freqs).reshape(n, d_axis))
 
 
 def interpolate_pos_table(
@@ -229,34 +240,50 @@ def block_diag_forward(
     sequence length, and each sample's output rows equal an isolated
     forward on that sample. Query rows go in tiles of at most
     `_TILE_ENTRIES` (2^17) scores, which bounds the working memory of a
-    long block. The 1/sqrt(d_head) scale is folded into the queries once,
-    and each row is normalised by its softmax sum after the value
-    product, so a tile's n x n scores take no multiply or divide pass.
-    An empty sequence gives an empty (0, d_model) result.
+    long block. An empty sequence gives an empty (0, d_model) result.
+
+    q and k are rotated in one `apply_rope_2d` call. The softmax of row i
+    is shifted by m_i = |q_i| * max |k_j| / sqrt(d_head) over the keys j
+    of its block, which by Cauchy-Schwarz is at least every score of the
+    row and depends on that block alone. The 1/sqrt(d_head) scale and the
+    shift are folded into the queries, the shift as one extra column of
+    -m_i against a column of ones on the keys, so a tile's scores take
+    four passes: the score product, an in-place exp, the row sum and the
+    value product, after which each row is divided by its sum. A tile
+    with a row sum not above `_SUM_FLOOR` (a shift so far above the row's
+    largest score that its largest term leaves the normal range, or a
+    non-finite input) is redone with the exact row max as the shift,
+    which gives non-finite inputs the rows of a plain max-shifted softmax.
     """
     x = np.asarray(packed.embeddings, dtype=np.float64)
     if x.shape[1] != weights.d_model:
         raise ShapeMismatch(
             f"embeddings have d_model {x.shape[1]}, weights expect {weights.d_model}"
         )
-    q = x @ weights.wq
-    k = x @ weights.wk
+    d = weights.d_head
+    q, k = apply_rope_2d(np.stack((x @ weights.wq, x @ weights.wk)), packed.positions, rope)
+    b = packed.sample_boundaries
+    key_max = np.repeat(np.maximum.reduceat(np.linalg.norm(k, axis=1), b[:-1]), np.diff(b))
+    scale = 1.0 / np.sqrt(d)
+    # Scaled queries with a last column of -m_i, keys with a last column of
+    # 1; rebinding both frees the rotated stack.
+    q = np.hstack((q * scale, (np.linalg.norm(q, axis=1) * key_max * -scale)[:, None]))
+    k = np.hstack((k, np.ones((len(k), 1))))
     v = x @ weights.wv
-    q = apply_rope_2d(q, packed.positions, rope)
-    k = apply_rope_2d(k, packed.positions, rope)
-    # In place: `q` is a fresh array, and a scaled copy would add its size
-    # to peak memory.
-    q *= 1.0 / np.sqrt(weights.d_head)
 
     heads = np.empty_like(v)
-    b = packed.sample_boundaries
     for lo, hi in zip(b[:-1], b[1:]):
         k_block, v_block = k[lo:hi], v[lo:hi]
         tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
         for start in range(lo, hi, tile_rows):
             stop = min(start + tile_rows, hi)
             scores = q[start:stop] @ k_block.T
-            scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
-            heads[start:stop] = (scores @ v_block) / scores.sum(axis=1, keepdims=True)
+            sums = scores.sum(axis=1, keepdims=True)
+            if not (sums > _SUM_FLOOR).all():
+                scores = q[start:stop, :d] @ k_block[:, :d].T
+                scores -= scores.max(axis=1, keepdims=True)
+                np.exp(scores, out=scores)
+                sums = scores.sum(axis=1, keepdims=True)
+            heads[start:stop] = (scores @ v_block) / sums
     return heads @ weights.wo

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import encoder, objectives, packing, vet
+from . import objectives, vet
 from .errors import ShapeMismatch, _clipped
 from .records import _Value
+
+# `encoder` and `packing` are imported by the checks that use them, so
+# that `grad-check` loads neither them nor `geometry`.
+if TYPE_CHECKING:
+    from . import encoder, packing
 
 __all__ = [
     "CHECK_NAMES",
@@ -200,6 +205,8 @@ def _rope_closed_form(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def check_rope_relative(seed: int) -> CheckResult:
+    from . import encoder
+
     rng = np.random.default_rng([seed, 3])
     config = encoder.RopeConfig(d_head=8)
     q = rng.normal(0.0, 1.0, (_ROPE_DRAWS, config.d_head))
@@ -251,6 +258,8 @@ def _dense_block_attention(
     cross-sample entry before the softmax. Quadratic in the whole sequence
     length, so only for small fixtures.
     """
+    from . import encoder
+
     x = np.asarray(packed.embeddings, dtype=np.float64)
     if x.shape[1] != weights.d_model:
         raise ShapeMismatch(
@@ -280,6 +289,8 @@ _LONG_BLOCK = 400
 
 
 def check_pack_equiv(seed: int) -> CheckResult:
+    from . import encoder
+
     rng = np.random.default_rng([seed, 4])
     tol = 1e-6
     d_model, d_head = 8, 8
@@ -313,6 +324,8 @@ def check_pack_equiv(seed: int) -> CheckResult:
 
 
 def check_ffd_opt(seed: int) -> CheckResult:
+    from . import packing
+
     rng = np.random.default_rng([seed, 5])
     capacity = 12
     worst_margin = -math.inf

@@ -141,18 +141,20 @@ def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken
     """
     _, probs = _head_probs(features, head)
     # Each row was checked with its array: skip the per-row check of
-    # `ProbVisualToken.__new__`.
-    return [tuple.__new__(ProbVisualToken, (row,)) for row in probs]
+    # `ProbVisualToken.__new__`, and build the tokens from the 1-tuples of
+    # `zip` without a Python-level loop.
+    return list(map(tuple.__new__, [ProbVisualToken] * len(probs), zip(probs)))
 
 
 def vet_embed(token: ProbVisualToken, vet: VisualEmbeddingTable) -> np.ndarray:
     """Expected embedding: probability-weighted sum of the table rows."""
-    if token.probs.shape[0] != vet.vocab_size:
+    probs, table = token.probs, vet.table
+    if probs.shape[0] != table.shape[0]:
         raise LengthMismatch(
-            f"token has {token.probs.shape[0]} probabilities, table has "
-            f"{vet.vocab_size} rows"
+            f"token has {probs.shape[0]} probabilities, table has {table.shape[0]} rows"
         )
-    return token.probs @ vet.table
+    # `dot` gives the bits of `@` at about half the per-call cost.
+    return probs.dot(table)
 
 
 class VetGradients(namedtuple("VetGradients", "d_features d_projection d_table"), _Value):

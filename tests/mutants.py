@@ -30,10 +30,13 @@ import textwrap
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from navit_pack import cli, cli_pack, cli_prefs, encoder, geometry, objectives, packing
 from navit_pack import records, selfcheck, vet
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
 from navit_pack.objectives import DpoConfig, dpo_losses, pair_indices, parse_group_line
+from test_encoder import orthogonal_blocks
 from test_geometry import oracle_plan_fast
 
 
@@ -401,6 +404,18 @@ def prefs_differs():
         return (out, err) != prefs_oracle(_PREFS_GROUPS, "dpo", path, nll_weight=-0.0)
 
 
+def attention_differs():
+    """Whether `encoder.block_diag_forward` gives `test_encoder.orthogonal_blocks`,
+    whose shifted exps all underflow, rows further than 1e-9 from
+    `selfcheck._dense_block_attention`, or rows that are not finite."""
+    packed, params, rope = orthogonal_blocks()
+    # A 0/0 row is a NaN for the comparison to see, not a warning to raise.
+    with np.errstate(invalid="ignore"):
+        out = encoder.block_diag_forward(packed, params, rope)
+    reference = selfcheck._dense_block_attention(packed, params, rope)
+    return not (np.abs(out - reference) <= 1e-9).all()
+
+
 def _mutants(module, attr, changes, check=None, differs=None):
     """`{label: Mutant}` of `module.attr`, one per change, all with the same oracles."""
     return {label: Mutant(module, attr, c, check, differs) for label, c in changes.items()}
@@ -424,6 +439,10 @@ MUTANTS = {
     **_mutants(encoder, "block_diag_forward", {
         "pack-boundary-moved": ("k[lo:hi], v[lo:hi]", "k[lo:hi + 1], v[lo:hi + 1]"),
     }, "pack-equiv"),
+    # A tile whose shifted exps all underflow is kept, and its rows are 0/0.
+    **_mutants(encoder, "block_diag_forward", {
+        "shift-underflow-unguarded": ("if not (sums > _SUM_FLOOR).all():", "if False:"),
+    }, differs=attention_differs),
     **_mutants(packing, "pack_ffd", {
         "ffd-one-per-sequence": pack_one_per_sequence,
         "ffd-next-fit": pack_next_fit_decreasing,

@@ -1185,6 +1185,17 @@ class TestStartup:
             "codes": [0, 0, 0, 0, 0], "chat": False, "cli_pack": False, "dataclasses": False
         }
 
+    def test_grad_check_loads_no_attention_or_packing_code(self):
+        script = (
+            "import contextlib, io\n"
+            "from navit_pack import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['grad-check']) == 0\n"
+        )
+        loaded = loaded_modules(script)
+        assert "navit_pack.selfcheck" in loaded
+        assert not {"navit_pack.encoder", "navit_pack.packing", "navit_pack.geometry"} & {*loaded}
+
     def test_prefs_loads_no_packing_code(self, tmp_path):
         groups = tmp_path / "g.jsonl"
         groups.write_text(groups_jsonl([3, 4], 0), encoding="utf-8")

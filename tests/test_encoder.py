@@ -119,10 +119,28 @@ class TestApplyRope:
 
     def test_shape_mismatch(self):
         cfg = RopeConfig(d_head=4)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=r"^expected \(n, 4\) vectors, got \(2, 6\)$"):
             apply_rope_2d(np.ones((2, 6)), np.zeros((2, 2), dtype=int), cfg)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=r"^positions shape \(3, 2\) != \(2, 2\)$"):
             apply_rope_2d(np.ones((2, 4)), np.zeros((3, 2), dtype=int), cfg)
+        with pytest.raises(ShapeMismatch, match=r"^positions shape \(2, 2\) != \(3, 2\)$"):
+            apply_rope_2d(np.ones((2, 3, 4)), np.zeros((2, 2), dtype=int), cfg)
+        with pytest.raises(ShapeMismatch):
+            apply_rope_2d(np.ones((4,)), np.zeros((1, 2), dtype=int), cfg)
+        with pytest.raises(ShapeMismatch):
+            apply_rope_2d(np.ones((1, 2, 3, 4)), np.zeros((3, 2), dtype=int), cfg)
+
+    def test_stack_equals_per_slice_calls(self):
+        # q and k of one sequence go through in one call; each comes out
+        # with the bits its own call gives.
+        rng = np.random.default_rng(19)
+        cfg = RopeConfig(d_head=16)
+        stack = rng.normal(size=(2, 50, 16))
+        pos = rng.integers(0, 100, (50, 2))
+        out = apply_rope_2d(stack, pos, cfg)
+        assert out.shape == stack.shape
+        for i in range(2):
+            assert out[i].tobytes() == apply_rope_2d(stack[i], pos, cfg).tobytes()
 
 
 class TestRelativeProperty:
@@ -218,6 +236,50 @@ def make_packed(rng, lengths, d_model, rotated=True):
         positions=rng.integers(0, 32, (n, 2)) * rotated,
         sample_boundaries=tuple(boundaries),
     )
+
+
+def exact_max_forward(packed, weights, rope, later_tiles=1.0):
+    """`block_diag_forward` with each tile's scores shifted by their exact row
+    max, in the same row tiles. The row sums of every tile after a block's
+    first are multiplied by `later_tiles`: 1.0 is the faithful copy."""
+    x = packed.embeddings
+    q, k, v = x @ weights.wq, x @ weights.wk, x @ weights.wv
+    q = apply_rope_2d(q, packed.positions, rope)
+    k = apply_rope_2d(k, packed.positions, rope)
+    q = q * (1.0 / np.sqrt(weights.d_head))
+    heads = np.empty_like(v)
+    b = packed.sample_boundaries
+    for lo, hi in zip(b[:-1], b[1:]):
+        tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
+        for start in range(lo, hi, tile_rows):
+            stop = min(start + tile_rows, hi)
+            scores = q[start:stop] @ k[lo:hi].T
+            scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+            total = scores.sum(axis=1, keepdims=True)
+            if start > lo:
+                total = total * later_tiles
+            heads[start:stop] = (scores @ v[lo:hi]) / total
+    return heads @ weights.wo
+
+
+def orthogonal_blocks():
+    """Blocks of 12 and 5 tokens whose rotated queries and keys are
+    orthogonal at large norms, with `(packed, params, rope)`.
+
+    `wq` writes only the row half of the head dimensions and `wk` only the
+    column half, and RoPE turns pairs within a half, so every score is 0
+    while the shift |q_i| max |k_j| / sqrt(d_head) is above 1000: each
+    shifted exp underflows to 0.
+    """
+    rng = np.random.default_rng(21)
+    d_model = d_head = 8
+    wq, wk = np.zeros((d_model, d_head)), np.zeros((d_model, d_head))
+    wq[:, :4] = rng.normal(0.0, 100.0, (d_model, 4))
+    wk[:, 4:] = rng.normal(0.0, 100.0, (d_model, 4))
+    params = AttentionParams(
+        wq, wk, rng.normal(size=(d_model, d_head)), rng.normal(size=(d_head, d_model))
+    )
+    return make_packed(rng, [12, 5], d_model), params, RopeConfig(d_head=d_head)
 
 
 class TestBlockDiagonal:
@@ -357,30 +419,43 @@ class TestBlockDiagonal:
 
     @pytest.mark.parametrize("later_tiles", [1.0, 1.01])
     def test_verify_catches_a_later_tile_bug(self, monkeypatch, later_tiles):
-        # A copy of block_diag_forward whose row sums are off by a factor on
-        # every tile after a block's first: 1.0 is the faithful copy.
         def forward(packed, weights, rope):
-            x = packed.embeddings
-            q, k, v = x @ weights.wq, x @ weights.wk, x @ weights.wv
-            q = apply_rope_2d(q, packed.positions, rope)
-            k = apply_rope_2d(k, packed.positions, rope)
-            q = q / np.sqrt(weights.d_head)
-            heads = np.empty_like(v)
-            b = packed.sample_boundaries
-            for lo, hi in zip(b[:-1], b[1:]):
-                tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
-                for start in range(lo, hi, tile_rows):
-                    stop = min(start + tile_rows, hi)
-                    scores = q[start:stop] @ k[lo:hi].T
-                    scores = np.exp(scores - scores.max(axis=1, keepdims=True))
-                    total = scores.sum(axis=1, keepdims=True)
-                    if start > lo:
-                        total = total * later_tiles
-                    heads[start:stop] = (scores @ v[lo:hi]) / total
-            return heads @ weights.wo
+            return exact_max_forward(packed, weights, rope, later_tiles)
 
         monkeypatch.setattr(encoder, "block_diag_forward", forward)
         assert check_pack_equiv(0).passed == (later_tiles == 1.0)
+
+    def test_shift_far_above_the_row_max_is_redone_exactly(self):
+        packed, params, rope = orthogonal_blocks()
+        x = packed.embeddings
+        q = apply_rope_2d(x @ params.wq, packed.positions, rope) / np.sqrt(rope.d_head)
+        k = apply_rope_2d(x @ params.wk, packed.positions, rope)
+        b = packed.sample_boundaries
+        for lo, hi in zip(b[:-1], b[1:]):
+            assert np.array_equal(q[lo:hi] @ k[lo:hi].T, np.zeros((hi - lo, hi - lo)))
+            shift = np.linalg.norm(q[lo:hi], axis=1) * np.linalg.norm(k[lo:hi], axis=1).max()
+            assert shift.min() > 1000.0
+        out = block_diag_forward(packed, params, rope)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(
+            out, _dense_block_attention(packed, params, rope), rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_give_the_exact_max_rows(self, bad):
+        # The block with the bad token takes the exact-max path bit for bit;
+        # the block after it stays finite.
+        rng = np.random.default_rng(20)
+        params = AttentionParams.random(8, 8, rng)
+        rope = RopeConfig(d_head=8)
+        packed = make_packed(rng, [40, 9], 8)
+        packed.embeddings[7, 3] = bad
+        with np.errstate(invalid="ignore"):
+            got = block_diag_forward(packed, params, rope)
+            want = exact_max_forward(packed, params, rope)
+        np.testing.assert_array_equal(got[:40], want[:40])
+        assert np.isfinite(got[40:]).all()
+        np.testing.assert_allclose(got[40:], want[40:], rtol=0, atol=1e-12)
 
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5))
     def test_packed_equivalence_property(self, lengths):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_err
 from navit_pack.errors import LengthMismatch, NonFiniteInput, ShapeMismatch
@@ -10,6 +12,7 @@ from navit_pack.vet import (
     VisualEmbeddingTable,
     VisualHead,
     _check_probs,
+    _head_probs,
     head_forward,
     vet_embed,
     vet_embed_grad,
@@ -76,6 +79,17 @@ class TestHeadForward:
         head = VisualHead(projection=np.array([[2.0, 1.0]]))
         with pytest.raises(NonFiniteInput, match="must sum to 1, got .*nan"):
             head_forward(np.array([[0.5], [1e308]]), head)
+
+    def test_tokens_view_the_rows_of_the_checked_array(self):
+        rng = np.random.default_rng(12)
+        head = VisualHead(projection=rng.normal(size=(4, 6)))
+        features = rng.normal(size=(7, 4))
+        tokens = head_forward(features, head)
+        assert [type(t) for t in tokens] == [ProbVisualToken] * 7
+        _, probs = _head_probs(features, head)
+        np.testing.assert_array_equal(np.stack([t.probs for t in tokens]), probs)
+        rows = tokens[0].probs.base
+        assert rows.shape == (7, 6) and all(t.probs.base is rows for t in tokens)
 
     def test_shape_mismatch(self):
         head = VisualHead(projection=np.eye(3))
@@ -144,8 +158,15 @@ class TestVetEmbed:
 
     def test_length_mismatch(self):
         table = VisualEmbeddingTable(table=np.zeros((4, 2)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match=r"^token has 3 probabilities, table has 4 rows$"):
             vet_embed(ProbVisualToken(probs=np.full(3, 1 / 3)), table)
+
+    @given(st.integers(1, 80), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_equals_matmul_bitwise(self, vocab, d_embed, seed):
+        rng = np.random.default_rng(seed)
+        token = ProbVisualToken(probs=rng.dirichlet(np.ones(vocab)))
+        table = VisualEmbeddingTable(table=rng.normal(size=(vocab, d_embed)))
+        assert vet_embed(token, table).tobytes() == (token.probs @ table.table).tobytes()
 
     def test_invalid_token_rejected(self):
         with pytest.raises(ValueError):
