@@ -27,8 +27,6 @@ T = TypeVar("T")
 # ids, and `cli_pack._position_runs` renders all of them up front.
 _MAX_CAPACITY = 2**20
 
-_GRAD_CHECKS = ("vet-grad", "dpo-grad")
-
 
 # Diagnostics written since `main` started the current command. The exit
 # status is derived from it, so no subcommand counts its own failures.
@@ -82,47 +80,30 @@ def _phase(value: str) -> Phase:
     return Phase(value.lower())
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """Argparse type for an integer that is >= low."""
-
-    def parse(value: str) -> int:
-        # argparse would name this function in its own "invalid ... value" text.
-        try:
-            parsed = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {_echo(value)}") from None
-        if parsed < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {_clipped(value)}")
-        return parsed
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_seed = _int_at_least(0)
-
-
-def _capacity(value: str) -> int:
-    parsed = _positive_int(value)
-    if parsed > _MAX_CAPACITY:
-        raise argparse.ArgumentTypeError(f"must be <= {_MAX_CAPACITY}, got {_clipped(value)}")
-    return parsed
-
-
-def _finite_float(low: float, inclusive: bool = True) -> Callable[[str], float]:
-    """Argparse type for a finite float that is >= low (or > low)."""
+def _number(
+    convert: type, low: float, above: bool = False, high: float | None = None
+) -> Callable[[str], float]:
+    """Argparse type for a number read by `convert` (`int` or `float`) that is
+    >= low (> low if `above`) and, if `high` is given, <= high. A float must
+    also be finite; an int is not checked, as `math.isfinite` overflows on
+    huge ones."""
 
     def parse(value: str) -> float:
+        # argparse would name this function in its own "invalid ... value" text.
         try:
-            parsed = float(value)
+            parsed = convert(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {_echo(value)}") from None
-        if not math.isfinite(parsed):
-            raise argparse.ArgumentTypeError(f"must be finite, got {_clipped(value)}")
-        if parsed < low or (parsed == low and not inclusive):
             raise argparse.ArgumentTypeError(
-                f"must be {'>=' if inclusive else '>'} {low:g}, got {_clipped(value)}"
+                f"invalid {convert.__name__} value: {_echo(value)}"
+            ) from None
+        if convert is float and not math.isfinite(parsed):
+            raise argparse.ArgumentTypeError(f"must be finite, got {_clipped(value)}")
+        if parsed < low or (above and parsed == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if above else '>='} {low}, got {_clipped(value)}"
             )
+        if high is not None and parsed > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {_clipped(value)}")
         return parsed
 
     return parse
@@ -166,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     pack = sub.add_parser("pack", help="pack a manifest into fixed-capacity sequences")
     pack.add_argument("--manifest", required=True, help="sample manifest (JSONL)")
     pack.add_argument("--phase", type=_phase, default="p2")
-    pack.add_argument("--capacity", type=_capacity, default=8192)
-    pack.add_argument("--batch-size", type=_positive_int, default=8)
+    pack.add_argument("--capacity", type=_number(int, 1, high=_MAX_CAPACITY), default=8192)
+    pack.add_argument("--batch-size", type=_number(int, 1), default=8)
     pack.set_defaults(module="cli_pack", func="cmd_pack")
 
     chat = sub.add_parser("chat", help="render a conversation to its prompt text")
@@ -193,12 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     parse.set_defaults(module="cli_chat", func="cmd_parse")
 
     verify = sub.add_parser("verify", help="run all built-in correctness checks")
-    verify.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
-    verify.set_defaults(module="cli_prefs", func="cmd_verify", only=None)
-
-    grad = sub.add_parser("grad-check", help="run only the gradient checks")
-    grad.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
-    grad.set_defaults(module="cli_prefs", func="cmd_verify", only=_GRAD_CHECKS)
+    verify.add_argument(
+        "--seed", type=_number(int, 0), default=0, help="seed for randomized checks"
+    )
+    verify.set_defaults(module="cli_prefs", func="cmd_verify")
 
     prefs = sub.add_parser("prefs", help="preference-objective utilities over group JSONL")
     prefs_sub = prefs.add_subparsers(dest="prefs_command", required=True)
@@ -210,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = prefs_sub.add_parser(name, help=help_text)
         p.add_argument("--groups", required=True, help="scored groups (JSONL)")
         p.add_argument(
-            "--min-score-variance", type=_finite_float(0.0), default=0.0,
+            "--min-score-variance", type=_number(float, 0), default=0.0,
             help="drop groups whose score variance is below this (difficulty filter)",
         )
         if name in ("pairs", "dpo"):
-            p.add_argument("--margin", type=_finite_float(0.0), default=0.0)
+            p.add_argument("--margin", type=_number(float, 0), default=0.0)
         if name == "dpo":
-            p.add_argument("--beta", type=_finite_float(0.0, inclusive=False), default=0.1)
-            p.add_argument("--nll-weight", type=_finite_float(0.0), default=0.0)
+            p.add_argument("--beta", type=_number(float, 0, above=True), default=0.1)
+            p.add_argument("--nll-weight", type=_number(float, 0), default=0.0)
         p.set_defaults(module="cli_prefs", func="cmd_prefs")
 
     return parser

@@ -21,14 +21,12 @@ from .records import ManifestError, _Value, _entry, _float, _is_int, _json_recor
 
 __all__ = [
     "ManifestRecord",
-    "NaiveBaseline",
     "PackedSequence",
     "PackingReport",
     "SampleRecord",
     "SampleTooLong",
     "PAD_POSITION",
     "build_attention_metadata",
-    "naive_batch_waste",
     "pack_ffd",
     "packing_report",
     "parse_image_size",
@@ -133,16 +131,6 @@ class PackedSequence(namedtuple("PackedSequence", "capacity lengths"), _Value):
         return tuple((sid, start, length) for (sid, length), start in zip(self.lengths, starts))
 
 
-class NaiveBaseline(namedtuple("NaiveBaseline", "total_slots pad_tokens"), _Value):
-    """Slot accounting for naive batching: pad every batch to its max length."""
-
-    __slots__ = ()
-
-    @property
-    def pad_fraction(self) -> float:
-        return self.pad_tokens / self.total_slots if self.total_slots else 0.0
-
-
 class PackingReport(
     namedtuple(
         "PackingReport",
@@ -217,18 +205,6 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     return [PackedSequence(capacity, tuple(b)) for b in bins]
 
 
-def naive_batch_waste(samples: Sequence[SampleRecord], batch_size: int) -> NaiveBaseline:
-    """Slot usage when batches of `batch_size` (input order) pad to their max."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    total_slots = 0
-    for start in range(0, len(samples), batch_size):
-        batch = samples[start : start + batch_size]
-        total_slots += max(s.total_tokens for s in batch) * len(batch)
-    useful = sum(s.total_tokens for s in samples)
-    return NaiveBaseline(total_slots=total_slots, pad_tokens=total_slots - useful)
-
-
 def build_attention_metadata(seq: PackedSequence) -> tuple[list[int], list[int]]:
     """Cumulative block boundaries and per-token position ids for a sequence.
 
@@ -254,10 +230,12 @@ def packing_report(
     capacity: int,
     batch_size: int,
 ) -> PackingReport:
-    """Compare the packed slot usage against the naive baseline.
+    """Compare the packed slot usage against the naive baseline, which pads
+    each batch of `batch_size` samples (in input order) to its longest.
 
     `sequences` are `samples` as `pack_ffd` packed them at `capacity`;
-    the report reuses them rather than packing again.
+    the report reuses them rather than packing again. A `batch_size`
+    below 1 raises `ValueError` unless `samples` is empty.
 
     An empty manifest reports zero fractions and a proxy of 1.0. The
     proxy can drop below 1.0 on manifests the naive baseline already
@@ -273,16 +251,22 @@ def packing_report(
             naive_pad_fraction=0.0,
             useful_token_speedup_proxy=1.0,
         )
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    naive_slots = 0
+    for start in range(0, len(samples), batch_size):
+        batch = samples[start : start + batch_size]
+        naive_slots += max(s.total_tokens for s in batch) * len(batch)
+    useful = sum(s.total_tokens for s in samples)
     packed_slots = len(sequences) * capacity
     packed_pads = sum(s.pad_tokens for s in sequences)
-    naive = naive_batch_waste(samples, batch_size)
     return PackingReport(
         n_samples=len(samples),
         n_sequences=len(sequences),
         capacity=capacity,
         packed_pad_fraction=packed_pads / packed_slots,
-        naive_pad_fraction=naive.pad_fraction,
-        useful_token_speedup_proxy=naive.total_slots / packed_slots,
+        naive_pad_fraction=(naive_slots - useful) / naive_slots,
+        useful_token_speedup_proxy=naive_slots / packed_slots,
     )
 
 

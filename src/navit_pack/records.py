@@ -38,15 +38,24 @@ class _Value(tuple):
 
     A value equals only a value of its own type with equal fields (never a
     plain tuple, nor another type with the same fields), and hashes as its
-    fields do. It has no order and no `+` or `*`: those raise `TypeError`,
-    with a plain tuple on either side too. `_replace` and `_make` skip
-    `__new__`: build with the type.
+    fields do. A value that holds an array is unhashable, as the array is,
+    and `==` or `!=` with a value of its own type raises `TypeError` (an
+    array has no one truth value); with any other object it is unequal. No
+    value has an order or `+` or `*`: those raise `TypeError`, with a plain
+    tuple on either side too. `_replace` and `_make` skip `__new__`: build
+    with the type.
     """
 
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        if type(other) is not type(self):
+            return False
+        try:
+            hash(self)
+        except TypeError:
+            raise TypeError(f"{type(self).__name__} holds an array: it has no == or !=") from None
+        return tuple.__eq__(self, other)
 
     def __ne__(self, other: object) -> bool:
         return not self == other

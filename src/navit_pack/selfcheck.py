@@ -13,18 +13,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from . import objectives, vet
+from . import encoder, objectives, packing, vet
 from .errors import ShapeMismatch, _clipped
 from .records import _Value
-
-# `encoder` and `packing` are imported by the checks that use them, so
-# that `grad-check` loads neither them nor `geometry`.
-if TYPE_CHECKING:
-    from . import encoder, packing
 
 __all__ = [
     "CHECK_NAMES",
@@ -115,20 +110,19 @@ def linear_first_fit(samples: list[packing.SampleRecord], capacity: int) -> list
 
 
 def _vet_losses(
-    features: np.ndarray, projection: np.ndarray, table: np.ndarray,
-    upstream: np.ndarray, temperature: float,
+    features: np.ndarray, projection: np.ndarray, table: np.ndarray, upstream: np.ndarray
 ) -> np.ndarray:
-    """sum over rows of upstream . (softmax(features @ projection / temperature) @ table),
-    written apart from `vet.head_forward` and `vet.vet_embed`. Any one argument
-    may be a stack of inputs along a leading axis; the result has one loss per input."""
-    logits = features @ projection / temperature
+    """sum over rows of upstream . (softmax(features @ projection) @ table), written
+    apart from `vet.head_forward` and `vet.vet_embed`. Any one argument may be a
+    stack of inputs along a leading axis; the result has one loss per input."""
+    logits = features @ projection
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     return ((probs @ table) @ upstream).sum(axis=-1)
 
 
 def _vet_fixtures(seed: int):
-    """The `vet-grad` instances of `seed`: (features, projection, table, upstream, temperature)."""
+    """The `vet-grad` instances of `seed`: (features, projection, table, upstream)."""
     rng = np.random.default_rng([seed, 1])
     for _ in range(_GRAD_INSTANCES):
         n = int(rng.integers(1, 4))
@@ -139,14 +133,14 @@ def _vet_fixtures(seed: int):
         projection = rng.uniform(-1.0, 1.0, (d_model, vocab))
         table = rng.uniform(-1.0, 1.0, (vocab, d_embed))
         upstream = rng.uniform(-1.0, 1.0, d_embed)
-        yield features, projection, table, upstream, float(rng.uniform(0.5, 2.0))
+        yield features, projection, table, upstream
 
 
 def check_vet_grad(seed: int) -> CheckResult:
     tol = 1e-5
     worst = 0.0
-    for features, projection, table, upstream, temperature in _vet_fixtures(seed):
-        head = vet.VisualHead(projection=projection, temperature=temperature)
+    for features, projection, table, upstream in _vet_fixtures(seed):
+        head = vet.VisualHead(projection=projection)
         grads = vet.vet_embed_grad(
             features, head, vet.VisualEmbeddingTable(table=table), upstream
         )
@@ -154,7 +148,7 @@ def check_vet_grad(seed: int) -> CheckResult:
         for arg, value in args.items():
 
             def losses(x: np.ndarray, _arg: str = arg) -> np.ndarray:
-                return _vet_losses(**{**args, _arg: x}, upstream=upstream, temperature=temperature)
+                return _vet_losses(**{**args, _arg: x}, upstream=upstream)
 
             numeric = stacked_central_diff(losses, value)
             worst = max(worst, max_rel_err(getattr(grads, f"d_{arg}"), numeric))
@@ -205,8 +199,6 @@ def _rope_closed_form(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def check_rope_relative(seed: int) -> CheckResult:
-    from . import encoder
-
     rng = np.random.default_rng([seed, 3])
     config = encoder.RopeConfig(d_head=8)
     q = rng.normal(0.0, 1.0, (_ROPE_DRAWS, config.d_head))
@@ -258,8 +250,6 @@ def _dense_block_attention(
     cross-sample entry before the softmax. Quadratic in the whole sequence
     length, so only for small fixtures.
     """
-    from . import encoder
-
     x = np.asarray(packed.embeddings, dtype=np.float64)
     if x.shape[1] != weights.d_model:
         raise ShapeMismatch(
@@ -289,8 +279,6 @@ _LONG_BLOCK = 400
 
 
 def check_pack_equiv(seed: int) -> CheckResult:
-    from . import encoder
-
     rng = np.random.default_rng([seed, 4])
     tol = 1e-6
     d_model, d_head = 8, 8
@@ -324,8 +312,6 @@ def check_pack_equiv(seed: int) -> CheckResult:
 
 
 def check_ffd_opt(seed: int) -> CheckResult:
-    from . import packing
-
     rng = np.random.default_rng([seed, 5])
     capacity = 12
     worst_margin = -math.inf
@@ -370,10 +356,10 @@ _CHECKS: dict[str, Callable[[int], CheckResult]] = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_checks(seed: int, only: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) seeded; one that raises fails with it as detail."""
+def run_checks(seed: int) -> list[CheckResult]:
+    """Run every check seeded, in `CHECK_NAMES` order; one that raises fails with it as detail."""
     results = []
-    for name in only if only is not None else CHECK_NAMES:
+    for name in CHECK_NAMES:
         try:
             result = _CHECKS[name](seed)
         except Exception as e:

@@ -1,7 +1,7 @@
 """Visual head and visual embedding table.
 
 The head maps a patch feature to a probability distribution over a
-discrete vocabulary of visual words (temperature-scaled softmax); the
+discrete vocabulary of visual words (a softmax of its logits); the
 embedding table turns that distribution into the expected value of its
 rows. Analytic gradients for the composed map are provided so the
 training path can be checked against finite differences.
@@ -27,21 +27,16 @@ __all__ = [
 ]
 
 
-class VisualHead(namedtuple("VisualHead", "projection temperature"), _Value):
-    """Projection onto the visual vocabulary plus a softmax temperature."""
+class VisualHead(namedtuple("VisualHead", "projection"), _Value):
+    """Projection onto the visual vocabulary: the logits of a feature row x
+    are x @ projection, and its distribution is their softmax."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        projection: np.ndarray,  # (d_model, vocab_size)
-        temperature: float = 1.0,
-    ) -> VisualHead:
+    def __new__(cls, projection: np.ndarray) -> VisualHead:  # (d_model, vocab_size)
         if projection.ndim != 2 or projection.shape[1] < 2:
             raise ShapeMismatch(f"projection must be (d_model, vocab>=2), got {projection.shape}")
-        if not temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        return tuple.__new__(cls, (projection, temperature))
+        return tuple.__new__(cls, (projection,))
 
     @property
     def vocab_size(self) -> int:
@@ -109,10 +104,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def _head_probs(features: np.ndarray, head: VisualHead) -> tuple[np.ndarray, np.ndarray]:
     """The features as a float array and their checked (n, vocab) probabilities.
 
-    Row i is softmax(features_i @ projection / temperature), computed with
-    max subtraction so large logits stay finite. The whole probability
-    array is checked once, with the rule `ProbVisualToken` applies to one
-    row. Non-finite features raise `NonFiniteInput`, and so do logits that
+    Row i is softmax(features_i @ projection), computed with max
+    subtraction so large logits stay finite. The whole probability array
+    is checked once, with the rule `ProbVisualToken` applies to one row.
+    Non-finite features raise `NonFiniteInput`, and so do logits that
     overflow to infinity (they give NaN probabilities), without a numpy
     warning.
     """
@@ -128,7 +123,7 @@ def _head_probs(features: np.ndarray, head: VisualHead) -> tuple[np.ndarray, np.
         raise NonFiniteInput("features contain non-finite entries")
     # Overflowing logits surface as the NonFiniteInput below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _softmax_rows(f @ head.projection / head.temperature)
+        probs = _softmax_rows(f @ head.projection)
     _check_probs(probs)
     return f, probs
 
@@ -173,12 +168,12 @@ def vet_embed_grad(
 ) -> VetGradients:
     """Analytic gradients of sum_i upstream . embed(features_i).
 
-    For each row, with p = softmax(z) and a = table @ upstream, the
-    softmax Jacobian gives dL/dz = p * a - (p . a) p; features and
-    projection gradients follow by the chain rule, and the table gradient
-    is the outer product p (x) upstream summed over rows. Non-finite
-    upstream entries, and finite inputs whose gradients overflow, raise
-    `NonFiniteInput`.
+    For each row, with logits z = features_i @ projection, p = softmax(z)
+    and a = table @ upstream, the softmax Jacobian gives
+    dL/dz = p * a - (p . a) p; features and projection gradients follow by
+    the chain rule, and the table gradient is the outer product
+    p (x) upstream summed over rows. Non-finite upstream entries, and
+    finite inputs whose gradients overflow, raise `NonFiniteInput`.
     """
     u = np.asarray(upstream, dtype=np.float64)
     if u.shape != (vet.table.shape[1],):
@@ -200,8 +195,8 @@ def vet_embed_grad(
         pa = probs @ a  # (n,)
         d_logits = probs * a[None, :] - probs * pa[:, None]  # (n, vocab)
 
-        d_features = d_logits @ head.projection.T / head.temperature
-        d_projection = f.T @ d_logits / head.temperature
+        d_features = d_logits @ head.projection.T
+        d_projection = f.T @ d_logits
         d_table = probs.sum(axis=0)[:, None] * u[None, :]
     if not all(np.isfinite(g).all() for g in (d_features, d_projection, d_table)):
         raise NonFiniteInput("gradients overflow to non-finite values")

@@ -37,9 +37,9 @@ def rel_err(analytic, numeric):
     return float((np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)).max())
 
 
-def vet_loss(features, projection, table, upstream, temperature):
+def vet_loss(features, projection, table, upstream):
     """sum_i upstream . vet_embed(head_forward(features)_i), one token at a time."""
-    head = VisualHead(projection=projection, temperature=temperature)
+    head = VisualHead(projection=projection)
     vet_table = VisualEmbeddingTable(table=table)
     return float(
         sum(vet_embed(t, vet_table) @ upstream for t in head_forward(features, head))

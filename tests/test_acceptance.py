@@ -38,7 +38,9 @@ from navit_pack.vet import (
     vet_embed_grad,
 )
 from mutants import MUTANTS, alarm, run_verify
+from test_encoder import plain_attention
 from test_geometry import SMALL, oracle_plan, oracle_plan_fast
+from test_vet import loop_expectation
 
 
 @contextmanager
@@ -125,11 +127,8 @@ def test_c03_vet_expectation():
             table = VisualEmbeddingTable(table=rng.normal(size=(vocab, d_embed)))
             raw = rng.uniform(0.0, 1.0, vocab) + 1e-9
             probs = raw / raw.sum()
-            expected = np.zeros(d_embed)
-            for k in range(vocab):
-                expected += probs[k] * table.table[k]
             out = vet_embed(ProbVisualToken(probs=probs), table)
-            assert np.abs(out - expected).max() <= 1e-12
+            assert np.abs(out - loop_expectation(probs, table.table)).max() <= 1e-12
         # one-hot and uniform are exact
         table = VisualEmbeddingTable(table=rng.normal(size=(6, 3)))
         onehot = np.zeros(6)
@@ -152,28 +151,27 @@ def test_c04_gradient_checks():
             projection = rng.uniform(-1, 1, (d_model, vocab))
             table = rng.uniform(-1, 1, (vocab, d_embed))
             upstream = rng.uniform(-1, 1, d_embed)
-            temperature = float(rng.uniform(0.5, 2.0))
-            head = VisualHead(projection=projection, temperature=temperature)
+            head = VisualHead(projection=projection)
             grads = vet_embed_grad(features, head, VisualEmbeddingTable(table=table), upstream)
             for analytic, numeric in (
                 (
                     grads.d_features,
                     finite_difference(
-                        lambda f: vet_loss(f, projection, table, upstream, temperature),
+                        lambda f: vet_loss(f, projection, table, upstream),
                         features,
                     ),
                 ),
                 (
                     grads.d_projection,
                     finite_difference(
-                        lambda p: vet_loss(features, p, table, upstream, temperature),
+                        lambda p: vet_loss(features, p, table, upstream),
                         projection,
                     ),
                 ),
                 (
                     grads.d_table,
                     finite_difference(
-                        lambda t: vet_loss(features, projection, t, upstream, temperature),
+                        lambda t: vet_loss(features, projection, t, upstream),
                         table,
                     ),
                 ),
@@ -222,15 +220,6 @@ def test_c05_rope_properties():
         assert np.array_equal(
             apply_rope_2d(q, np.zeros((draws, 2), dtype=int), config), q
         )
-
-
-def plain_attention(x, params):
-    q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
-    scores = q @ k.T / np.sqrt(params.d_head)
-    scores -= scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ v @ params.wo
 
 
 def test_c06_packed_attention_equivalence():

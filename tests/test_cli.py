@@ -1024,21 +1024,20 @@ class TestVerify:
         `vet_embed`, one perturbed entry at a time."""
         from navit_pack import selfcheck
 
-        for features, projection, table, upstream, temperature in selfcheck._vet_fixtures(seed):
+        for features, projection, table, upstream in selfcheck._vet_fixtures(seed):
             args = {"features": features, "projection": projection, "table": table}
             for arg, value in args.items():
-                rest = {**args, "upstream": upstream, "temperature": temperature}
+                rest = {**args, "upstream": upstream}
                 stacked = selfcheck.stacked_central_diff(
                     lambda x: selfcheck._vet_losses(**{**rest, arg: x}), value
                 )
                 per_entry = finite_difference(lambda x: vet_loss(**{**rest, arg: x}), value)
                 assert rel_err(stacked, per_entry) < 1e-9, (seed, arg)
 
-    @pytest.mark.parametrize("command", ["verify", "grad-check"])
-    def test_mutant_fails_named_check(self, monkeypatch, command):
+    def test_mutant_fails_named_check(self, monkeypatch):
         mutant = MUTANTS["vet-grad-no-pa-term"]
         monkeypatch.setattr(mutant.module, mutant.attr, mutant.replacement())
-        code, statuses, err = run_verify(command)
+        code, statuses, err = run_verify("verify")
         assert code == 1
         assert statuses.pop("vet-grad") == "FAIL"
         assert statuses and set(statuses.values()) == {"pass"}
@@ -1058,28 +1057,20 @@ class TestVerify:
         assert code == 1
         assert err == "failed checks: vet-grad\n"
 
-    @pytest.mark.parametrize("command", ["verify", "grad-check"])
-    def test_fault_inject_is_usage_error(self, command):
-        result = run_cli(command, "--fault-inject", "vet-grad")
+    def test_fault_inject_is_usage_error(self):
+        result = run_cli("verify", "--fault-inject", "vet-grad")
         assert result.returncode == 2
         assert result.stdout == ""
         assert "unrecognized arguments: --fault-inject vet-grad" in result.stderr
 
-    def test_grad_check_subset(self):
-        result = run_cli("grad-check")
-        assert result.returncode == 0
-        assert "vet-grad" in result.stdout and "dpo-grad" in result.stdout
-        assert "rope-relative" not in result.stdout
-
-    @pytest.mark.parametrize("command", ["verify", "grad-check"])
-    def test_negative_seed_is_usage_error(self, command):
+    def test_negative_seed_is_usage_error(self):
         # A value of up to 64 characters is echoed whole, a longer one cut.
         for seed, shown in (
             ("-1", "-1\n"),
             ("-" + "1" * 63, "-" + "1" * 63 + "\n"),
             ("-" + "1" * 3000, "-" + "1" * 60 + "...\n"),
         ):
-            result = run_cli(command, "--seed", seed)
+            result = run_cli("verify", "--seed", seed)
             assert result.returncode == 2
             assert result.stdout == ""
             assert "Traceback" not in result.stderr
@@ -1175,26 +1166,15 @@ class TestStartup:
             "from navit_pack import cli\n"
             f"codes = [cli.main(['prefs', c, '--groups', {str(groups)!r}])\n"
             "         for c in ('pairs', 'dpo', 'grpo')]\n"
-            "codes += [cli.main(['verify']), cli.main(['grad-check'])]\n"
+            "codes += [cli.main(['verify'])]\n"
             "print(json.dumps({'codes': codes, 'chat': 'navit_pack.chat' in sys.modules,\n"
             "                  'cli_pack': 'navit_pack.cli_pack' in sys.modules,\n"
             "                  'dataclasses': 'dataclasses' in sys.modules}), file=sys.stderr)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert json.loads(result.stderr.splitlines()[-1]) == {
-            "codes": [0, 0, 0, 0, 0], "chat": False, "cli_pack": False, "dataclasses": False
+            "codes": [0, 0, 0, 0], "chat": False, "cli_pack": False, "dataclasses": False
         }
-
-    def test_grad_check_loads_no_attention_or_packing_code(self):
-        script = (
-            "import contextlib, io\n"
-            "from navit_pack import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['grad-check']) == 0\n"
-        )
-        loaded = loaded_modules(script)
-        assert "navit_pack.selfcheck" in loaded
-        assert not {"navit_pack.encoder", "navit_pack.packing", "navit_pack.geometry"} & {*loaded}
 
     def test_prefs_loads_no_packing_code(self, tmp_path):
         groups = tmp_path / "g.jsonl"
@@ -1218,11 +1198,6 @@ class TestStartup:
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.stdout == "False\n", result.stderr
-
-    def test_check_names_match_selfcheck(self):
-        from navit_pack.selfcheck import CHECK_NAMES
-
-        assert set(cli._GRAD_CHECKS) <= set(CHECK_NAMES)
 
 
 class TestManifestSchemaItself:

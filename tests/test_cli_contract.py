@@ -294,6 +294,24 @@ def _parsers(parser, prefix=()):
 PARSERS = {" ".join(prefix) or "navit-pack": (prefix, p) for prefix, p in _parsers(cli.build_parser())}
 
 
+def test_readme_shows_each_subcommand():
+    """The README's CLI block runs each subcommand and `prefs` mode that the
+    parser defines, and no other, so that adding or removing one shows there."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    shown = set()
+    for line in block.splitlines():
+        words = line.split()
+        if "navit-pack" in words and not line.startswith("#"):
+            names = []
+            for word in words[words.index("navit-pack") + 1 :]:
+                if word.startswith("-"):
+                    break
+                names.append(word)
+                shown.add(" ".join(names))
+    assert shown == set(PARSERS) - {"navit-pack"}
+
+
 def _words(parser):
     """The option strings and subcommand names that `parser` knows."""
     words = []

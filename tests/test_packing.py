@@ -17,7 +17,6 @@ from navit_pack.packing import (
     SampleRecord,
     SampleTooLong,
     build_attention_metadata,
-    naive_batch_waste,
     pack_ffd,
     packing_report,
     parse_manifest_line,
@@ -184,20 +183,29 @@ class TestOptimalBinCount:
 
 
 class TestNaiveBaseline:
+    """The report's naive side: each batch of `batch_size` samples, in input
+    order, padded to its longest."""
+
     def test_two_lengths_one_batch(self):
-        base = naive_batch_waste(samples_of([10, 1]), batch_size=2)
-        assert base.total_slots == 20
-        assert base.pad_tokens == 9
-        assert base.pad_fraction == pytest.approx(0.45)
+        # 20 slots, 9 of them padding; packed, the 11 tokens take 11 slots.
+        report = report_of(samples_of([10, 1]), capacity=11, batch_size=2)
+        assert report.naive_pad_fraction == 9 / 20
+        assert report.useful_token_speedup_proxy == 20 / 11
 
     def test_equal_lengths_no_padding(self):
-        base = naive_batch_waste(samples_of([6] * 9), batch_size=4)
-        assert base.pad_fraction == 0.0
+        report = report_of(samples_of([6] * 9), capacity=12, batch_size=4)
+        assert report.naive_pad_fraction == 0.0
 
     def test_batch_size_one_no_padding(self):
-        base = naive_batch_waste(samples_of([3, 9, 1]), batch_size=1)
-        assert base.pad_fraction == 0.0
-        assert base.total_slots == 13
+        # 13 slots, none of them padding, against one 13-token sequence.
+        report = report_of(samples_of([3, 9, 1]), capacity=13, batch_size=1)
+        assert report.naive_pad_fraction == 0.0
+        assert report.useful_token_speedup_proxy == 1.0
+
+    def test_batch_size_below_one_rejected_unless_empty(self):
+        with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
+            report_of(samples_of([3]), capacity=4, batch_size=0)
+        assert report_of([], capacity=4, batch_size=0).naive_pad_fraction == 0.0
 
 
 class TestAttentionMetadata:

@@ -18,7 +18,7 @@ ONE = np.ones((1, 1))
 
 # One value of each value type, with its repr. Some share their fields
 # with a value of another type: `TextPart("hi")`, `ImagePart("hi")` and
-# `TextSpan("hi")`; `ImageSize(3, 4)` and `NaiveBaseline(3, 4)`.
+# `TextSpan("hi")`.
 VALUES = [
     (SIZE, "ImageSize(width=3, height=4)"),
     (
@@ -38,7 +38,6 @@ VALUES = [
         packing.PackedSequence(8, (("a", 3), ("b", 2))),
         "PackedSequence(capacity=8, lengths=(('a', 3), ('b', 2)))",
     ),
-    (packing.NaiveBaseline(3, 4), "NaiveBaseline(total_slots=3, pad_tokens=4)"),
     (
         packing.PackingReport(1, 1, 8, 0.25, 0.5, 1.0),
         "PackingReport(n_samples=1, n_sequences=1, capacity=8, packed_pad_fraction=0.25, "
@@ -76,7 +75,7 @@ VALUES = [
     ),
     (
         vet.VisualHead(np.ones((1, 2))),
-        "VisualHead(projection=array([[1., 1.]]), temperature=1.0)",
+        "VisualHead(projection=array([[1., 1.]]))",
     ),
     (vet.ProbVisualToken(np.array([0.5, 0.5])), "ProbVisualToken(probs=array([0.5, 0.5]))"),
     (vet.VisualEmbeddingTable(np.ones((1, 2))), "VisualEmbeddingTable(table=array([[1., 1.]]))"),
@@ -135,3 +134,27 @@ def test_value_type_contract(value, text):
     with pytest.raises(AttributeError):
         value.extra = None
     assert repr(value) == text
+
+
+# Two equal values of each type that holds an array, built from distinct
+# arrays of two or more elements, which have no one truth value.
+ARRAY_TWINS = [
+    lambda: encoder.PatchSequence(np.ones((2, 2)), np.zeros((2, 2), dtype=int), (0, 2)),
+    lambda: encoder.AttentionParams(*[np.ones((2, 2))] * 4),
+    lambda: encoder.LearnedPosTable(1, 1, np.ones((1, 2))),
+    lambda: vet.VisualHead(np.ones((2, 3))),
+    lambda: vet.ProbVisualToken(np.array([0.5, 0.5])),
+    lambda: vet.VisualEmbeddingTable(np.ones((2, 3))),
+    lambda: vet.VetGradients(*[np.ones((2, 2))] * 3),
+]
+
+
+@pytest.mark.parametrize("build", ARRAY_TWINS, ids=lambda b: type(b()).__name__)
+def test_array_values_refuse_equality_with_their_own_type(build):
+    value, twin = build(), build()
+    name = type(value).__name__
+    for op in (operator.eq, operator.ne):
+        with pytest.raises(TypeError, match=f"^{name} holds an array: it has no == or !=$"):
+            op(value, twin)
+    # With another type or a plain tuple, it is unequal, as every value is.
+    assert value != tuple(value) and value != SIZE and not value == 2
