@@ -998,6 +998,16 @@ class TestVerify:
         for name in ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt"):
             assert name in first.stdout
 
+    def test_reports_each_check_once_in_check_order(self):
+        """`verify` writes one line per check, named as its result names
+        itself, in `CHECK_NAMES` order; `bench/check.py` reads these five."""
+        from navit_pack.selfcheck import CHECK_NAMES
+
+        code, out, _ = run_in_process("verify", "--seed", "0")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == list(CHECK_NAMES)
+        assert CHECK_NAMES == ("vet-grad", "dpo-grad", "rope-relative", "pack-equiv", "ffd-opt")
+
     def test_seed_changes_fixtures_not_outcome(self):
         a = run_cli("verify", "--seed", "1")
         b = run_cli("verify", "--seed", "2")
