@@ -154,8 +154,11 @@ def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    re, im = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=re)
+    re -= odd * sin
+    np.multiply(even, sin, out=im)
+    im += odd * cos
     return out
 
 

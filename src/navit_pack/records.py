@@ -42,11 +42,17 @@ class _Value(tuple):
     and `==` or `!=` with a value of its own type raises `TypeError` (an
     array has no one truth value); with any other object it is unequal. No
     value has an order or `+` or `*`: those raise `TypeError`, with a plain
-    tuple on either side too. `_replace` and `_make` skip `__new__`: build
-    with the type.
+    tuple on either side too. `_make` and `_replace` build through the
+    constructor, so they check what it checks and recompute a derived field.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # `_replace` calls `_make`; the namedtuple base's, ahead of `_Value` in the
+        # MRO, skips `__new__`: wrap it to build with `__getnewargs__`'s arguments.
+        make = cls._make
+        cls._make = classmethod(lambda c, fields: c(*make(fields).__getnewargs__()))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

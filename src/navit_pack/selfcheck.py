@@ -36,6 +36,7 @@ _GRAD_INSTANCES = 30
 _ROPE_DRAWS = 1000
 _PACK_TRIALS = 26
 _FFD_MANIFESTS = 40
+_STEP = 1e-6  # finite-difference step h
 
 
 class CheckResult(namedtuple("CheckResult", "name passed detail"), _Value):
@@ -50,16 +51,14 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(a - n) / denom).max())
 
 
-def stacked_central_diff(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6
-) -> np.ndarray:
+def stacked_central_diff(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar function at x from one call of f,
     which maps every x + h*e_i, then every x - h*e_i, stacked on a new leading axis, to
-    one value each."""
+    one value each; h is `_STEP`."""
     x = np.asarray(x, dtype=np.float64)
-    steps = (h * np.eye(x.size)).reshape(x.size, *x.shape)
+    steps = (_STEP * np.eye(x.size)).reshape(x.size, *x.shape)
     values = f(np.concatenate([x + steps, x - steps]))
-    return ((values[: x.size] - values[x.size :]) / (2.0 * h)).reshape(x.shape)
+    return ((values[: x.size] - values[x.size :]) / (2.0 * _STEP)).reshape(x.shape)
 
 
 def optimal_bin_count(lengths: list[int], capacity: int) -> int:

@@ -29,13 +29,16 @@ __all__ = [
 
 class VisualHead(namedtuple("VisualHead", "projection"), _Value):
     """Projection onto the visual vocabulary: the logits of a feature row x
-    are x @ projection, and its distribution is their softmax."""
+    are x @ projection, and its distribution is their softmax. The
+    projection must be finite."""
 
     __slots__ = ()
 
     def __new__(cls, projection: np.ndarray) -> VisualHead:  # (d_model, vocab_size)
         if projection.ndim != 2 or projection.shape[1] < 2:
             raise ShapeMismatch(f"projection must be (d_model, vocab>=2), got {projection.shape}")
+        if not np.isfinite(projection).all():
+            raise NonFiniteInput("projection contains non-finite entries")
         return tuple.__new__(cls, (projection,))
 
     @property
@@ -44,35 +47,22 @@ class VisualHead(namedtuple("VisualHead", "projection"), _Value):
 
 
 class ProbVisualToken(namedtuple("ProbVisualToken", "probs"), _Value):
-    """Probability distribution over the visual vocabulary for one patch."""
+    """Probability distribution over the visual vocabulary for one patch:
+    every entry >= 0 and a sum within 1e-9 of 1. A sum that is NaN or
+    infinite raises `NonFiniteInput`."""
 
     __slots__ = ()
 
     def __new__(cls, probs: np.ndarray) -> ProbVisualToken:
         if probs.ndim != 1:
             raise ShapeMismatch(f"probs must be a vector, got shape {probs.shape}")
-        _check_probs(probs[None, :])
+        low, total = float(probs.min()), float(probs.sum())
+        if low < 0.0:
+            raise ValueError(f"probabilities must be non-negative, min is {low}")
+        if not abs(total - 1.0) <= 1e-9:
+            error = ValueError if np.isfinite(total) else NonFiniteInput
+            raise error(f"probabilities must sum to 1, got {total}")
         return tuple.__new__(cls, (probs,))
-
-
-def _check_probs(probs: np.ndarray) -> None:
-    """Raise unless each row of `probs` (rows, vocab) is a distribution.
-
-    Every entry must be >= 0 and every row must sum to 1 within 1e-9. The
-    error names the first bad row's minimum or sum; a row whose sum is
-    NaN or infinite raises `NonFiniteInput`.
-    """
-    lows = probs.min(axis=1)
-    totals = probs.sum(axis=1)
-    bad = ~((lows >= 0.0) & (np.abs(totals - 1.0) <= 1e-9))
-    if not bad.any():
-        return
-    row = probs[int(np.argmax(bad))]
-    if row.min() < 0.0:
-        raise ValueError(f"probabilities must be non-negative, min is {row.min()}")
-    total = row.sum()
-    error = ValueError if np.isfinite(total) else NonFiniteInput
-    raise error(f"probabilities must sum to 1, got {total!r}")
 
 
 class VisualEmbeddingTable(namedtuple("VisualEmbeddingTable", "table"), _Value):
@@ -102,14 +92,13 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _head_probs(features: np.ndarray, head: VisualHead) -> tuple[np.ndarray, np.ndarray]:
-    """The features as a float array and their checked (n, vocab) probabilities.
+    """The features as a float array and their (n, vocab) probabilities.
 
-    Row i is softmax(features_i @ projection), computed with max
-    subtraction so large logits stay finite. The whole probability array
-    is checked once, with the rule `ProbVisualToken` applies to one row.
+    Row i is softmax(features_i @ projection), with max subtraction.
     Non-finite features raise `NonFiniteInput`, and so do logits that
-    overflow to infinity (they give NaN probabilities), without a numpy
-    warning.
+    overflow (the projection is finite), without a numpy warning. The
+    softmax of finite logits needs no check: its entries are in [0, 1] and
+    each row's max is 1, so each row sums to 1 within vocab * epsilon.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -121,23 +110,25 @@ def _head_probs(features: np.ndarray, head: VisualHead) -> tuple[np.ndarray, np.
         )
     if not np.isfinite(f).all():
         raise NonFiniteInput("features contain non-finite entries")
-    # Overflowing logits surface as the NonFiniteInput below, not as warnings.
+    # Overflow in the product, or in the shift of a finite row, is not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _softmax_rows(f @ head.projection)
-    _check_probs(probs)
-    return f, probs
+        logits = f @ head.projection
+        if not np.isfinite(logits).all():
+            raise NonFiniteInput("logits overflow to non-finite values")
+        return f, _softmax_rows(logits)
 
 
 def head_forward(features: np.ndarray, head: VisualHead) -> list[ProbVisualToken]:
     """Map each feature row to its distribution over visual words.
 
-    The probabilities are those of `_head_probs`, and each token holds a
-    view of its row.
+    The probabilities are those of `_head_probs`, which rejects non-finite
+    features and overflowing logits, and each token holds a view of its
+    row.
     """
     _, probs = _head_probs(features, head)
-    # Each row was checked with its array: skip the per-row check of
-    # `ProbVisualToken.__new__`, and build the tokens from the 1-tuples of
-    # `zip` without a Python-level loop.
+    # Each row is a softmax of finite logits, so a distribution (see
+    # `_head_probs`): skip the per-row check of `ProbVisualToken.__new__`,
+    # and build the tokens from the 1-tuples of `zip` without a Python loop.
     return list(map(tuple.__new__, [ProbVisualToken] * len(probs), zip(probs)))
 
 

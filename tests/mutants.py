@@ -429,7 +429,7 @@ MUTANTS = {
         "dpo-grad-plus-g": ("return loss, g - nll, -g, -g, g", "return loss, g - nll, -g, g, g"),
     }, "dpo-grad"),
     **_mutants(encoder, "_rotate_pairs", {
-        "rope-reflection": ("even * sin + odd * cos", "even * sin - odd * cos"),
+        "rope-reflection": ("im += odd * cos", "im -= odd * cos"),
     }, "rope-relative"),
     **_mutants(encoder, "apply_rope_2d", {
         "rope-row-only": ("pos[:, :, None] * freqs", "pos[:, [0, 0], None] * freqs"),

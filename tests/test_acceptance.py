@@ -5,8 +5,6 @@ lines as they complete.
 """
 
 import math
-import subprocess
-import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,6 +36,7 @@ from navit_pack.vet import (
     vet_embed_grad,
 )
 from mutants import MUTANTS, alarm, run_verify
+from test_cli import run_cli
 from test_encoder import plain_attention
 from test_geometry import SMALL, oracle_plan, oracle_plan_fast
 from test_vet import loop_expectation
@@ -338,12 +337,6 @@ def test_c11_chat_roundtrip():
             assert out.answer == a
             assert THINK_OPEN not in out.answer
             assert THINK_CLOSE not in out.answer
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "navit_pack", *args], capture_output=True, text=True
-    )
 
 
 def test_c12_end_to_end_determinism_and_faults(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from navit_pack import chat, encoder, geometry, objectives, packing, selfcheck, vet
+from navit_pack.errors import NonFiniteInput, ShapeMismatch
 
 SIZE = geometry.ImageSize(3, 4)
 PLAN_TEXT = (
@@ -96,6 +97,38 @@ VALUES = [
     ),
 ]
 
+# For each type whose constructor checks its fields: a `_replace` it
+# refuses, with the constructor's error.
+BAD_REPLACE = {
+    geometry.ImageSize: ({"width": 0}, ValueError, r"image sides must be >= 1, got 0x4"),
+    geometry.PixelBudget: ({"patch_size": 0}, ValueError, r"patch_size must be >= 1, got 0"),
+    geometry.ResizePlan: ({"grid_rows": 0}, ValueError, r"grid must have at least one patch .*"),
+    packing.SampleRecord: ({"text_tokens": -1}, ValueError, r"sample 'a' has negative .*"),
+    packing.PackedSequence: ({"capacity": 4}, ValueError, r"lengths 5 exceed capacity 4"),
+    chat.ChatMessage: ({"parts": ()}, ValueError, r"message parts must be non-empty"),
+    encoder.RopeConfig: ({"d_head": 6}, ValueError, r"d_head must be a positive .*, got 6"),
+    encoder.LearnedPosTable: ({"grid_rows": 2}, ShapeMismatch, r"table has \(1, 2\) rows, .* 2"),
+    encoder.PatchSequence: (
+        {"sample_boundaries": (0, 2)}, ValueError, r"boundaries must run 0\.\.1, got \(0, 2\)"
+    ),
+    encoder.AttentionParams: (
+        {"wo": np.ones((2, 1))}, ShapeMismatch, r"wo has shape \(2, 1\), expected \(1, 1\)"
+    ),
+    vet.VisualHead: (
+        {"projection": np.full((1, 2), np.nan)}, NonFiniteInput, r"projection contains .*"
+    ),
+    vet.ProbVisualToken: (
+        {"probs": np.array([0.7, 0.7])}, ValueError, r"probabilities must sum to 1, got 1\.4"
+    ),
+    vet.VisualEmbeddingTable: (
+        {"table": np.full((1, 2), np.inf)}, NonFiniteInput, r"embedding table contains .*"
+    ),
+    objectives.PreferenceGroup: (
+        {"responses": ("a", "a")}, ValueError, r"group 'q' has duplicate responses"
+    ),
+    objectives.DpoConfig: ({"beta": 0.0}, ValueError, r"beta must be positive, got 0\.0"),
+}
+
 
 @pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
 def test_value_type_contract(value, text):
@@ -122,8 +155,10 @@ def test_value_type_contract(value, text):
 
     # A value that holds an array is unhashable, as the array is.
     digest = None if "array(" in text else hash(value)
-    # A copy goes through the constructor with the fields the copy stores.
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    # A copy, and a `_replace` of no field, go through the constructor with
+    # the fields the copy stores.
+    copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    for twin in (*copies, value._replace(), type(value)._make(value)):
         assert type(twin) is type(value) and repr(twin) == text
         if digest is not None:
             assert twin == value and hash(twin) == digest
@@ -134,6 +169,23 @@ def test_value_type_contract(value, text):
     with pytest.raises(AttributeError):
         value.extra = None
     assert repr(value) == text
+
+    if type(value) in BAD_REPLACE:
+        fields, error, message = BAD_REPLACE[type(value)]
+        with pytest.raises(error, match=f"^{message}$"):
+            value._replace(**fields)
+
+
+def test_replace_and_make_recompute_the_sample_total():
+    sample = packing.SampleRecord("a", 3)
+    assert sample._replace(text_tokens=5) == packing.SampleRecord("a", 5)
+    assert sample._replace(text_tokens=5).total_tokens == 5
+    with pytest.raises(ValueError, match="^sample 'b' has zero tokens$"):
+        packing.SampleRecord._make(("b", 0, (), 0))
+    # The stored total is derived: a given one is replaced, not kept.
+    assert packing.SampleRecord._make(("a", 3, (), 99)).total_tokens == 3
+    with pytest.raises(TypeError, match="^Expected 4 arguments, got 3$"):
+        packing.SampleRecord._make(("a", 3, ()))
 
 
 # Two equal values of each type that holds an array, built from distinct

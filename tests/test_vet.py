@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from navit_pack.errors import LengthMismatch, NonFiniteInput, ShapeMismatch
 from navit_pack.vet import (
     ProbVisualToken,
     VisualEmbeddingTable,
     VisualHead,
-    _check_probs,
     _head_probs,
     head_forward,
     vet_embed,
@@ -23,6 +23,11 @@ def softmax_oracle(logits):
     e = [np.exp(z) for z in logits]
     total = sum(e)
     return [v / total for v in e]
+
+
+def is_distribution_rows(probs):
+    """Every entry >= 0 and every row summing to 1 within 1e-9."""
+    return bool((probs.min(axis=1) >= 0.0).all() and (abs(probs.sum(axis=1) - 1.0) <= 1e-9).all())
 
 
 def loop_expectation(probs, table):
@@ -75,6 +80,10 @@ class TestHeadForward:
         head = VisualHead(projection=np.eye(2) * 1e4)
         (token,) = head_forward(np.array([[1.0, -1.0]]), head)
         assert np.isfinite(token.probs).all()
+        # Finite logits whose max shift overflows to -inf: exp gives 0, without a warning.
+        head = VisualHead(projection=np.array([[1e308, -1e308]]))
+        (token,) = head_forward(np.ones((1, 1)), head)
+        np.testing.assert_array_equal(token.probs, [1.0, 0.0])
 
     def test_nonfinite_rejected(self):
         head = VisualHead(projection=np.eye(2))
@@ -82,10 +91,43 @@ class TestHeadForward:
             head_forward(np.array([[np.nan, 0.0]]), head)
 
     def test_overflowing_logits_rejected(self):
-        # Finite features whose logits overflow: inf - inf gives NaN rows.
+        # Finite features whose logits overflow.
         head = VisualHead(projection=np.array([[2.0, 1.0]]))
-        with pytest.raises(NonFiniteInput, match="must sum to 1, got .*nan"):
+        with pytest.raises(NonFiniteInput, match="^logits overflow to non-finite values$"):
             head_forward(np.array([[0.5], [1e308]]), head)
+        # inf - inf in the product gives a NaN logit.
+        head = VisualHead(projection=np.array([[1e308, 1.0], [1e308, 1.0]]))
+        with pytest.raises(NonFiniteInput, match="^logits overflow to non-finite values$"):
+            head_forward(np.array([[10.0, -10.0]]), head)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_projection_rejected(self, bad):
+        projection = np.eye(2)
+        projection[0, 1] = bad
+        with pytest.raises(NonFiniteInput, match="^projection contains non-finite entries$"):
+            VisualHead(projection=projection)
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(2, 5),
+        st.data(),
+    )
+    def test_probs_are_distributions_unless_logits_overflow(self, n, d_model, vocab, data):
+        """Finite features and projections from the whole float range: the
+        rows are distributions exactly when the logits are finite, and the
+        error names the logits otherwise."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        features = data.draw(arrays(np.float64, (n, d_model), elements=finite))
+        projection = data.draw(arrays(np.float64, (d_model, vocab), elements=finite))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_logits = np.isfinite(features @ projection).all()
+        if finite_logits:
+            _, probs = _head_probs(features, VisualHead(projection))
+            assert is_distribution_rows(probs)
+        else:
+            with pytest.raises(NonFiniteInput, match="^logits overflow to non-finite values$"):
+                _head_probs(features, VisualHead(projection))
 
     def test_tokens_view_the_rows_of_the_checked_array(self):
         rng = np.random.default_rng(12)
@@ -162,21 +204,17 @@ class TestVetEmbed:
         assert vet_embed(token, table).tobytes() == (token.probs @ table.table).tobytes()
 
     def test_invalid_token_rejected(self):
-        with pytest.raises(ValueError):
+        # The texts carry plain numbers, not numpy reprs.
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.4$"):
             ProbVisualToken(probs=np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^probabilities must be non-negative, min is -0\.5$"):
             ProbVisualToken(probs=np.array([1.5, -0.5]))
 
     def test_nan_token_rejected(self):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteInput, match="^probabilities must sum to 1, got nan$"):
             ProbVisualToken(probs=np.array([np.nan, np.nan]))
-
-    def test_array_check_names_first_bad_row(self):
-        probs = np.array([[0.5, 0.5], [1.5, -0.5], [0.7, 0.7]])
-        with pytest.raises(ValueError, match=r"^probabilities must be non-negative, min is -0\.5$"):
-            _check_probs(probs)
-        with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got .*1\.4"):
-            _check_probs(probs[[0, 2, 1]])
+        with pytest.raises(NonFiniteInput, match="^probabilities must sum to 1, got inf$"):
+            ProbVisualToken(probs=np.array([np.inf, 0.0]))
 
 
 class TestGradients:
@@ -211,7 +249,7 @@ class TestGradients:
         # As in head_forward: finite features whose logits overflow.
         head = VisualHead(projection=np.array([[2.0, 1.0]]))
         table = VisualEmbeddingTable(table=np.ones((2, 3)))
-        with pytest.raises(NonFiniteInput, match="must sum to 1, got .*nan"):
+        with pytest.raises(NonFiniteInput, match="^logits overflow to non-finite values$"):
             vet_embed_grad(np.array([[0.5], [1e308]]), head, table, np.ones(3))
 
     def test_nonfinite_upstream_rejected(self):
