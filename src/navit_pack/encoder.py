@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 from .records import _Value
 
 __all__ = [
@@ -53,6 +53,8 @@ class RopeConfig(namedtuple("RopeConfig", "d_head"), _Value):
     __slots__ = ()
 
     def __new__(cls, d_head: int) -> RopeConfig:
+        if not isinstance(d_head, (int, np.integer)):
+            raise TypeError(f"d_head must be an integer, got {d_head!r}")
         if d_head < 4 or d_head % 4:
             raise ValueError(f"d_head must be a positive multiple of 4, got {d_head}")
         return tuple.__new__(cls, (d_head,))
@@ -81,7 +83,8 @@ class LearnedPosTable(namedtuple("LearnedPosTable", "grid_rows grid_cols table")
 class PatchSequence(
     namedtuple("PatchSequence", "embeddings positions sample_boundaries"), _Value
 ):
-    """Packed patch features with their 2D positions and sample boundaries.
+    """Packed patch features with their finite, non-negative 2D positions
+    and sample boundaries.
 
     `sample_boundaries` are cumulative token offsets: starts at 0, ends at
     the token count, strictly ascending (no empty samples).
@@ -103,6 +106,8 @@ class PatchSequence(
             raise ShapeMismatch(f"positions shape {pos.shape} != ({n}, 2)")
         if n and pos.min() < 0:
             raise ValueError("positions must be non-negative")
+        if not np.isfinite(pos).all():
+            raise NonFiniteInput("positions contain non-finite entries")
         b = sample_boundaries
         if not b or b[0] != 0 or b[-1] != n:
             raise ValueError(f"boundaries must run 0..{n}, got {b}")
@@ -120,6 +125,8 @@ class AttentionParams(namedtuple("AttentionParams", "wq wk wv wo"), _Value):
     def __new__(
         cls, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray, wo: np.ndarray
     ) -> AttentionParams:
+        if wq.ndim != 2:
+            raise ShapeMismatch(f"wq must be 2D, got shape {wq.shape}")
         d_model, d_head = wq.shape
         for name, mat, shape in (
             ("wk", wk, (d_model, d_head)),

@@ -122,17 +122,23 @@ class DpoConfig(namedtuple("DpoConfig", "beta nll_weight"), _Value):
             raise ValueError(f"beta must be positive, got {beta}")
         if nll_weight < 0.0:
             raise ValueError(f"nll_weight must be non-negative, got {nll_weight}")
+        for name, value in (("beta", beta), ("nll_weight", nll_weight)):
+            if not isfinite(value):
+                raise NonFiniteInput(f"{name} must be finite, got {value}")
         return tuple.__new__(cls, (beta, nll_weight))
 
 
 def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int, int]]:
-    """Every ordered index pair `(i, j)` with `scores[i] - scores[j] > margin`.
+    """Every ordered index pair `(i, j)` with `scores[i] - scores[j] > margin`,
+    a finite margin >= 0.
 
     Pairs come out sorted by descending gap, ties by `(i, j)`, so output
     order is deterministic.
     """
     if margin < 0.0:
         raise ValueError(f"margin must be non-negative, got {margin}")
+    if not isfinite(margin):
+        raise NonFiniteInput(f"margin must be finite, got {margin}")
     # `sj - si` is exactly the negated gap, so an ascending sort puts the
     # largest gap first.
     ranked = sorted(

@@ -76,13 +76,13 @@ class SampleRecord(
     def __new__(
         cls, id: str, text_tokens: int, image_plans: tuple[ResizePlan, ...] = ()
     ) -> SampleRecord:
+        if text_tokens < 0:
+            raise ValueError(f"sample {_quoted(id)} has negative text_tokens")
         total = text_tokens
         for plan in image_plans:
             total += plan.token_count
         if total < 1:
             raise ValueError(f"sample {_quoted(id)} has zero tokens")
-        if text_tokens < 0:
-            raise ValueError(f"sample {_quoted(id)} has negative text_tokens")
         return tuple.__new__(cls, (id, text_tokens, image_plans, total))
 
     def __getnewargs__(self) -> tuple:

@@ -6,7 +6,8 @@ against their closed form and their relative-position property, per-block
 packed attention against the dense masked reference, and
 first-fit-decreasing packing against a plain first-fit scan and
 exhaustive optimal packing. The tests show that each check catches a
-broken copy of the code it guards.
+broken copy of the code it guards. A `check_*` function returns only its
+verdict, `(passed, detail)`; `_CHECKS` alone names the checks and orders them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import encoder, objectives, packing, vet
-from .errors import ShapeMismatch, _clipped
+from .errors import _clipped
 from .records import _Value
 
 __all__ = [
@@ -135,7 +136,12 @@ def _vet_fixtures(seed: int):
         yield features, projection, table, upstream
 
 
-def check_vet_grad(seed: int) -> CheckResult:
+def _grad_result(worst: float, tol: float) -> tuple[bool, str]:
+    """The verdict of a gradient check whose worst relative error is `worst`."""
+    return worst < tol, f"max rel err {worst:.3e} over {_GRAD_INSTANCES} instances (tol {tol:.0e})"
+
+
+def check_vet_grad(seed: int) -> tuple[bool, str]:
     tol = 1e-5
     worst = 0.0
     for features, projection, table, upstream in _vet_fixtures(seed):
@@ -151,14 +157,10 @@ def check_vet_grad(seed: int) -> CheckResult:
 
             numeric = stacked_central_diff(losses, value)
             worst = max(worst, max_rel_err(getattr(grads, f"d_{arg}"), numeric))
-    return CheckResult(
-        name="vet-grad",
-        passed=worst < tol,
-        detail=f"max rel err {worst:.3e} over {_GRAD_INSTANCES} instances (tol {tol:.0e})",
-    )
+    return _grad_result(worst, tol)
 
 
-def check_dpo_grad(seed: int) -> CheckResult:
+def check_dpo_grad(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 2])
     tol = 1e-6
     worst = 0.0
@@ -174,11 +176,7 @@ def check_dpo_grad(seed: int) -> CheckResult:
         _, *partials = objectives.dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)
         numeric = stacked_central_diff(losses, lps)
         worst = max(worst, max_rel_err(np.array(partials), numeric))
-    return CheckResult(
-        name="dpo-grad",
-        passed=worst < tol,
-        detail=f"max rel err {worst:.3e} over {_GRAD_INSTANCES} instances (tol {tol:.0e})",
-    )
+    return _grad_result(worst, tol)
 
 
 def _rope_closed_form(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -197,7 +195,7 @@ def _rope_closed_form(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return np.stack([turned.real, turned.imag], axis=2).reshape(n, d_head)
 
 
-def check_rope_relative(seed: int) -> CheckResult:
+def check_rope_relative(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 3])
     config = encoder.RopeConfig(d_head=8)
     q = rng.normal(0.0, 1.0, (_ROPE_DRAWS, config.d_head))
@@ -225,16 +223,12 @@ def check_rope_relative(seed: int) -> CheckResult:
         encoder.apply_rope_2d(q, np.zeros((_ROPE_DRAWS, 2), dtype=int), config), q
     )
     passed = worst_closed < 1e-12 and worst_shift < 1e-9 and worst_norm < 1e-12 and identity_ok
-    return CheckResult(
-        name="rope-relative",
-        passed=passed,
-        detail=(
-            f"closed-form dev {worst_closed:.3e} (tol 1e-12), "
-            f"translation dev {worst_shift:.3e} (tol 1e-09), "
-            f"norm dev {worst_norm:.3e} (tol 1e-12), "
-            f"zero-position identity {'exact' if identity_ok else 'BROKEN'}, "
-            f"{_ROPE_DRAWS} draws"
-        ),
+    return passed, (
+        f"closed-form dev {worst_closed:.3e} (tol 1e-12), "
+        f"translation dev {worst_shift:.3e} (tol 1e-09), "
+        f"norm dev {worst_norm:.3e} (tol 1e-12), "
+        f"zero-position identity {'exact' if identity_ok else 'BROKEN'}, "
+        f"{_ROPE_DRAWS} draws"
     )
 
 
@@ -250,10 +244,6 @@ def _dense_block_attention(
     length, so only for small fixtures.
     """
     x = np.asarray(packed.embeddings, dtype=np.float64)
-    if x.shape[1] != weights.d_model:
-        raise ShapeMismatch(
-            f"embeddings have d_model {x.shape[1]}, weights expect {weights.d_model}"
-        )
     q = x @ weights.wq
     k = x @ weights.wk
     v = x @ weights.wv
@@ -277,7 +267,7 @@ def _dense_block_attention(
 _LONG_BLOCK = 400
 
 
-def check_pack_equiv(seed: int) -> CheckResult:
+def check_pack_equiv(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 4])
     tol = 1e-6
     d_model, d_head = 8, 8
@@ -302,15 +292,13 @@ def check_pack_equiv(seed: int) -> CheckResult:
         out = encoder.block_diag_forward(packed, weights, rope)
         reference = _dense_block_attention(packed, weights, rope)
         worst = max(worst, float(np.abs(out - reference).max()))
-    return CheckResult(
-        name="pack-equiv",
-        passed=worst < tol,
-        detail=f"max abs dev {worst:.3e} from dense masked attention over "
-        f"{_PACK_TRIALS} packings (tol {tol:.0e})",
+    return worst < tol, (
+        f"max abs dev {worst:.3e} from dense masked attention over "
+        f"{_PACK_TRIALS} packings (tol {tol:.0e})"
     )
 
 
-def check_ffd_opt(seed: int) -> CheckResult:
+def check_ffd_opt(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 5])
     capacity = 12
     worst_margin = -math.inf
@@ -325,26 +313,19 @@ def check_ffd_opt(seed: int) -> CheckResult:
         sequences = packing.pack_ffd(samples, capacity)
         contents = [[sid for sid, _ in seq.lengths] for seq in sequences]
         if contents != linear_first_fit(samples, capacity):
-            return CheckResult("ffd-opt", False, "bins differ from a plain first-fit scan")
+            return False, "bins differ from a plain first-fit scan"
         opt = optimal_bin_count(lengths, capacity)
         bound = math.ceil(11.0 / 9.0 * opt) + 1
         count = len(sequences)
         worst_margin = max(worst_margin, count - bound)
         if count > bound:
-            return CheckResult(
-                "ffd-opt",
-                False,
-                f"{count} sequences exceeds bound {bound} (opt {opt})",
-            )
-    return CheckResult(
-        name="ffd-opt",
-        passed=True,
-        detail=f"within ceil(11/9 opt)+1 on {_FFD_MANIFESTS} manifests "
-        f"(worst slack {-worst_margin})",
+            return False, f"{count} sequences exceeds bound {bound} (opt {opt})"
+    return True, (
+        f"within ceil(11/9 opt)+1 on {_FFD_MANIFESTS} manifests (worst slack {-worst_margin})"
     )
 
 
-_CHECKS: dict[str, Callable[[int], CheckResult]] = {
+_CHECKS: dict[str, Callable[[int], tuple[bool, str]]] = {
     "vet-grad": check_vet_grad,
     "dpo-grad": check_dpo_grad,
     "rope-relative": check_rope_relative,
@@ -356,12 +337,13 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(seed: int) -> list[CheckResult]:
-    """Run every check seeded, in `CHECK_NAMES` order; one that raises fails with it as detail."""
+    """Run every check seeded, in `CHECK_NAMES` order, and name each result by its `_CHECKS`
+    key; one that raises or returns no `(passed, detail)` pair fails with the error as detail."""
     results = []
     for name in CHECK_NAMES:
         try:
-            result = _CHECKS[name](seed)
+            passed, detail = _CHECKS[name](seed)
         except Exception as e:
-            result = CheckResult(name, False, _clipped(f"raised {type(e).__name__}: {e}"))
-        results.append(result)
+            passed, detail = False, _clipped(f"raised {type(e).__name__}: {e}")
+        results.append(CheckResult(name, passed, detail))
     return results

@@ -48,14 +48,14 @@ class VisualHead(namedtuple("VisualHead", "projection"), _Value):
 
 class ProbVisualToken(namedtuple("ProbVisualToken", "probs"), _Value):
     """Probability distribution over the visual vocabulary for one patch:
-    every entry >= 0 and a sum within 1e-9 of 1. A sum that is NaN or
-    infinite raises `NonFiniteInput`."""
+    a non-empty vector, every entry >= 0 and a sum within 1e-9 of 1. A sum
+    that is NaN or infinite raises `NonFiniteInput`."""
 
     __slots__ = ()
 
     def __new__(cls, probs: np.ndarray) -> ProbVisualToken:
-        if probs.ndim != 1:
-            raise ShapeMismatch(f"probs must be a vector, got shape {probs.shape}")
+        if probs.ndim != 1 or not probs.size:
+            raise ShapeMismatch(f"probs must be a non-empty vector, got shape {probs.shape}")
         low, total = float(probs.min()), float(probs.sum())
         if low < 0.0:
             raise ValueError(f"probabilities must be non-negative, min is {low}")

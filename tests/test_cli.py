@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1066,6 +1067,28 @@ class TestVerify:
         assert [line.split()[1] for line in lines[1:]] == ["pass"] * 4
         assert code == 1
         assert err == "failed checks: vet-grad\n"
+
+    def test_table_holds_every_check_function(self):
+        """A `check_*` function missing from `_CHECKS` would never run under `verify`."""
+        from navit_pack import selfcheck
+
+        functions = {f for name, f in vars(selfcheck).items() if name.startswith("check_")}
+        assert len(selfcheck._CHECKS) == len(functions)
+        assert set(selfcheck._CHECKS.values()) == functions
+
+    # Returns that are no verdict pair: nothing, a bare verdict, a 1-tuple, and
+    # a (name, passed, detail) triple that could name another check.
+    @pytest.mark.parametrize("returned", [None, True, (True,), ("ffd-opt", True, "ok")])
+    def test_entry_without_a_verdict_pair_fails_under_its_name(self, monkeypatch, returned):
+        from navit_pack import selfcheck
+
+        for name in selfcheck.CHECK_NAMES:
+            monkeypatch.setitem(selfcheck._CHECKS, name, lambda seed: (True, "ok"))
+        monkeypatch.setitem(selfcheck._CHECKS, "dpo-grad", lambda seed: returned)
+        results = selfcheck.run_checks(0)
+        names = selfcheck.CHECK_NAMES
+        assert [(r.name, r.passed) for r in results] == [(n, n != "dpo-grad") for n in names]
+        assert re.fullmatch(r"raised (TypeError|ValueError): .*unpack.*", results[1].detail)
 
     def test_fault_inject_is_usage_error(self):
         result = run_cli("verify", "--fault-inject", "vet-grad")

@@ -423,7 +423,7 @@ class TestBlockDiagonal:
             return exact_max_forward(packed, weights, rope, later_tiles)
 
         monkeypatch.setattr(encoder, "block_diag_forward", forward)
-        assert check_pack_equiv(0).passed == (later_tiles == 1.0)
+        assert check_pack_equiv(0)[0] == (later_tiles == 1.0)
 
     def test_shift_far_above_the_row_max_is_redone_exactly(self):
         packed, params, rope = orthogonal_blocks()

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mutants import sequence_dict
+from navit_pack import selfcheck
 from navit_pack.encoder import AttentionParams, PatchSequence, RopeConfig, block_diag_forward
 from navit_pack.geometry import ImageSize, PixelBudget, plan_resize
 from navit_pack.packing import (
@@ -104,6 +105,12 @@ class TestPackFfd:
         opt = optimal_bin_count(lengths, capacity)
         assert len(seqs) <= math.ceil(11.0 / 9.0 * opt) + 1
         assert len(seqs) >= opt or not lengths
+
+    def test_verify_reports_a_count_above_the_bound(self, monkeypatch):
+        # An optimum of 0 bins sets the bound to 1, which seed 0's first
+        # manifest of more than one sequence exceeds.
+        monkeypatch.setattr(selfcheck, "optimal_bin_count", lambda lengths, capacity: 0)
+        assert selfcheck.check_ffd_opt(0) == (False, "4 sequences exceeds bound 1 (opt 0)")
 
 
 class TestSegmentTreeFirstFit:

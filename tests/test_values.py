@@ -8,8 +8,9 @@ import pickle
 import numpy as np
 import pytest
 
-from navit_pack import chat, encoder, geometry, objectives, packing, selfcheck, vet
+from navit_pack import chat, cli_chat, encoder, geometry, objectives, packing, selfcheck, vet
 from navit_pack.errors import NonFiniteInput, ShapeMismatch
+from navit_pack.records import ManifestError
 
 SIZE = geometry.ImageSize(3, 4)
 PLAN_TEXT = (
@@ -128,6 +129,124 @@ BAD_REPLACE = {
     ),
     objectives.DpoConfig: ({"beta": 0.0}, ValueError, r"beta must be positive, got 0\.0"),
 }
+
+NAN, INF = float("nan"), float("inf")
+IMAGE_X = '{"id": "x", "width": 1, "height": 1}'
+
+# Library calls that must be refused, each naming its own fault: (call,
+# error type, message).
+REFUSALS = {
+    "empty ProbVisualToken": (
+        lambda: vet.ProbVisualToken(np.array([])),
+        ShapeMismatch,
+        r"probs must be a non-empty vector, got shape \(0,\)",
+    ),
+    "SampleRecord negative text only": (
+        lambda: packing.SampleRecord("a", -1), ValueError, r"sample 'a' has negative text_tokens"
+    ),
+    "AttentionParams 1-D wq": (
+        lambda: encoder.AttentionParams(np.zeros(3), ONE, ONE, ONE),
+        ShapeMismatch,
+        r"wq must be 2D, got shape \(3,\)",
+    ),
+    "RopeConfig float d_head": (
+        lambda: encoder.RopeConfig(8.0), TypeError, r"d_head must be an integer, got 8\.0"
+    ),
+    "DpoConfig nan nll_weight": (
+        lambda: objectives.DpoConfig(0.1, NAN),
+        NonFiniteInput,
+        r"nll_weight must be finite, got nan",
+    ),
+    "DpoConfig inf beta": (
+        lambda: objectives.DpoConfig(INF, 0.0), NonFiniteInput, r"beta must be finite, got inf"
+    ),
+    "pair_indices nan margin": (
+        lambda: objectives.pair_indices([1.0, 0.0], NAN),
+        NonFiniteInput,
+        r"margin must be finite, got nan",
+    ),
+    "pair_indices inf margin": (
+        lambda: objectives.pair_indices([1.0, 0.0], INF),
+        NonFiniteInput,
+        r"margin must be finite, got inf",
+    ),
+    "PatchSequence nan position": (
+        lambda: encoder.PatchSequence(np.ones((1, 2)), np.array([[NAN, 0.0]]), (0, 1)),
+        NonFiniteInput,
+        r"positions contain non-finite entries",
+    ),
+    "PatchSequence 1-D embeddings": (
+        lambda: encoder.PatchSequence(np.ones(2), np.zeros((2, 2)), (0, 2)),
+        ShapeMismatch,
+        r"embeddings must be 2D, got shape \(2,\)",
+    ),
+    "PatchSequence positions shape": (
+        lambda: encoder.PatchSequence(np.ones((2, 2)), np.zeros((2, 3)), (0, 2)),
+        ShapeMismatch,
+        r"positions shape \(2, 3\) != \(2, 2\)",
+    ),
+    "PatchSequence negative position": (
+        lambda: encoder.PatchSequence(np.ones((1, 2)), np.array([[0, -1]]), (0, 1)),
+        ValueError,
+        r"positions must be non-negative",
+    ),
+    "LearnedPosTable empty grid": (
+        lambda: encoder.LearnedPosTable(0, 1, np.ones((0, 2))),
+        ValueError,
+        r"grid must have at least one cell per side",
+    ),
+    "ProbVisualToken 2-D": (
+        lambda: vet.ProbVisualToken(np.full((1, 2), 0.5)),
+        ShapeMismatch,
+        r"probs must be a non-empty vector, got shape \(1, 2\)",
+    ),
+    "VisualEmbeddingTable 1-D": (
+        lambda: vet.VisualEmbeddingTable(np.ones(2)),
+        ShapeMismatch,
+        r"table must be 2D, got shape \(2,\)",
+    ),
+    "vet_embed_grad upstream shape": (
+        lambda: vet.vet_embed_grad(
+            ONE, vet.VisualHead(np.ones((1, 2))), vet.VisualEmbeddingTable(np.ones((2, 3))), ONE
+        ),
+        ShapeMismatch,
+        r"upstream shape \(1, 1\) != \(d_embed,\) = \(3,\)",
+    ),
+    "PackedSequence capacity": (
+        lambda: packing.PackedSequence(0, ()), ValueError, r"capacity must be >= 1, got 0"
+    ),
+    "pack_ffd capacity": (
+        lambda: packing.pack_ffd([], 0), ValueError, r"capacity must be >= 1, got 0"
+    ),
+    "pair_indices negative margin": (
+        lambda: objectives.pair_indices([1.0, 0.0], -1.0),
+        ValueError,
+        r"margin must be non-negative, got -1\.0",
+    ),
+    "phase_budget unknown phase": (
+        lambda: geometry.phase_budget("P1"), ValueError, r"unknown phase: 'P1'"
+    ),
+    "verify_answer unknown kind": (
+        lambda: objectives.verify_answer(chat.ThinkingOutput(None, "a"), "a", "exact"),
+        ValueError,
+        r"unknown answer kind: 'exact'",
+    ),
+    "chat duplicate image id": (
+        lambda: cli_chat._parse_conversation(f'{{"images": [{IMAGE_X}, {IMAGE_X}]}}'),
+        ManifestError,
+        r"duplicate image id 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_rope_config_takes_python_and_numpy_integers():
+    assert encoder.RopeConfig(np.int64(8)) == encoder.RopeConfig(8)
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
