@@ -51,7 +51,7 @@ THINKING_INVITE = THINK_OPEN + "\n"
 THINKING_SUPPRESS = THINK_OPEN + "\n\n" + THINK_CLOSE + "\n\n"
 
 
-class UnresolvedImageRef(KeyError):
+class UnresolvedImageRef(ValueError):
     """A message references an image id with no resize plan."""
 
     def __init__(self, image_id: str):
@@ -85,7 +85,7 @@ class ChatMessage(namedtuple("ChatMessage", "role parts"), _Value):
 
     def __new__(cls, role: Role, parts: tuple[Part, ...]) -> ChatMessage:
         if not parts:
-            raise ValueError("message parts must be non-empty")
+            raise ValueError("parts must be non-empty")
         return tuple.__new__(cls, (role, parts))
 
 

@@ -13,7 +13,6 @@ from .chat import (
     MalformedThinkBlock,
     Role,
     TextPart,
-    UnresolvedImageRef,
     parse_thinking,
     render,
 )
@@ -46,7 +45,7 @@ def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSi
         except ValueError:
             raise ManifestError(f"message {i}: invalid role {_quoted(msg.get('role'))}") from None
         parts = []
-        for j, part in enumerate(_list(msg, "parts", f"message {i}: ")):
+        for j, part in enumerate(_list(msg, "parts", f"message {i}: ", required=True)):
             fields = part.keys() if isinstance(part, dict) else ()
             if fields == {"text"} and isinstance(part["text"], str):
                 parts.append(TextPart(part["text"]))
@@ -54,7 +53,10 @@ def _parse_conversation(text: str) -> tuple[list[ChatMessage], dict[str, ImageSi
                 parts.append(ImagePart(part["image"]))
             else:
                 raise ManifestError(f"message {i} part {j}: need exactly one of text/image")
-        messages.append(ChatMessage(role=role, parts=tuple(parts)))
+        try:
+            messages.append(ChatMessage(role=role, parts=tuple(parts)))
+        except ValueError as e:
+            raise ManifestError(f"message {i}: {e}") from None
     if not messages:
         raise ManifestError("conversation has no messages")
     return messages, sizes
@@ -69,7 +71,7 @@ def cmd_chat(args: argparse.Namespace) -> None:
         messages, sizes = _parse_conversation(text)
         plans = dict(zip(sizes, _plan_images(sizes.values(), phase_budget(args.phase))))
         prompt = render(messages, args.thinking, plans)
-    except (ValueError, UnresolvedImageRef) as e:
+    except ValueError as e:
         cli._diag(f"{cli._shown(args.conversation)}: {e}")
         return
     sys.stdout.write(prompt.flat_text())

@@ -83,8 +83,8 @@ class LearnedPosTable(namedtuple("LearnedPosTable", "grid_rows grid_cols table")
 class PatchSequence(
     namedtuple("PatchSequence", "embeddings positions sample_boundaries"), _Value
 ):
-    """Packed patch features with their finite, non-negative 2D positions
-    and sample boundaries.
+    """Packed finite patch features with their finite, non-negative 2D
+    positions and sample boundaries.
 
     `sample_boundaries` are cumulative token offsets: starts at 0, ends at
     the token count, strictly ascending (no empty samples).
@@ -104,6 +104,8 @@ class PatchSequence(
         pos = np.asarray(positions)
         if pos.shape != (n, 2):
             raise ShapeMismatch(f"positions shape {pos.shape} != ({n}, 2)")
+        if not np.isfinite(embeddings).all():
+            raise NonFiniteInput("embeddings contain non-finite entries")
         if n and pos.min() < 0:
             raise ValueError("positions must be non-negative")
         if not np.isfinite(pos).all():

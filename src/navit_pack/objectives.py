@@ -7,9 +7,9 @@ multiple-choice to fill-in-the-blank conversion. Sequence log
 probabilities arrive as scalars per candidate; there is no token-level
 machinery here.
 
-A group is one form throughout: `parse_group_line` fills a
-`PreferenceGroup`'s columns (responses, policy and reference logprobs,
-scores) straight from each decoded line. `pair_indices` orders a
+A group is one form throughout: `parse_group_line` builds each line's
+`PreferenceGroup` (responses, policy and reference logprobs, scores)
+through its constructor, which checks every value. `pair_indices` orders a
 group's pairs by its score column, `dpo_losses` takes one array per
 logprob input and `grpo_advantages_rows` one row per group.
 
@@ -75,8 +75,8 @@ class PreferenceGroup(
 
     Entry k of `responses`, `logprob_policy`, `logprob_reference` and
     `scores` belongs to candidate k: the objectives read the three float
-    columns as they are. The constructor checks equal column lengths,
-    finite floats, at least two candidates and distinct responses.
+    columns as they are. The constructor checks, in order, equal column
+    lengths, finite columns, at least two candidates and distinct responses.
     """
 
     __slots__ = ()
@@ -95,23 +95,18 @@ class PreferenceGroup(
         columns = (logprob_policy, logprob_reference, scores)
         for name, column in zip(_NUMBER_KEYS, columns):
             if not all(map(isfinite, column)):
-                raise NonFiniteInput(f"{name} must be finite")
-        _check_responses(query_id, responses)
+                k = next(k for k, v in enumerate(column) if not isfinite(v))
+                raise NonFiniteInput(f"candidate {k}: {name} must be finite")
+        if n < 2:
+            raise GroupTooSmall(f"group {_quoted(query_id)} has {n} candidates, need >= 2")
+        if len(set(responses)) != n:
+            raise ValueError(f"group {_quoted(query_id)} has duplicate responses")
         return tuple.__new__(cls, (query_id, responses) + columns)
 
     def score_variance(self) -> float:
         """Population variance of the scores; inf or nan when it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.var(self.scores))
-
-
-def _check_responses(query_id: str, responses: Sequence[str]) -> None:
-    """Raise unless a group has at least two candidates, with distinct responses."""
-    n = len(responses)
-    if n < 2:
-        raise GroupTooSmall(f"group {_quoted(query_id)} has {n} candidates, need >= 2")
-    if len(set(responses)) != n:
-        raise ValueError(f"group {_quoted(query_id)} has duplicate responses")
 
 
 class DpoConfig(namedtuple("DpoConfig", "beta nll_weight"), _Value):
@@ -130,7 +125,7 @@ class DpoConfig(namedtuple("DpoConfig", "beta nll_weight"), _Value):
 
 def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int, int]]:
     """Every ordered index pair `(i, j)` with `scores[i] - scores[j] > margin`,
-    a finite margin >= 0.
+    for finite scores and a finite margin >= 0.
 
     Pairs come out sorted by descending gap, ties by `(i, j)`, so output
     order is deterministic.
@@ -139,6 +134,9 @@ def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int
         raise ValueError(f"margin must be non-negative, got {margin}")
     if not isfinite(margin):
         raise NonFiniteInput(f"margin must be finite, got {margin}")
+    for k, score in enumerate(scores):
+        if not isfinite(score):
+            raise NonFiniteInput(f"score {k} must be finite, got {score}")
     # `sj - si` is exactly the negated gap, so an ascending sort puts the
     # largest gap first.
     ranked = sorted(
@@ -275,11 +273,9 @@ _CANDIDATE_KEYS = {"response", *_NUMBER_KEYS}
 def parse_group_line(line: str) -> PreferenceGroup:
     """Parse one scored-group JSONL record, rejecting unknown fields by name.
 
-    Each candidate is checked in full, types then finiteness, before the
-    next one, and the group's size and distinct responses last, so a line
-    with several faults reports the first of them in that order. A float
-    from the decoder needs only its finiteness checked; any other value
-    goes through `_number`.
+    Every candidate's fields and types are checked, in order, before
+    `PreferenceGroup` checks the values in its own order, so a line with
+    several faults reports the first of them.
     """
     obj = _json_record(line, _GROUP_KEYS)
     query_id = _name(obj, "query_id")
@@ -295,14 +291,8 @@ def parse_group_line(line: str) -> PreferenceGroup:
         lp, lr, score = cand["logprob_policy"], cand["logprob_reference"], cand["score"]
         if type(lp) is not float or type(lr) is not float or type(score) is not float:
             lp, lr, score = [_number(cand, key, "candidate", i) for key in _NUMBER_KEYS]
-        if not (isfinite(lp) and isfinite(lr) and isfinite(score)):
-            key = next(k for k, v in zip(_NUMBER_KEYS, (lp, lr, score)) if not isfinite(v))
-            raise NonFiniteInput(f"{key} must be finite")
         responses.append(response)
         policy.append(lp)
         reference.append(lr)
         scores.append(score)
-    _check_responses(query_id, responses)
-    # Every column is checked: skip the re-check of `PreferenceGroup.__new__`.
-    fields = (query_id, tuple(responses), tuple(policy), tuple(reference), tuple(scores))
-    return tuple.__new__(PreferenceGroup, fields)
+    return PreferenceGroup(query_id, tuple(responses), tuple(policy), tuple(reference), tuple(scores))

@@ -489,7 +489,7 @@ class TestChat:
         )
         result = run_cli("chat", "--conversation", str(conv))
         assert result.returncode == 1
-        assert "nope" in result.stderr
+        assert result.stderr == f"{conv}: no resize plan for image 'nope'\n"
 
     def test_non_utf8_conversation(self, tmp_path):
         conv = tmp_path / "c.json"
@@ -563,6 +563,7 @@ class TestChat:
             ({**CONVERSATION, "images": 5}, "'images' must be a list"),
             ({"messages": {"role": "user"}}, "'messages' must be a list"),
             ({"messages": [{"role": "user", "parts": None}]}, "message 0: 'parts' must be a list"),
+            ({"messages": [{"role": "user"}]}, "message 0: 'parts' must be a list"),
         ],
     )
     def test_non_list_field(self, tmp_path, conversation, message):

@@ -402,9 +402,10 @@ B = cand("b", score=0.0)
 
 class TestGroupDiagnostics:
     """Each malformed line gets one diagnostic text and class, whatever
-    else is wrong with it: each candidate's type checks before its
-    finiteness check, candidate i in full before candidate i + 1, and the
-    group's size and duplicate responses last."""
+    else is wrong with it: every candidate's fields and types, candidate i
+    before candidate i + 1, then the values as `PreferenceGroup` checks
+    them: finiteness column by column, then the group's size and duplicate
+    responses."""
 
     @pytest.mark.parametrize(
         "line, diagnostic",
@@ -424,30 +425,37 @@ class TestGroupDiagnostics:
             (group_line(cand(score=[1]), B), "ManifestError: candidate 0: 'score' must be a number"),
             (group_line(cand(lp=10**400), B), "ManifestError: candidate 0: 'logprob_policy' is too large"),
             (group_line(cand(score=-10**400), B), "ManifestError: candidate 0: 'score' is too large"),
-            (group_line(cand(lp=NAN), B), "NonFiniteInput: logprob_policy must be finite"),
-            (group_line(cand(lr=NAN), B), "NonFiniteInput: logprob_reference must be finite"),
-            (group_line(cand(score=NAN), B), "NonFiniteInput: score must be finite"),
-            (group_line(cand(lp=INF), B), "NonFiniteInput: logprob_policy must be finite"),
-            (group_line(cand(lr=-INF), B), "NonFiniteInput: logprob_reference must be finite"),
-            (group_line(cand(score=INF), B), "NonFiniteInput: score must be finite"),
-            (group_line(cand(), cand("b", lp=1e999)), "NonFiniteInput: logprob_policy must be finite"),
-            # Order within a candidate: fields in order, types before finiteness.
-            (group_line(cand(score=NAN, lp=NAN), B), "NonFiniteInput: logprob_policy must be finite"),
+            (group_line(cand(lp=NAN), B), "NonFiniteInput: candidate 0: logprob_policy must be finite"),
+            (group_line(cand(lr=NAN), B),
+             "NonFiniteInput: candidate 0: logprob_reference must be finite"),
+            (group_line(cand(score=NAN), B), "NonFiniteInput: candidate 0: score must be finite"),
+            (group_line(cand(lp=INF), B), "NonFiniteInput: candidate 0: logprob_policy must be finite"),
+            (group_line(cand(lr=-INF), B),
+             "NonFiniteInput: candidate 0: logprob_reference must be finite"),
+            (group_line(cand(score=INF), B), "NonFiniteInput: candidate 0: score must be finite"),
+            (group_line(cand(), cand("b", lp=1e999)),
+             "NonFiniteInput: candidate 1: logprob_policy must be finite"),
+            # Values column by column, after every type.
+            (group_line(cand(score=NAN, lp=NAN), B),
+             "NonFiniteInput: candidate 0: logprob_policy must be finite"),
+            (group_line(cand(score=NAN), cand("b", lp=NAN)),
+             "NonFiniteInput: candidate 1: logprob_policy must be finite"),
             (group_line(cand(lp=NAN, score="x"), B), "ManifestError: candidate 0: 'score' must be a number"),
-            # Order across candidates: candidate 0 in full first.
+            # Every candidate's types before any value.
             (group_line(cand(lp=NAN), cand("b", score=True)),
-             "NonFiniteInput: logprob_policy must be finite"),
-            (group_line(cand(lp=NAN), 1), "NonFiniteInput: logprob_policy must be finite"),
+             "ManifestError: candidate 1: 'score' must be a number"),
+            (group_line(cand(lp=NAN), 1), "ManifestError: candidate 1 must be an object"),
             (group_line(cand(lp=True), cand("b", lp=NAN)),
              "ManifestError: candidate 0: 'logprob_policy' must be a number"),
             # Size and duplicates last.
-            (group_line(cand(score=NAN)), "NonFiniteInput: score must be finite"),
+            (group_line(cand(score=NAN)), "NonFiniteInput: candidate 0: score must be finite"),
             (group_line(cand()), "GroupTooSmall: group 'q' has 1 candidates, need >= 2"),
             (group_line(), "GroupTooSmall: group 'q' has 0 candidates, need >= 2"),
             (group_line(cand(), cand()), "ValueError: group 'q' has duplicate responses"),
             (group_line(cand(), cand(), cand("b", score="x")),
              "ManifestError: candidate 2: 'score' must be a number"),
-            (group_line(cand(), cand(), cand("b", score=NAN)), "NonFiniteInput: score must be finite"),
+            (group_line(cand(), cand(), cand("b", score=NAN)),
+             "NonFiniteInput: candidate 2: score must be finite"),
             # The record itself.
             ('{"query_id": "q", "candidates": {}}', "ManifestError: 'candidates' must be a list"),
             ('{"query_id": "q"}', "ManifestError: 'candidates' must be a list"),

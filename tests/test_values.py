@@ -1,9 +1,12 @@
 """The value types' shared contract: repr, type-strict equality, no order
-or arithmetic, hash, immutability, and copies that equal the original."""
+or arithmetic, hash, immutability, copies that equal the original, and
+every value built through its constructor."""
 
+import ast
 import copy
 import operator
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +109,7 @@ BAD_REPLACE = {
     geometry.ResizePlan: ({"grid_rows": 0}, ValueError, r"grid must have at least one patch .*"),
     packing.SampleRecord: ({"text_tokens": -1}, ValueError, r"sample 'a' has negative .*"),
     packing.PackedSequence: ({"capacity": 4}, ValueError, r"lengths 5 exceed capacity 4"),
-    chat.ChatMessage: ({"parts": ()}, ValueError, r"message parts must be non-empty"),
+    chat.ChatMessage: ({"parts": ()}, ValueError, r"parts must be non-empty"),
     encoder.RopeConfig: ({"d_head": 6}, ValueError, r"d_head must be a positive .*, got 6"),
     encoder.LearnedPosTable: ({"grid_rows": 2}, ShapeMismatch, r"table has \(1, 2\) rows, .* 2"),
     encoder.PatchSequence: (
@@ -169,6 +172,19 @@ REFUSALS = {
         lambda: objectives.pair_indices([1.0, 0.0], INF),
         NonFiniteInput,
         r"margin must be finite, got inf",
+    ),
+    "pair_indices nan score": (
+        lambda: objectives.pair_indices([1.0, NAN, 0.0]),
+        NonFiniteInput,
+        r"score 1 must be finite, got nan",
+    ),
+    "pair_indices inf score": (
+        lambda: objectives.pair_indices([INF, 0.0]), NonFiniteInput, r"score 0 must be finite, got inf"
+    ),
+    "PatchSequence nan embedding": (
+        lambda: encoder.PatchSequence(np.full((1, 2), NAN), np.zeros((1, 2), dtype=int), (0, 1)),
+        NonFiniteInput,
+        r"embeddings contain non-finite entries",
     ),
     "PatchSequence nan position": (
         lambda: encoder.PatchSequence(np.ones((1, 2)), np.array([[NAN, 0.0]]), (0, 1)),
@@ -235,6 +251,11 @@ REFUSALS = {
         lambda: cli_chat._parse_conversation(f'{{"images": [{IMAGE_X}, {IMAGE_X}]}}'),
         ManifestError,
         r"duplicate image id 'x'",
+    ),
+    "chat message with no parts": (
+        lambda: cli_chat._parse_conversation('{"messages": [{"role": "user", "parts": []}]}'),
+        ManifestError,
+        r"message 0: parts must be non-empty",
     ),
 }
 
@@ -329,3 +350,39 @@ def test_array_values_refuse_equality_with_their_own_type(build):
             op(value, twin)
     # With another type or a plain tuple, it is unequal, as every value is.
     assert value != tuple(value) and value != SIZE and not value == 2
+
+
+def _tuple_new_sites(path: Path) -> list[str]:
+    """`module.function` for each use of `tuple.__new__` in the file at `path`."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "tuple"
+        ):
+            sites.append(f"{path.stem}.{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_values_are_built_only_by_their_constructors():
+    """A value's checks live in its `__new__`, so `tuple.__new__`, which
+    skips them, is used only there. The one exception is `vet.head_forward`:
+    its rows are distributions by construction, `bench/encode_job.py` takes
+    its list of tokens, and a per-row check cost a fifth of a traced
+    `encode` job."""
+    sites = [
+        site
+        for path in sorted(Path(vet.__file__).parent.glob("*.py"))
+        for site in _tuple_new_sites(path)
+    ]
+    assert "objectives.__new__" in sites
+    assert [site for site in sites if not site.endswith(".__new__")] == ["vet.head_forward"]
