@@ -8,8 +8,6 @@ import math
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import cli
 from .errors import _quoted
 from .objectives import (
@@ -21,11 +19,11 @@ from .objectives import (
     parse_group_line,
 )
 
-# Groups per chunk in `prefs`, and per array call in `prefs dpo` and
-# `prefs grpo`. A bounded chunk holds the columns and rendered lines of
-# only a few hundred pairs at a time: on a 5k-group file, one chunk for the
-# whole file more than doubled the `dpo` job's peak RSS (37 -> 82 MB),
-# while chunks of 64 groups add about 2 MB and run as fast.
+# Groups per chunk in `prefs`, and per `dpo_losses` or `grpo_advantages_rows`
+# call. A bounded chunk holds the columns and rendered lines of only a few
+# hundred pairs at a time: on a 5k-group file, one chunk for the whole file
+# more than doubled the `dpo` job's peak RSS (37 -> 82 MB), while chunks of
+# 64 groups add about 2 MB and run as fast.
 _PREFS_CHUNK = 64
 
 
@@ -80,8 +78,9 @@ def _pairs_text(
 def _dpo_text(
     chunk: list[tuple[int, PreferenceGroup]], margin: float, cfg: DpoConfig
 ) -> tuple[str, list[Fault]]:
-    """The `prefs dpo` lines of `chunk` from one `dpo_losses` call. A group
-    with a value that is not finite is left out as a fault.
+    """The `prefs dpo` lines of `chunk` from one `dpo_losses` call on the
+    chosen and rejected columns of all its pairs. A group with a value
+    that is not finite is left out as a fault.
 
     Each line is byte-identical to `json.dumps` of its record: for a
     finite float, `repr` is the text `json.dumps` writes. Of the five
@@ -91,38 +90,33 @@ def _dpo_text(
     `repr(-g)` for every finite float, ±0.0 included. With `nll_weight`
     +0.0, `g - nll_weight` is `g` bit for bit and shares its text too.
     """
-    lp, lr, chosen, rejected = [], [], [], []
+    lp_c, lr_c, lp_r, lr_r = [], [], [], []
     spans = []
     for _, group in chunk:
         pairs = pair_indices(group.scores, margin)
-        base = len(lp)
-        lp.extend(group.logprob_policy)
-        lr.extend(group.logprob_reference)
-        chosen.extend(base + i for i, _ in pairs)
-        rejected.extend(base + j for _, j in pairs)
+        lp, lr = group.logprob_policy, group.logprob_reference
+        lp_c += [lp[i] for i, _ in pairs]
+        lr_c += [lr[i] for i, _ in pairs]
+        lp_r += [lp[j] for _, j in pairs]
+        lr_r += [lr[j] for _, j in pairs]
         spans.append(pairs)
-    lp, lr = np.array(lp), np.array(lr)
-    c, r = np.array(chosen, dtype=np.intp), np.array(rejected, dtype=np.intp)
-    loss, d_policy_chosen, _, _, g = dpo_losses(lp[c], lr[c], lp[r], lr[r], cfg)
-    # `-g` is finite exactly when `g` is.
-    finite = (np.isfinite(loss) & np.isfinite(d_policy_chosen) & np.isfinite(g)).tolist()
+    loss, d_policy_chosen, _, _, g = dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg)
     # g - (-0.0) turns g = -0.0 into 0.0, so only +0.0 leaves g as it is.
     same = cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0
-    loss, d_policy_chosen, g = loss.tolist(), d_policy_chosen.tolist(), g.tolist()
     lines, faults = [], []
     start = 0
     for (lineno, group), pairs in zip(chunk, spans):
         end = start + len(pairs)
-        if not all(finite[start:end]):
+        values, d_chosen, d_rejected = loss[start:end], d_policy_chosen[start:end], g[start:end]
+        # `-g` is finite exactly when `g` is.
+        if not all(map(math.isfinite, values + d_chosen + d_rejected)):
             faults.append((lineno, group, "loss or gradient"))
         else:
             head = f'{{"query_id":{json.dumps(group.query_id)},"chosen_index":'
-            for (i, j), value, d_chosen, d_rejected in zip(
-                pairs, loss[start:end], d_policy_chosen[start:end], g[start:end]
-            ):
-                g_str = repr(d_rejected)
+            for (i, j), value, pc, pr in zip(pairs, values, d_chosen, d_rejected):
+                g_str = repr(pr)
                 neg = _negated(g_str)
-                pc_str = g_str if same else repr(d_chosen)
+                pc_str = g_str if same else repr(pc)
                 lines.append(
                     f'{head}{i},"rejected_index":{j},"loss":{value!r},'
                     f'"d_logprob_policy_chosen":{pc_str},"d_logprob_policy_rejected":{neg},'
@@ -134,17 +128,9 @@ def _dpo_text(
 
 def _grpo_text(chunk: list[tuple[int, PreferenceGroup]]) -> tuple[str, list[Fault]]:
     """The `prefs grpo` lines of `chunk` from one `grpo_advantages_rows`
-    call per group size. A group with an advantage that is not finite is
-    left out as a fault. Lines are rendered with `repr` as in
-    `_dpo_text`."""
-    by_size: dict[int, list[int]] = {}
-    for n, (_, group) in enumerate(chunk):
-        by_size.setdefault(len(group.scores), []).append(n)
-    advantages: list[list[float]] = [[] for _ in chunk]
-    for members in by_size.values():
-        scores = [chunk[n][1].scores for n in members]
-        for n, row in zip(members, grpo_advantages_rows(scores).tolist()):
-            advantages[n] = row
+    call. A group with an advantage that is not finite is left out as a
+    fault. Lines are rendered with `repr` as in `_dpo_text`."""
+    advantages = grpo_advantages_rows([group.scores for _, group in chunk])
     lines, faults = [], []
     for (lineno, group), row in zip(chunk, advantages):
         if not all(map(math.isfinite, row)):

@@ -10,8 +10,9 @@ machinery here.
 A group is one form throughout: `parse_group_line` builds each line's
 `PreferenceGroup` (responses, policy and reference logprobs, scores)
 through its constructor, which checks every value. `pair_indices` orders a
-group's pairs by its score column, `dpo_losses` takes one array per
-logprob input and `grpo_advantages_rows` one row per group.
+group's pairs by its score column, `dpo_losses` takes one column per
+logprob input and `grpo_advantages_rows` one row per group. All of it is
+arithmetic on Python floats, so `prefs` loads no array library.
 
 Functional forms and defaults are pinned in docs/objectives.md.
 """
@@ -21,17 +22,13 @@ from __future__ import annotations
 import enum
 import string
 from collections import namedtuple
-from math import isfinite
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
+from math import exp, isfinite, log1p, nan, sqrt
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import LengthMismatch, NonFiniteInput, _quoted
 from .records import ManifestError, _Value, _entry, _json_record, _list, _name, _number
 
 if TYPE_CHECKING:
-    from numpy.typing import ArrayLike
-
     from .chat import ThinkingOutput
 
 __all__ = [
@@ -105,8 +102,7 @@ class PreferenceGroup(
 
     def score_variance(self) -> float:
         """Population variance of the scores; inf or nan when it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.var(self.scores))
+        return _mean_variance(self.scores)[1]
 
 
 class DpoConfig(namedtuple("DpoConfig", "beta nll_weight"), _Value):
@@ -148,50 +144,67 @@ def pair_indices(scores: Sequence[float], margin: float = 0.0) -> list[tuple[int
     return [(i, j) for _, i, j in ranked]
 
 
+def _mean_variance(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and population variance, each sum left to right (`sum` is compensated from 3.12)."""
+    total = squares = 0.0
+    for v in values:
+        total += v
+    mean = total / len(values)
+    for v in values:
+        squares += (v - mean) * (v - mean)
+    return mean, squares / len(values)
+
+
+def _dpo_pair(lp_c: float, lr_c: float, lp_r: float, lr_r: float, beta: float, nll: float):
+    """The loss and four partials of one pair, in the order of `dpo_losses`."""
+    z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
+    # -log sigmoid(z) = log(1 + exp(-z)) = logaddexp(0, -z), by branches in
+    # which no `exp` overflows: z = 0 gives log1p(1) = ln 2, and nan stays nan.
+    softplus = log1p(exp(-z)) if z > 0 else -z + log1p(exp(z))
+    # d(-log sigmoid(z))/dz = -sigmoid(-z), split where exp(z) is large.
+    g = -beta / (1.0 + exp(z)) if z < 40 else -beta * exp(-z)
+    loss = softplus + nll * (-lp_c)
+    return loss, g - nll, -g, -g, g
+
+
 def dpo_losses(
-    lp_c: ArrayLike, lr_c: ArrayLike, lp_r: ArrayLike, lr_r: ArrayLike, cfg: DpoConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    lp_c: Iterable[float], lr_c: Iterable[float], lp_r: Iterable[float], lr_r: Iterable[float],
+    cfg: DpoConfig,
+) -> tuple[list[float], ...]:
     """Preference loss -log sigmoid(beta * margin) + nll_weight * (-lp_chosen),
     one entry per pair.
 
-    Takes the policy (`lp_*`) and reference (`lr_*`) logprobs of the chosen
-    (`*_c`) and rejected (`*_r`) candidates, and returns the loss and its
-    partials in `lp_c`, `lp_r`, `lr_c` and `lr_r`, in that order. The
-    margin is the policy-minus-reference logprob gap between chosen and
-    rejected.
+    Takes equal-length columns of the policy (`lp_*`) and reference (`lr_*`)
+    logprobs of the chosen (`*_c`) and rejected (`*_r`) candidates, and
+    returns the loss and its partials in `lp_c`, `lp_r`, `lr_c` and `lr_r`,
+    in that order, as five lists. The margin is the policy-minus-reference
+    logprob gap between chosen and rejected.
     Gradients are the true partials of the loss in all four logprobs (the
     reference enters the margin as given data; nothing is re-estimated).
-    Entries whose inputs overflow come out inf or nan, without a warning.
+    Entries whose inputs overflow come out inf or nan, with no warning or exception.
     """
-    lp_c, lr_c, lp_r, lr_r = (np.asarray(x, dtype=np.float64) for x in (lp_c, lr_c, lp_r, lr_r))
     beta, nll = cfg.beta, cfg.nll_weight
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
-        # -log sigmoid(z) = log(1 + exp(-z)), stable for large |z|
-        loss = np.logaddexp(0.0, -z) + nll * (-lp_c)
-        # d(-log sigmoid(z))/dz = -sigmoid(-z); each branch is computed for
-        # every entry, and the one not taken may overflow.
-        g = np.where(z < 40, -beta / (1.0 + np.exp(z)), -beta * np.exp(-z))
-        return loss, g - nll, -g, -g, g
+    pairs = [_dpo_pair(*x, beta, nll) for x in zip(lp_c, lr_c, lp_r, lr_r, strict=True)]
+    return tuple([pair[k] for pair in pairs] for k in range(5))
 
 
-def grpo_advantages_rows(rewards: ArrayLike) -> np.ndarray:
+def grpo_advantages_rows(rewards: Iterable[Sequence[float]]) -> list[list[float]]:
     """Group-standardized advantages (r - mean) / (population std + eps) of
-    each row of a `(groups, k)` reward array.
+    each row of rewards; rows may differ in length.
 
     A row whose variance overflows has no usable standardization; its
-    advantages are nan, without a warning.
+    advantages are nan, without an exception.
     """
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] < 2:
-        raise GroupTooSmall(f"need rows of >= 2 rewards, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise NonFiniteInput("rewards contain non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = r.std(axis=1)
-        advantages = (r - r.mean(axis=1, keepdims=True)) / (std + GRPO_EPSILON)[:, None]
-    advantages[~np.isfinite(std)] = np.nan
-    return advantages
+    rows = []
+    for row in rewards:
+        if len(row) < 2:
+            raise GroupTooSmall(f"need rows of >= 2 rewards, got {len(row)}")
+        if not all(map(isfinite, row)):
+            raise NonFiniteInput("rewards contain non-finite entries")
+        mean, variance = _mean_variance(row)
+        std = sqrt(variance) if isfinite(variance) else nan
+        rows.append([(r - mean) / (std + GRPO_EPSILON) for r in row])
+    return rows
 
 
 class AnswerKind(enum.Enum):

@@ -171,11 +171,11 @@ def check_dpo_grad(seed: int) -> tuple[bool, str]:
         )
 
         def losses(x: np.ndarray) -> np.ndarray:
-            return objectives.dpo_losses(x[:, 0], x[:, 2], x[:, 1], x[:, 3], cfg)[0]
+            return np.asarray(objectives.dpo_losses(*x[:, [0, 2, 1, 3]].T.tolist(), cfg)[0])
 
-        _, *partials = objectives.dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)
+        _, *partials = objectives.dpo_losses(*lps[[0, 2, 1, 3], None].tolist(), cfg)
         numeric = stacked_central_diff(losses, lps)
-        worst = max(worst, max_rel_err(np.array(partials), numeric))
+        worst = max(worst, max_rel_err(np.asarray(partials)[:, 0], numeric))
     return _grad_result(worst, tol)
 
 

@@ -34,8 +34,11 @@ import numpy as np
 
 from navit_pack import cli, cli_pack, cli_prefs, encoder, geometry, objectives, packing
 from navit_pack import records, selfcheck, vet
+from navit_pack.errors import NonFiniteInput
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
-from navit_pack.objectives import DpoConfig, dpo_losses, pair_indices, parse_group_line
+from navit_pack.objectives import (
+    GRPO_EPSILON, DpoConfig, GroupTooSmall, dpo_losses, pair_indices, parse_group_line,
+)
 from test_encoder import orthogonal_blocks
 from test_geometry import oracle_plan_fast
 
@@ -314,6 +317,67 @@ def plan_differs():
     return False
 
 
+def numpy_dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg):
+    """`objectives.dpo_losses` in numpy, one array per column: `np.logaddexp`
+    for the loss and `np.exp` in both branches of the gradient."""
+    lp_c, lr_c, lp_r, lr_r = (np.asarray(x, dtype=np.float64) for x in (lp_c, lr_c, lp_r, lr_r))
+    beta, nll = cfg.beta, cfg.nll_weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
+        # -log sigmoid(z) = log(1 + exp(-z)), stable for large |z|
+        loss = np.logaddexp(0.0, -z) + nll * (-lp_c)
+        # d(-log sigmoid(z))/dz = -sigmoid(-z); each branch is computed for
+        # every entry, and the one not taken may overflow.
+        g = np.where(z < 40, -beta / (1.0 + np.exp(z)), -beta * np.exp(-z))
+        return loss, g - nll, -g, -g, g
+
+
+def numpy_grpo_rows(rewards):
+    """`objectives.grpo_advantages_rows` in numpy, on a `(groups, k)` array:
+    `std` and `mean` along each row."""
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] < 2:
+        raise GroupTooSmall(f"need rows of >= 2 rewards, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise NonFiniteInput("rewards contain non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = r.std(axis=1)
+        advantages = (r - r.mean(axis=1, keepdims=True)) / (std + GRPO_EPSILON)[:, None]
+    advantages[~np.isfinite(std)] = np.nan
+    return advantages
+
+
+def grpo_row_agrees(row, rewards):
+    """Whether a row of advantages agrees with `numpy_grpo_rows([rewards])`:
+    the same entries non-finite and, of the others, for at most 7 rewards
+    the same bits (the same `repr`, so the sign of a zero counts), and for
+    more, whose sums numpy takes pairwise, within the bench's `close` rule
+    at 1e-12."""
+    want = numpy_grpo_rows([rewards])[0].tolist()
+    if [math.isfinite(a) for a in row] != [math.isfinite(b) for b in want]:
+        return False
+    pairs = [(a, b) for a, b in zip(row, want, strict=True) if math.isfinite(a)]
+    if len(rewards) < 8:
+        return all(repr(a) == repr(b) for a, b in pairs)
+    return all(abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)) for a, b in pairs)
+
+
+# Rows of 2 to 9 rewards: binary, graded, spread over many magnitudes,
+# constant, and one whose variance overflows.
+_GRPO_CORPUS = [
+    [1.0, 0.0], [0.0, 1.0, 1.0], [3.0, 1.0, 2.0], [0.25, 0.5, 0.75, 1.0, 0.0],
+    [2.5, 2.5, 2.5], [1e-9, -3.0, 7e5, 0.1, -0.3, 42.0], [0.1] * 6 + [0.7],
+    [0.3, -1.7, 2.9, 1e3, -4e-4, 5.5, 6.25, -0.125, 1.0 / 3.0], [1e308, -1e308],
+]
+
+
+def grpo_differs():
+    """Whether `objectives.grpo_advantages_rows` gives a row of the corpus
+    that `grpo_row_agrees` rejects."""
+    rows = objectives.grpo_advantages_rows(_GRPO_CORPUS)
+    return not all(map(grpo_row_agrees, rows, _GRPO_CORPUS))
+
+
 def prefs_oracle(
     text, command, path, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0
 ):
@@ -338,7 +402,7 @@ def prefs_oracle(
         scores, lp, lr = group.scores, group.logprob_policy, group.logprob_reference
         records = []
         if command == "grpo":
-            advantages = objectives.grpo_advantages_rows([scores])[0].tolist()
+            advantages = objectives.grpo_advantages_rows([scores])[0]
             records.append({"query_id": group.query_id, "advantages": advantages})
             numbers, what = advantages, "advantage"
         elif command == "pairs":
@@ -356,13 +420,13 @@ def prefs_oracle(
             numbers, what = [r["score_gap"] for r in records], "score gap"
         else:
             for i, j in pair_indices(scores, margin):
-                columns = dpo_losses(lp[i], lr[i], lp[j], lr[j], DpoConfig(beta, nll_weight))
+                columns = dpo_losses([lp[i]], [lr[i]], [lp[j]], [lr[j]], DpoConfig(beta, nll_weight))
                 records.append(
                     {
                         "query_id": group.query_id,
                         "chosen_index": i,
                         "rejected_index": j,
-                        **dict(zip(_DPO_FIELDS, map(float, columns))),
+                        **dict(zip(_DPO_FIELDS, (column[0] for column in columns))),
                     }
                 )
             numbers, what = [r[k] for r in records for k in _DPO_FIELDS], "loss or gradient"
@@ -425,9 +489,15 @@ MUTANTS = {
     **_mutants(vet, "vet_embed_grad", {
         "vet-grad-no-pa-term": ("probs * a[None, :] - probs * pa[:, None]", "probs * a[None, :]"),
     }, "vet-grad"),
-    **_mutants(objectives, "dpo_losses", {
+    **_mutants(objectives, "_dpo_pair", {
         "dpo-grad-plus-g": ("return loss, g - nll, -g, -g, g", "return loss, g - nll, -g, g, g"),
     }, "dpo-grad"),
+    # The sample variance in place of the population variance.
+    **_mutants(objectives, "_mean_variance", {
+        "grpo-sample-std": (
+            "return mean, squares / len(values)", "return mean, squares / (len(values) - 1)"
+        ),
+    }, differs=grpo_differs),
     **_mutants(encoder, "_rotate_pairs", {
         "rope-reflection": ("im += odd * cos", "im -= odd * cos"),
     }, "rope-relative"),

@@ -1192,6 +1192,23 @@ class TestStartup:
             "navit_pack.records",
         ]
 
+    def test_prefs_imports_no_numpy(self, tmp_path):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(groups_jsonl([3, 4, 9], 0), encoding="utf-8")
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from navit_pack import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(['prefs', c, '--groups', {str(groups)!r}])\n"
+            "             for c in ('pairs', 'dpo', 'grpo')]\n"
+            "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules,\n"
+            "                  'inspect': 'inspect' in sys.modules}), file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert json.loads(result.stderr.splitlines()[-1]) == {
+            "codes": [0, 0, 0], "numpy": False, "inspect": False
+        }
+
     def test_prefs_and_verify_do_not_import_chat(self, tmp_path):
         groups = tmp_path / "g.jsonl"
         groups.write_text(groups_jsonl([3, 4], 0), encoding="utf-8")

@@ -8,12 +8,15 @@ and a file of scored groups. Each case in `golden.json` names an argv
 exit status; a `chat` case also pins its sidecar. Covered: `plan` at p1
 and p2, `pack` at two capacities, `chat` with and without `--thinking`,
 `parse` strict and lenient, `prefs pairs` with default and non-default
-flags, and the malformed and edge-line manifests under `plan` and `pack`.
+flags, `prefs grpo` with and without `--min-score-variance`, and the
+malformed and edge-line manifests under `plan` and `pack`.
 
-`prefs dpo|grpo` and `verify` are not pinned here: they print numpy
-results, and numpy's SIMD `exp` and `log` may differ in the last ulp
-between CPUs. They stay on their oracles (`mutants.prefs_oracle` and
-the `verify` tests).
+`prefs grpo` computes with `+`, `-`, `*`, `/` and `sqrt` on Python floats
+in a fixed order, each correctly rounded on every platform, so its bytes
+can be pinned. `prefs dpo` is not pinned here: its loss and gradients
+come from libm's `exp` and `log1p`, which may round differently on other
+platforms. Nor is `verify`, which prints numpy results. They stay on
+their oracles (`mutants.prefs_oracle` and the `verify` tests).
 
 A change that moves a pinned byte on purpose rewrites the hashes with
 `PYTHONPATH=src python tests/test_golden.py` and says why.

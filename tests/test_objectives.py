@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, pair_losses, rel_err
+from mutants import grpo_row_agrees, numpy_dpo_losses
 from navit_pack import cli
 from navit_pack.chat import ThinkingOutput
 from navit_pack.errors import NonFiniteInput
@@ -109,11 +110,11 @@ class TestPairIndices:
 
 class TestDpoLoss:
     def test_equal_logprobs_is_ln_two(self):
-        loss, *_ = dpo_losses(-2.0, -2.0, -2.0, -2.0, DpoConfig(beta=0.7))
+        loss, *_ = pair_losses(-2.0, -2.0, -2.0, -2.0, DpoConfig(beta=0.7))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturation_at_large_margin(self):
-        loss, *_ = dpo_losses(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
+        loss, *_ = pair_losses(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
         assert 0.0 <= loss < 1e-9
 
     def test_gradients_match_central_differences(self):
@@ -126,9 +127,9 @@ class TestDpoLoss:
             # x is (policy chosen, policy rejected, reference chosen,
             # reference rejected): the order of the four partials.
             def loss_of(x):
-                return float(dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
+                return float(pair_losses(x[0], x[2], x[1], x[3], cfg)[0])
 
-            analytic = dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
+            analytic = pair_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
             worst = max(worst, rel_err(analytic, finite_difference(loss_of, lps)))
         assert worst < 1e-6
 
@@ -137,28 +138,28 @@ class TestDpoLoss:
         lps = np.array([-1.2, -0.4, -1.0, -0.6])
 
         def loss_of(x):
-            return float(dpo_losses(x[0], x[2], x[1], x[3], cfg)[0])
+            return float(pair_losses(x[0], x[2], x[1], x[3], cfg)[0])
 
-        analytic = dpo_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
+        analytic = pair_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
         assert rel_err(analytic, finite_difference(loss_of, lps)) < 1e-6
 
     def test_shift_invariance_without_nll(self):
         cfg = DpoConfig(beta=0.3, nll_weight=0.0)
-        base, *_ = dpo_losses(-1.0, -2.0, -3.0, -1.5, cfg)
-        shifted, *_ = dpo_losses(-1.0 + 7.5, -2.0 + 7.5, -3.0 + 7.5, -1.5 + 7.5, cfg)
+        base, *_ = pair_losses(-1.0, -2.0, -3.0, -1.5, cfg)
+        shifted, *_ = pair_losses(-1.0 + 7.5, -2.0 + 7.5, -3.0 + 7.5, -1.5 + 7.5, cfg)
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_nll_term_is_absolute(self):
         cfg = DpoConfig(beta=0.3, nll_weight=0.5)
-        base, *_ = dpo_losses(-1.0, -2.0, -3.0, -1.5, cfg)
-        shifted, *_ = dpo_losses(-2.0, -3.0, -4.0, -2.5, cfg)
+        base, *_ = pair_losses(-1.0, -2.0, -3.0, -1.5, cfg)
+        shifted, *_ = pair_losses(-2.0, -3.0, -4.0, -2.5, cfg)
         assert shifted == pytest.approx(base + 0.5, abs=1e-12)
 
     def test_swap_antisymmetry(self):
         cfg = DpoConfig(beta=0.4, nll_weight=0.0)
         chosen, rejected = (-1.0, -2.0), (-3.0, -1.5)
-        forward, *_ = dpo_losses(*chosen, *rejected, cfg)
-        backward, *_ = dpo_losses(*rejected, *chosen, cfg)
+        forward, *_ = pair_losses(*chosen, *rejected, cfg)
+        backward, *_ = pair_losses(*rejected, *chosen, cfg)
         m = cfg.beta * ((-1.0 + 2.0) - (-3.0 + 1.5))
         assert forward == pytest.approx(float(np.logaddexp(0.0, -m)), abs=1e-12)
         assert backward == pytest.approx(float(np.logaddexp(0.0, m)), abs=1e-12)
@@ -209,8 +210,7 @@ class TestDpoLosses:
         lps = rng.uniform(-30.0, 0.0, (4, 50))
         columns = dpo_losses(*lps, cfg)
         for k in range(50):
-            one = dpo_losses(*lps[:, k], cfg)
-            assert [float(c) for c in one] == [c[k] for c in columns]
+            assert pair_losses(*lps[:, k], cfg) == [c[k] for c in columns]
 
     def test_overflow_is_non_finite_without_warning(self):
         with np.errstate(all="raise"):
@@ -228,25 +228,25 @@ class TestGrpoAdvantages:
         )
     )
     def test_rows_equal_one_row_calls_bit_for_bit(self, rewards):
-        rows = grpo_advantages_rows(rewards)
-        expected = np.array([grpo_advantages_rows([row])[0] for row in rewards])
-        assert rows.tobytes() == expected.tobytes()
+        rows = grpo_advantages_rows(rewards.tolist())
+        expected = [grpo_advantages_rows([row])[0] for row in rewards.tolist()]
+        assert np.array(rows).tobytes() == np.array(expected).tobytes()
 
     def test_rows_of_repeated_group(self):
         rewards = np.tile([3.0, 1.0, 2.0, 0.5, 7.25, 1.0, 1.0, 4.0, 2.0], (5, 1))
         rows = grpo_advantages_rows(rewards)
-        assert (rows == grpo_advantages_rows(rewards[:1])[0]).all()
+        assert rows == grpo_advantages_rows(rewards[:1]) * 5
 
     def test_overflowing_variance_gives_nan_without_warning(self):
         with np.errstate(all="raise"):
             rows = grpo_advantages_rows([[1e308, -1e308], [1.0, 0.0]])
         assert np.isnan(rows[0]).all()
-        assert rows[1].tolist() == grpo_advantages_rows([[1.0, 0.0]])[0].tolist()
+        assert rows[1] == grpo_advantages_rows([[1.0, 0.0]])[0]
 
     def test_rows_need_two_columns(self):
         with pytest.raises(GroupTooSmall):
             grpo_advantages_rows([[1.0], [2.0]])
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(TypeError):
             grpo_advantages_rows([1.0, 2.0])
 
     def test_symmetric_binary_rewards(self):
@@ -254,7 +254,7 @@ class TestGrpoAdvantages:
         np.testing.assert_allclose(advantages, [1.0, -1.0, 1.0, -1.0], atol=1e-7)
 
     def test_constant_rewards_all_zero(self):
-        assert grpo_advantages_rows([[2.5, 2.5, 2.5]])[0].tolist() == [0.0, 0.0, 0.0]
+        assert grpo_advantages_rows([[2.5, 2.5, 2.5]])[0] == [0.0, 0.0, 0.0]
 
     def test_hand_computed_example(self):
         advantages = grpo_advantages_rows([[3.0, 1.0, 2.0]])[0]
@@ -290,6 +290,63 @@ class TestGrpoAdvantages:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
             grpo_advantages_rows([[1.0, float("inf")]])
+
+
+def dpo_edge_columns():
+    """Columns of pairs at the edges of `dpo_losses`: z = 0, z either side
+    of 40 at beta 1, and every mix of -1e308, 0 and 1e308 logprobs (z = ±inf
+    or nan)."""
+    rows = [(-2.0, -2.0, -2.0, -2.0), (-1.0, -3.0, -4.0, -6.0)]
+    for z in (np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 100.0)):
+        rows.append((float(z), 0.0, 0.0, 0.0))
+    edges = (-1e308, 0.0, 1e308)
+    rows += [(a, b, c, d) for a in edges for b in edges for c in edges for d in edges]
+    return [list(column) for column in zip(*rows)]
+
+
+class TestNumpyForms:
+    """The library against the numpy forms it replaced, `mutants.numpy_dpo_losses`
+    and `mutants.numpy_grpo_rows`, on random inputs and at the edges."""
+
+    @pytest.mark.parametrize("beta, nll", [(0.1, 0.0), (1.0, 0.0), (2.0, 0.25), (0.05, -0.0)])
+    def test_dpo_matches_numpy_form(self, beta, nll):
+        rng = np.random.default_rng(31)
+        random = rng.uniform(-60.0, 0.0, (4, 2000)) * 10.0 ** rng.integers(-3, 4, (4, 2000))
+        cfg = DpoConfig(beta=beta, nll_weight=nll)
+        for columns in (random.tolist(), dpo_edge_columns()):
+            got = dpo_losses(*columns, cfg)
+            with np.errstate(all="ignore"):
+                want = [c.tolist() for c in numpy_dpo_losses(*columns, cfg)]
+            assert list(map(repr, got[0])) == list(map(repr, want[0]))
+            for ours, theirs in zip(got[1:], want[1:]):
+                for a, b in zip(ours, theirs, strict=True):
+                    assert math.isfinite(a) == math.isfinite(b), (a, b)
+                    # numpy's vectorized `exp` may differ from libm's by an
+                    # ulp. Once exp(z) >= 2**53, 1 + exp(z) rounds, and the
+                    # two sums can land two ulps apart; an ulp of g can be
+                    # half the relative size of an ulp of the sum, so g
+                    # may differ by up to four ulps.
+                    if math.isfinite(a):
+                        assert abs(a - b) <= 4 * np.spacing(abs(b)), (a, b)
+
+    def test_grpo_matches_numpy_form(self):
+        rng = np.random.default_rng(32)
+        rows = [[1e308, -1e308], [1e308, 1e308, -1e308], [-0.0, 0.0], [-0.0, -0.0, -0.0]]
+        rows += [[0.5] * k for k in (2, 7, 9)]
+        for n in range(400):
+            k = int(rng.integers(2, 8)) if n % 4 else int(rng.integers(8, 41))
+            if n % 3 == 0:
+                rows.append((rng.integers(0, 5, k) / 4.0).tolist())
+            else:
+                rows.append((rng.normal(size=k) * 10.0 ** rng.integers(-6, 7, k)).tolist())
+        got = grpo_advantages_rows(rows)
+        for row, rewards in zip(got, rows, strict=True):
+            assert grpo_row_agrees(row, rewards), rewards
+            if len(rewards) < 8:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = float(np.var(rewards))
+                assert repr(group_of(rewards).score_variance()) == repr(want)
+        assert all(math.isnan(a) for a in got[0] + got[1])
 
 
 def answer(text, thinking=None):
