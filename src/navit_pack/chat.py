@@ -50,6 +50,9 @@ THINK_CLOSE = "</think>"
 THINKING_INVITE = THINK_OPEN + "\n"
 THINKING_SUPPRESS = THINK_OPEN + "\n\n" + THINK_CLOSE + "\n\n"
 
+# The markers of docs/chat_template.md, which no message text may hold.
+_MARKERS = (TURN_START, TURN_END, IMAGE_PAD_TOKEN, THINK_OPEN, THINK_CLOSE)
+
 
 class UnresolvedImageRef(ValueError):
     """A message references an image id with no resize plan."""
@@ -81,11 +84,20 @@ Part = Union[TextPart, ImagePart]
 
 
 class ChatMessage(namedtuple("ChatMessage", "role parts"), _Value):
+    """One turn of a conversation. Its text may hold none of `_MARKERS`, so
+    that the rendered prompt identifies the conversation."""
+
     __slots__ = ()
 
     def __new__(cls, role: Role, parts: tuple[Part, ...]) -> ChatMessage:
         if not parts:
             raise ValueError("parts must be non-empty")
+        # Adjacent text parts render as one text, so a marker split between
+        # them counts; an image part, "\n" here, splits it.
+        text = "".join(part.text if isinstance(part, TextPart) else "\n" for part in parts)
+        held = [marker for marker in _MARKERS if marker in text]
+        if held:
+            raise ValueError(f"text holds the marker {_quoted(min(held, key=text.find))}")
         return tuple.__new__(cls, (role, parts))
 
 

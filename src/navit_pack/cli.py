@@ -47,12 +47,13 @@ def _shown(path: str) -> str:
 def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
     """`(lineno, parse(line))` for each non-blank line of `path`.
 
-    A line whose `parse` raises `ValueError` is reported as
-    `path:lineno: message` and skipped.
+    Lines end at `\n` alone, and a line of only JSON whitespace (space,
+    tab, CR, LF) is blank. A line whose `parse` raises `ValueError` is
+    reported as `path:lineno: message` and skipped.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
+            if not line.strip(" \t\r\n"):
                 continue
             try:
                 value = parse(line)

@@ -10,9 +10,9 @@ machinery here.
 A group is one form throughout: `parse_group_line` builds each line's
 `PreferenceGroup` (responses, policy and reference logprobs, scores)
 through its constructor, which checks every value. `pair_indices` orders a
-group's pairs by its score column, `dpo_losses` takes one column per
-logprob input and `grpo_advantages_rows` one row per group. All of it is
-arithmetic on Python floats, so `prefs` loads no array library.
+group's pairs by its score column, `dpo_loss` computes one pair and
+`grpo_advantages` one group. All of it is arithmetic on Python floats, so
+`prefs` loads no array library.
 
 Functional forms and defaults are pinned in docs/objectives.md.
 """
@@ -23,7 +23,7 @@ import enum
 import string
 from collections import namedtuple
 from math import exp, isfinite, log1p, nan, sqrt
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import LengthMismatch, NonFiniteInput, _quoted
 from .records import ManifestError, _Value, _entry, _json_record, _list, _name, _number
@@ -39,8 +39,8 @@ __all__ = [
     "UnknownAnswerLetter",
     "UnparseableNumeric",
     "GRPO_EPSILON",
-    "dpo_losses",
-    "grpo_advantages_rows",
+    "dpo_loss",
+    "grpo_advantages",
     "mcq_to_fill_in_blank",
     "pair_indices",
     "parse_group_line",
@@ -155,8 +155,21 @@ def _mean_variance(values: Sequence[float]) -> tuple[float, float]:
     return mean, squares / len(values)
 
 
-def _dpo_pair(lp_c: float, lr_c: float, lp_r: float, lr_r: float, beta: float, nll: float):
-    """The loss and four partials of one pair, in the order of `dpo_losses`."""
+def dpo_loss(
+    lp_c: float, lr_c: float, lp_r: float, lr_r: float, cfg: DpoConfig
+) -> tuple[float, float, float, float, float]:
+    """Preference loss -log sigmoid(beta * margin) + nll_weight * (-lp_c) of
+    one pair, and its partials in `lp_c`, `lp_r`, `lr_c` and `lr_r`, in that
+    order.
+
+    Takes the policy (`lp_*`) and reference (`lr_*`) logprobs of the chosen
+    (`*_c`) and rejected (`*_r`) candidates. The margin is the
+    policy-minus-reference logprob gap between chosen and rejected.
+    Gradients are the true partials of the loss in all four logprobs (the
+    reference enters the margin as given data; nothing is re-estimated).
+    Inputs that overflow give inf or nan values, with no warning or exception.
+    """
+    beta, nll = cfg
     z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
     # -log sigmoid(z) = log(1 + exp(-z)) = logaddexp(0, -z), by branches in
     # which no `exp` overflows: z = 0 gives log1p(1) = ln 2, and nan stays nan.
@@ -167,44 +180,20 @@ def _dpo_pair(lp_c: float, lr_c: float, lp_r: float, lr_r: float, beta: float, n
     return loss, g - nll, -g, -g, g
 
 
-def dpo_losses(
-    lp_c: Iterable[float], lr_c: Iterable[float], lp_r: Iterable[float], lr_r: Iterable[float],
-    cfg: DpoConfig,
-) -> tuple[list[float], ...]:
-    """Preference loss -log sigmoid(beta * margin) + nll_weight * (-lp_chosen),
-    one entry per pair.
-
-    Takes equal-length columns of the policy (`lp_*`) and reference (`lr_*`)
-    logprobs of the chosen (`*_c`) and rejected (`*_r`) candidates, and
-    returns the loss and its partials in `lp_c`, `lp_r`, `lr_c` and `lr_r`,
-    in that order, as five lists. The margin is the policy-minus-reference
-    logprob gap between chosen and rejected.
-    Gradients are the true partials of the loss in all four logprobs (the
-    reference enters the margin as given data; nothing is re-estimated).
-    Entries whose inputs overflow come out inf or nan, with no warning or exception.
-    """
-    beta, nll = cfg.beta, cfg.nll_weight
-    pairs = [_dpo_pair(*x, beta, nll) for x in zip(lp_c, lr_c, lp_r, lr_r, strict=True)]
-    return tuple([pair[k] for pair in pairs] for k in range(5))
-
-
-def grpo_advantages_rows(rewards: Iterable[Sequence[float]]) -> list[list[float]]:
+def grpo_advantages(rewards: Sequence[float]) -> list[float]:
     """Group-standardized advantages (r - mean) / (population std + eps) of
-    each row of rewards; rows may differ in length.
+    one group's rewards.
 
-    A row whose variance overflows has no usable standardization; its
+    A group whose variance overflows has no usable standardization; its
     advantages are nan, without an exception.
     """
-    rows = []
-    for row in rewards:
-        if len(row) < 2:
-            raise GroupTooSmall(f"need rows of >= 2 rewards, got {len(row)}")
-        if not all(map(isfinite, row)):
-            raise NonFiniteInput("rewards contain non-finite entries")
-        mean, variance = _mean_variance(row)
-        std = sqrt(variance) if isfinite(variance) else nan
-        rows.append([(r - mean) / (std + GRPO_EPSILON) for r in row])
-    return rows
+    if len(rewards) < 2:
+        raise GroupTooSmall(f"need >= 2 rewards, got {len(rewards)}")
+    if not all(map(isfinite, rewards)):
+        raise NonFiniteInput("rewards contain non-finite entries")
+    mean, variance = _mean_variance(rewards)
+    std = sqrt(variance) if isfinite(variance) else nan
+    return [(r - mean) / (std + GRPO_EPSILON) for r in rewards]
 
 
 class AnswerKind(enum.Enum):

@@ -171,11 +171,12 @@ def check_dpo_grad(seed: int) -> tuple[bool, str]:
         )
 
         def losses(x: np.ndarray) -> np.ndarray:
-            return np.asarray(objectives.dpo_losses(*x[:, [0, 2, 1, 3]].T.tolist(), cfg)[0])
+            rows = x[:, [0, 2, 1, 3]].tolist()
+            return np.asarray([objectives.dpo_loss(*row, cfg)[0] for row in rows])
 
-        _, *partials = objectives.dpo_losses(*lps[[0, 2, 1, 3], None].tolist(), cfg)
+        _, *partials = objectives.dpo_loss(*lps[[0, 2, 1, 3]].tolist(), cfg)
         numeric = stacked_central_diff(losses, lps)
-        worst = max(worst, max_rel_err(np.asarray(partials)[:, 0], numeric))
+        worst = max(worst, max_rel_err(np.asarray(partials), numeric))
     return _grad_result(worst, tol)
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from navit_pack.objectives import dpo_losses
 from navit_pack.vet import VisualEmbeddingTable, VisualHead, head_forward, vet_embed
 
 settings.register_profile(
@@ -29,11 +28,6 @@ def finite_difference(f, x, h=1e-6):
         grad[idx] = (up - down) / (2.0 * h)
         it.iternext()
     return grad
-
-
-def pair_losses(lp_c, lr_c, lp_r, lr_r, cfg):
-    """The loss and four partials of one pair: `dpo_losses` on columns of one entry."""
-    return [column[0] for column in dpo_losses([lp_c], [lr_c], [lp_r], [lr_r], cfg)]
 
 
 def rel_err(analytic, numeric):

@@ -32,12 +32,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from navit_pack import cli, cli_pack, cli_prefs, encoder, geometry, objectives, packing
+from navit_pack import chat, cli, cli_pack, cli_prefs, encoder, geometry, objectives, packing
 from navit_pack import records, selfcheck, vet
 from navit_pack.errors import NonFiniteInput
 from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
 from navit_pack.objectives import (
-    GRPO_EPSILON, DpoConfig, GroupTooSmall, dpo_losses, pair_indices, parse_group_line,
+    GRPO_EPSILON, DpoConfig, GroupTooSmall, dpo_loss, pair_indices, parse_group_line,
 )
 from test_encoder import orthogonal_blocks
 from test_geometry import oracle_plan_fast
@@ -202,7 +202,7 @@ def _outcome(parse, line):
 
 
 # Lines at the edges of what `json.loads` accepts, each written as is: a
-# BOM on the first line, CRLF (which reading turns into LF), whitespace
+# BOM on the first line, CRLF (whose CR is JSON whitespace), whitespace
 # around a record, extra data, NaN and Infinity, an integer past Python's
 # 4,300-digit limit, nesting past the recursion limit, and a last line with
 # no newline. Every value and error must be `json.loads`'s own.
@@ -318,8 +318,8 @@ def plan_differs():
 
 
 def numpy_dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg):
-    """`objectives.dpo_losses` in numpy, one array per column: `np.logaddexp`
-    for the loss and `np.exp` in both branches of the gradient."""
+    """`objectives.dpo_loss` in numpy, one array per column of pairs:
+    `np.logaddexp` for the loss and `np.exp` in both branches of the gradient."""
     lp_c, lr_c, lp_r, lr_r = (np.asarray(x, dtype=np.float64) for x in (lp_c, lr_c, lp_r, lr_r))
     beta, nll = cfg.beta, cfg.nll_weight
     with np.errstate(over="ignore", invalid="ignore"):
@@ -333,8 +333,8 @@ def numpy_dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg):
 
 
 def numpy_grpo_rows(rewards):
-    """`objectives.grpo_advantages_rows` in numpy, on a `(groups, k)` array:
-    `std` and `mean` along each row."""
+    """`objectives.grpo_advantages` in numpy, on a `(groups, k)` array of
+    groups: `std` and `mean` along each row."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] < 2:
         raise GroupTooSmall(f"need rows of >= 2 rewards, got shape {r.shape}")
@@ -372,19 +372,18 @@ _GRPO_CORPUS = [
 
 
 def grpo_differs():
-    """Whether `objectives.grpo_advantages_rows` gives a row of the corpus
-    that `grpo_row_agrees` rejects."""
-    rows = objectives.grpo_advantages_rows(_GRPO_CORPUS)
-    return not all(map(grpo_row_agrees, rows, _GRPO_CORPUS))
+    """Whether `objectives.grpo_advantages` gives a row of the corpus that
+    `grpo_row_agrees` rejects."""
+    return not all(grpo_row_agrees(objectives.grpo_advantages(r), r) for r in _GRPO_CORPUS)
 
 
 def prefs_oracle(
     text, command, path, margin=0.0, beta=0.1, nll_weight=0.0, min_score_variance=0.0
 ):
     """Expected `prefs` stdout and stderr: one `json.dumps` per line, from
-    one `dpo_losses` call per pair and one `grpo_advantages_rows` call per
-    group. Each group goes through the difficulty filter and then the
-    objective before the next, so diagnostics come in line order."""
+    one `dpo_loss` call per pair and one `grpo_advantages` call per group.
+    Each group goes through the difficulty filter and then the objective
+    before the next, so diagnostics come in line order."""
     groups = [(n, parse_group_line(line)) for n, line in enumerate(text.splitlines(), 1)]
     out, err = [], []
 
@@ -402,7 +401,7 @@ def prefs_oracle(
         scores, lp, lr = group.scores, group.logprob_policy, group.logprob_reference
         records = []
         if command == "grpo":
-            advantages = objectives.grpo_advantages_rows([scores])[0]
+            advantages = objectives.grpo_advantages(scores)
             records.append({"query_id": group.query_id, "advantages": advantages})
             numbers, what = advantages, "advantage"
         elif command == "pairs":
@@ -420,13 +419,13 @@ def prefs_oracle(
             numbers, what = [r["score_gap"] for r in records], "score gap"
         else:
             for i, j in pair_indices(scores, margin):
-                columns = dpo_losses([lp[i]], [lr[i]], [lp[j]], [lr[j]], DpoConfig(beta, nll_weight))
+                values = dpo_loss(lp[i], lr[i], lp[j], lr[j], DpoConfig(beta, nll_weight))
                 records.append(
                     {
                         "query_id": group.query_id,
                         "chosen_index": i,
                         "rejected_index": j,
-                        **dict(zip(_DPO_FIELDS, (column[0] for column in columns))),
+                        **dict(zip(_DPO_FIELDS, values)),
                     }
                 )
             numbers, what = [r[k] for r in records for k in _DPO_FIELDS], "loss or gradient"
@@ -457,15 +456,73 @@ _PREFS_GROUPS = "".join(
 )
 
 
+# Groups for `prefs pairs` whose ids and responses JSON must escape: a
+# quote, a backslash, non-ASCII (one character past the BMP) and control
+# characters.
+_PAIRS_GROUPS = "".join(
+    json.dumps({"query_id": query_id, "candidates": [
+        {"response": response, "logprob_policy": -1.0, "logprob_reference": -1.0, "score": score}
+        for response, score in zip(responses, (0.25, 1.0, 0.5))
+    ]}) + "\n"
+    for query_id, responses in [
+        ('say "hi"', ['a "quoted" one', "C:\\dir\\file", "plain"]),
+        ("café-日本-\U0001f600", ["naïve", "\U0001f600 grin", "tab\there"]),
+        ("ctl\x01\x1f", ["line\nbreak", "bell\x07", "del\x7f"]),
+    ]
+)
+
+
 def prefs_differs():
-    """Whether `prefs dpo --nll-weight -0.0` writes other stdout or stderr
-    for the corpus than `prefs_oracle` does."""
+    """Whether `prefs dpo --nll-weight -0.0` or `prefs pairs` writes other
+    stdout or stderr for its corpus than `prefs_oracle` does."""
+    cases = [("dpo", _PREFS_GROUPS, {"nll_weight": -0.0}), ("pairs", _PAIRS_GROUPS, {})]
     with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "groups.jsonl")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(_PREFS_GROUPS)
-        _, out, err = run_in_process("prefs", "dpo", "--groups", path, "--nll-weight", "-0.0")
-        return (out, err) != prefs_oracle(_PREFS_GROUPS, "dpo", path, nll_weight=-0.0)
+        for command, text, options in cases:
+            path = os.path.join(directory, f"{command}.jsonl")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            flags = [x for k, v in options.items() for x in ("--" + k.replace("_", "-"), repr(v))]
+            _, out, err = run_in_process("prefs", command, "--groups", path, *flags)
+            if (out, err) != prefs_oracle(text, command, path, **options):
+                return True
+    return False
+
+
+# Messages whose text holds a marker whole, split between two text parts or
+# only in fragments, the last split by an image, which forms none.
+_MARKER_CORPUS = [
+    parts
+    for marker in chat._MARKERS
+    for parts in [
+        (chat.TextPart(f"x{marker}y"),),
+        (chat.TextPart("a" + marker[:4]), chat.TextPart(marker[4:] + "b")),
+        (chat.TextPart(marker[:-1]), chat.TextPart(marker[1:])),
+        (chat.TextPart(marker[:4]), chat.ImagePart("img0"), chat.TextPart(marker[4:])),
+    ]
+]
+
+
+def marker_refusal_differs():
+    """Whether `chat.ChatMessage` accepts a message of the corpus whose turn,
+    rendered as the template writes it, holds more markers than the
+    template puts there, or refuses one whose turn does not."""
+    for parts in _MARKER_CORPUS:
+        body = "".join(
+            part.text if isinstance(part, chat.TextPart) else chat.IMAGE_PAD_TOKEN
+            for part in parts
+        )
+        turn = f"<|im_start|>user\n{body}<|im_end|>\n"
+        images = sum(isinstance(part, chat.ImagePart) for part in parts)
+        forged = sum(map(turn.count, chat._MARKERS)) != 2 + images
+        try:
+            chat.ChatMessage(chat.Role.USER, parts)
+        except ValueError:
+            refused = True
+        else:
+            refused = False
+        if refused != forged:
+            return True
+    return False
 
 
 def attention_differs():
@@ -489,7 +546,7 @@ MUTANTS = {
     **_mutants(vet, "vet_embed_grad", {
         "vet-grad-no-pa-term": ("probs * a[None, :] - probs * pa[:, None]", "probs * a[None, :]"),
     }, "vet-grad"),
-    **_mutants(objectives, "_dpo_pair", {
+    **_mutants(objectives, "dpo_loss", {
         "dpo-grad-plus-g": ("return loss, g - nll, -g, -g, g", "return loss, g - nll, -g, g, g"),
     }, "dpo-grad"),
     # The sample variance in place of the population variance.
@@ -580,10 +637,19 @@ MUTANTS = {
         "negated-always-prefixed": ('text[1:] if text[0] == "-" else "-" + text', '"-" + text'),
     }, differs=prefs_differs),
     # With `nll_weight` -0.0, `g - nll_weight` no longer shares `g`'s text.
-    **_mutants(cli_prefs, "_dpo_text", {
+    **_mutants(cli_prefs, "_dpo_renderer", {
         "same-ignores-zero-sign": (
             "cfg.nll_weight == 0.0 and math.copysign(1.0, cfg.nll_weight) > 0.0",
             "cfg.nll_weight == 0.0",
+        ),
+    }, differs=prefs_differs),
+    **_mutants(chat, "ChatMessage", {
+        "marker-check-dropped": ("if held:", "if False:"),
+    }, differs=marker_refusal_differs),
+    **_mutants(cli_prefs, "_pairs_renderer", {
+        "response-unescaped": ("encode_basestring_ascii(response)", "f'\"{response}\"'"),
+        "chosen-rejected-swapped": (
+            '{head}{i},"rejected_index":{j}', '{head}{j},"rejected_index":{i}'
         ),
     }, differs=prefs_differs),
 }

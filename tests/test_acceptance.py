@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import finite_difference, pair_losses, rel_err, vet_loss
+from conftest import finite_difference, rel_err, vet_loss
 from navit_pack.chat import THINK_CLOSE, THINK_OPEN, parse_thinking
 from navit_pack.encoder import (
     AttentionParams,
@@ -25,7 +25,7 @@ from navit_pack.geometry import (
     phase_budget,
     plan_resize,
 )
-from navit_pack.objectives import DpoConfig, grpo_advantages_rows
+from navit_pack.objectives import DpoConfig, dpo_loss, grpo_advantages
 from navit_pack.packing import SampleRecord, pack_ffd, packing_report
 from navit_pack.selfcheck import _dense_block_attention, optimal_bin_count
 from navit_pack.vet import (
@@ -188,9 +188,9 @@ def test_c04_gradient_checks():
             # x is (policy chosen, policy rejected, reference chosen,
             # reference rejected): the order of the four partials.
             def loss_of(x):
-                return float(pair_losses(x[0], x[2], x[1], x[3], cfg)[0])
+                return float(dpo_loss(x[0], x[2], x[1], x[3], cfg)[0])
 
-            analytic = pair_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
+            analytic = dpo_loss(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
             worst_dpo = max(worst_dpo, rel_err(analytic, finite_difference(loss_of, lps)))
         assert worst_dpo < 1e-6, f"dpo gradient rel err {worst_dpo:.3e}"
 
@@ -306,22 +306,23 @@ def test_c08_waste_reduction():
 
 def test_c09_dpo_anchors():
     with criterion(9, "DPO anchor values"):
-        equal, *_ = pair_losses(-1.0, -1.0, -1.0, -1.0, DpoConfig(beta=0.25, nll_weight=0.0))
+        equal, *_ = dpo_loss(-1.0, -1.0, -1.0, -1.0, DpoConfig(beta=0.25, nll_weight=0.0))
         assert abs(equal - math.log(2.0)) <= 1e-12
-        saturated, *_ = pair_losses(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
+        saturated, *_ = dpo_loss(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
         assert 0.0 <= saturated < 1e-9
 
 
 def test_c10_grpo_anchors():
     with criterion(10, "GRPO anchor values"):
         np.testing.assert_allclose(
-            grpo_advantages_rows([[1.0, 0.0, 1.0, 0.0]])[0], [1.0, -1.0, 1.0, -1.0], atol=1e-7
+            grpo_advantages([1.0, 0.0, 1.0, 0.0]), [1.0, -1.0, 1.0, -1.0], atol=1e-7
         )
-        assert grpo_advantages_rows([[3.0, 3.0, 3.0]])[0] == [0.0, 0.0, 0.0]
+        assert grpo_advantages([3.0, 3.0, 3.0]) == [0.0, 0.0, 0.0]
         rng = np.random.default_rng(10)
-        rewards = rng.normal(size=(1, 9))
+        rewards = rng.normal(size=9)
         np.testing.assert_allclose(
-            grpo_advantages_rows(rewards), grpo_advantages_rows(rewards + 250.0), atol=1e-6
+            grpo_advantages(rewards.tolist()), grpo_advantages((rewards + 250.0).tolist()),
+            atol=1e-6,
         )
 
 

@@ -411,6 +411,41 @@ class TestUnreadableInput:
         assert line.startswith(f"{groups}: not UTF-8 text")
 
 
+class TestLineEnds:
+    """JSONL lines end at `\n` alone. A bare `\r` is JSON whitespace inside
+    its record, and a line of only `\x1c`, which `str.strip` empties but
+    JSON does not read as whitespace, is not blank."""
+
+    TEXT = '{"id":"a","text_tokens":1}\n\x1c\n{"id":"b",\r"text_tokens":2}\n'
+    NOT_JSON = "2: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["plan", "--manifest"], [NOT_JSON]),
+            (["pack", "--manifest"], [NOT_JSON]),
+            (
+                ["prefs", "pairs", "--groups"],
+                ["1: unknown field 'id'", NOT_JSON, "3: unknown field 'id'"],
+            ),
+        ],
+        ids=["plan", "pack", "prefs"],
+    )
+    def test_each_line_is_reported_once_by_its_number(self, tmp_path, argv, lines):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(self.TEXT.encode())
+        code, out, err = run_in_process(*argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == "".join(f"{path}:{line}\n" for line in lines)
+
+    def test_bare_cr_and_crlf_inside_records_parse(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"id":"a","text_tokens":1}\r\n \t\r\n{"id":"b",\r"text_tokens":2}\n')
+        code, out, err = run_in_process("pack", "--manifest", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[0])["segments"] == [["b", 0, 2], ["a", 2, 1]]
+
+
 class TestFloatOptions:
     @pytest.mark.parametrize(
         "argv, message",
@@ -481,6 +516,24 @@ class TestChat:
         validator("chat_sidecar").validate(data)
         assert data["image_token_total"] == 784
         assert data["placeholders"][0]["token_count"] == 784
+
+    @pytest.mark.parametrize(
+        "parts, marker",
+        [
+            ([{"text": "x<|image_pad|>"}], "<|image_pad|>"),
+            ([{"text": "a<|im_"}, {"text": "end|>"}], "<|im_end|>"),
+        ],
+        ids=["pad-marker", "split-turn-end"],
+    )
+    def test_text_holding_a_marker_fails(self, tmp_path, parts, marker):
+        conv = tmp_path / "c.json"
+        sidecar = tmp_path / "side.json"
+        messages = [{"role": "user", "parts": [{"text": "hi"}]}, {"role": "user", "parts": parts}]
+        conv.write_text(json.dumps({"messages": messages}))
+        result = run_cli("chat", "--conversation", str(conv), "--sidecar", str(sidecar))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"{conv}: message 1: text holds the marker '{marker}'\n"
+        assert not sidecar.exists()
 
     def test_unresolved_ref_fails(self, tmp_path):
         conv = tmp_path / "c.json"
@@ -735,17 +788,17 @@ MARGIN_THEN_VARIANCE = (
 
 
 def late_variance_groups():
-    """150 groups: line 10 (first chunk) has a DPO margin of inf - inf and
-    line 140 (third chunk) a score variance beyond float range."""
+    """150 groups: line 10 has a DPO margin of inf - inf and line 140 a
+    score variance beyond float range."""
     lines = groups_jsonl([_SMALL[g % 7] for g in range(150)], 6).splitlines(keepends=True)
     lines[9], lines[139] = MARGIN_THEN_VARIANCE.splitlines(keepends=True)
     return "".join(lines)
 
 
-class TestPrefsChunked:
-    """`prefs` renders a chunk of groups at a time, and `dpo` and `grpo`
-    compute each chunk in one array call; stdout, stderr and the exit
-    status must equal the per-pair and per-group oracle."""
+class TestPrefsMatchesOracle:
+    """`prefs` on files of 0 to 150 groups, some of them faulty: stdout,
+    stderr and the exit status must equal the per-pair and per-group
+    oracle."""
 
     @pytest.mark.parametrize(
         "text",
@@ -760,7 +813,7 @@ class TestPrefsChunked:
             late_variance_groups(),
         ],
         ids=[
-            "empty", "64", "65", "no-pairs-chunk", "sizes-2-40", "overflow",
+            "empty", "64", "65", "no-pairs-run", "sizes-2-40", "overflow",
             "margin-then-variance", "late-variance",
         ],
     )

@@ -11,9 +11,10 @@ and p2, `pack` at two capacities, `chat` with and without `--thinking`,
 flags, `prefs grpo` with and without `--min-score-variance`, and the
 malformed and edge-line manifests under `plan` and `pack`.
 
-`prefs grpo` computes with `+`, `-`, `*`, `/` and `sqrt` on Python floats
-in a fixed order, each correctly rounded on every platform, so its bytes
-can be pinned. `prefs dpo` is not pinned here: its loss and gradients
+`prefs grpo` computes each group's advantages (`objectives.grpo_advantages`)
+with `+`, `-`, `*`, `/` and `sqrt` on Python floats in a fixed order, each
+correctly rounded on every platform, so its bytes can be pinned. `prefs dpo`
+is not pinned here: each pair's loss and gradients (`objectives.dpo_loss`)
 come from libm's `exp` and `log1p`, which may round differently on other
 platforms. Nor is `verify`, which prints numpy results. They stay on
 their oracles (`mutants.prefs_oracle` and the `verify` tests).

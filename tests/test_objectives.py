@@ -9,20 +9,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import finite_difference, pair_losses, rel_err
+from conftest import finite_difference, rel_err
 from mutants import grpo_row_agrees, numpy_dpo_losses
 from navit_pack import cli
 from navit_pack.chat import ThinkingOutput
 from navit_pack.errors import NonFiniteInput
 from navit_pack.objectives import (
+    GRPO_EPSILON,
     AnswerKind,
     DpoConfig,
     GroupTooSmall,
     PreferenceGroup,
     UnknownAnswerLetter,
     UnparseableNumeric,
-    dpo_losses,
-    grpo_advantages_rows,
+    dpo_loss,
+    grpo_advantages,
     mcq_to_fill_in_blank,
     pair_indices,
     parse_group_line,
@@ -110,11 +111,11 @@ class TestPairIndices:
 
 class TestDpoLoss:
     def test_equal_logprobs_is_ln_two(self):
-        loss, *_ = pair_losses(-2.0, -2.0, -2.0, -2.0, DpoConfig(beta=0.7))
+        loss, *_ = dpo_loss(-2.0, -2.0, -2.0, -2.0, DpoConfig(beta=0.7))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturation_at_large_margin(self):
-        loss, *_ = pair_losses(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
+        loss, *_ = dpo_loss(50.0, 0.0, 0.0, 0.0, DpoConfig(beta=1.0, nll_weight=0.0))
         assert 0.0 <= loss < 1e-9
 
     def test_gradients_match_central_differences(self):
@@ -127,9 +128,9 @@ class TestDpoLoss:
             # x is (policy chosen, policy rejected, reference chosen,
             # reference rejected): the order of the four partials.
             def loss_of(x):
-                return float(pair_losses(x[0], x[2], x[1], x[3], cfg)[0])
+                return float(dpo_loss(x[0], x[2], x[1], x[3], cfg)[0])
 
-            analytic = pair_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
+            analytic = dpo_loss(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
             worst = max(worst, rel_err(analytic, finite_difference(loss_of, lps)))
         assert worst < 1e-6
 
@@ -138,28 +139,28 @@ class TestDpoLoss:
         lps = np.array([-1.2, -0.4, -1.0, -0.6])
 
         def loss_of(x):
-            return float(pair_losses(x[0], x[2], x[1], x[3], cfg)[0])
+            return float(dpo_loss(x[0], x[2], x[1], x[3], cfg)[0])
 
-        analytic = pair_losses(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
+        analytic = dpo_loss(lps[0], lps[2], lps[1], lps[3], cfg)[1:]
         assert rel_err(analytic, finite_difference(loss_of, lps)) < 1e-6
 
     def test_shift_invariance_without_nll(self):
         cfg = DpoConfig(beta=0.3, nll_weight=0.0)
-        base, *_ = pair_losses(-1.0, -2.0, -3.0, -1.5, cfg)
-        shifted, *_ = pair_losses(-1.0 + 7.5, -2.0 + 7.5, -3.0 + 7.5, -1.5 + 7.5, cfg)
+        base, *_ = dpo_loss(-1.0, -2.0, -3.0, -1.5, cfg)
+        shifted, *_ = dpo_loss(-1.0 + 7.5, -2.0 + 7.5, -3.0 + 7.5, -1.5 + 7.5, cfg)
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_nll_term_is_absolute(self):
         cfg = DpoConfig(beta=0.3, nll_weight=0.5)
-        base, *_ = pair_losses(-1.0, -2.0, -3.0, -1.5, cfg)
-        shifted, *_ = pair_losses(-2.0, -3.0, -4.0, -2.5, cfg)
+        base, *_ = dpo_loss(-1.0, -2.0, -3.0, -1.5, cfg)
+        shifted, *_ = dpo_loss(-2.0, -3.0, -4.0, -2.5, cfg)
         assert shifted == pytest.approx(base + 0.5, abs=1e-12)
 
     def test_swap_antisymmetry(self):
         cfg = DpoConfig(beta=0.4, nll_weight=0.0)
         chosen, rejected = (-1.0, -2.0), (-3.0, -1.5)
-        forward, *_ = pair_losses(*chosen, *rejected, cfg)
-        backward, *_ = pair_losses(*rejected, *chosen, cfg)
+        forward, *_ = dpo_loss(*chosen, *rejected, cfg)
+        backward, *_ = dpo_loss(*rejected, *chosen, cfg)
         m = cfg.beta * ((-1.0 + 2.0) - (-3.0 + 1.5))
         assert forward == pytest.approx(float(np.logaddexp(0.0, -m)), abs=1e-12)
         assert backward == pytest.approx(float(np.logaddexp(0.0, m)), abs=1e-12)
@@ -196,112 +197,123 @@ class TestDpoLosses:
         lp_c, lr_c, lp_r, lr_r = rng.uniform(-60.0, 0.0, (4, n))
         beta = 2.0
         cfg = DpoConfig(beta=beta, nll_weight=nll)
-        columns = dpo_losses(lp_c, lr_c, lp_r, lr_r, cfg)
         z = beta * ((lp_c - lr_c) - (lp_r - lr_r))
         assert (z < 40).sum() > 100 and (z >= 40).sum() > 100
-        for k in range(n):
-            want = math_dpo(lp_c[k], lr_c[k], lp_r[k], lr_r[k], beta, cfg.nll_weight)
-            for got, expected in zip((c[k] for c in columns), want):
+        for k, row in enumerate(zip(lp_c.tolist(), lr_c.tolist(), lp_r.tolist(), lr_r.tolist())):
+            want = math_dpo(*row, beta, cfg.nll_weight)
+            for got, expected in zip(dpo_loss(*row, cfg), want):
                 assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0), (k, got, expected)
 
     def test_one_pair_call_equals_its_row(self):
+        """A call on numpy scalars equals its row of the calls that `verify`
+        maps over a stack's `tolist()` rows, bit for bit."""
         rng = np.random.default_rng(12)
         cfg = DpoConfig(beta=3.0, nll_weight=0.1)
         lps = rng.uniform(-30.0, 0.0, (4, 50))
-        columns = dpo_losses(*lps, cfg)
+        rows = [dpo_loss(*row, cfg) for row in lps.T.tolist()]
         for k in range(50):
-            assert pair_losses(*lps[:, k], cfg) == [c[k] for c in columns]
+            assert dpo_loss(*lps[:, k], cfg) == rows[k]
 
     def test_overflow_is_non_finite_without_warning(self):
         with np.errstate(all="raise"):
-            loss, *grads = dpo_losses([-1e308], [1e308], [0.0], [0.0], DpoConfig())
-        assert loss[0] == math.inf
-        assert all(np.isfinite(g[0]) for g in grads)
+            loss, *grads = dpo_loss(-1e308, 1e308, 0.0, 0.0, DpoConfig())
+        assert loss == math.inf
+        assert all(np.isfinite(g) for g in grads)
 
 
 class TestGrpoAdvantages:
     @given(
         arrays(
             np.float64,
-            st.tuples(st.integers(1, 6), st.integers(2, 40)),
+            st.integers(2, 40),
             elements=st.floats(-1e308, 1e308, allow_nan=False),
         )
     )
-    def test_rows_equal_one_row_calls_bit_for_bit(self, rewards):
-        rows = grpo_advantages_rows(rewards.tolist())
-        expected = [grpo_advantages_rows([row])[0] for row in rewards.tolist()]
-        assert np.array(rows).tobytes() == np.array(expected).tobytes()
+    def test_finite_and_bounded_exactly_when_variance_is(self, rewards):
+        """Advantages are finite, with |a| <= sqrt(n), exactly when the score
+        variance that `--min-score-variance` reads is finite; else all nan."""
+        rewards = rewards.tolist()
+        advantages = grpo_advantages(rewards)
+        again = grpo_advantages(tuple(rewards))
+        assert np.array(advantages).tobytes() == np.array(again).tobytes()
+        if math.isfinite(group_of(rewards).score_variance()):
+            bound = math.sqrt(len(rewards)) * (1.0 + 1e-9)
+            assert all(abs(a) <= bound for a in advantages)
+        else:
+            assert all(map(math.isnan, advantages))
 
-    def test_rows_of_repeated_group(self):
-        rewards = np.tile([3.0, 1.0, 2.0, 0.5, 7.25, 1.0, 1.0, 4.0, 2.0], (5, 1))
-        rows = grpo_advantages_rows(rewards)
-        assert rows == grpo_advantages_rows(rewards[:1]) * 5
+    def test_sum_of_squares_of_a_group_of_nine(self):
+        rewards = [3.0, 1.0, 2.0, 0.5, 7.25, 1.0, 1.0, 4.0, 2.0]
+        advantages = grpo_advantages(rewards)
+        std = math.sqrt(group_of(rewards).score_variance())
+        assert abs(sum(advantages)) < 1e-12 * len(rewards)
+        squares = sum(a * a for a in advantages) / len(rewards)
+        assert squares == pytest.approx((std / (std + GRPO_EPSILON)) ** 2, rel=1e-12)
 
     def test_overflowing_variance_gives_nan_without_warning(self):
         with np.errstate(all="raise"):
-            rows = grpo_advantages_rows([[1e308, -1e308], [1.0, 0.0]])
-        assert np.isnan(rows[0]).all()
-        assert rows[1] == grpo_advantages_rows([[1.0, 0.0]])[0]
+            advantages = grpo_advantages([1e308, -1e308])
+        assert np.isnan(advantages).all()
+        assert grpo_advantages([1.0, 0.0]) == [0.5 / (0.5 + GRPO_EPSILON), -0.5 / (0.5 + GRPO_EPSILON)]
 
-    def test_rows_need_two_columns(self):
+    def test_one_group_of_two_or_more_rewards(self):
         with pytest.raises(GroupTooSmall):
-            grpo_advantages_rows([[1.0], [2.0]])
+            grpo_advantages([1.0])
         with pytest.raises(TypeError):
-            grpo_advantages_rows([1.0, 2.0])
+            grpo_advantages([[1.0, 0.0], [2.0, 3.0]])
 
     def test_symmetric_binary_rewards(self):
-        advantages = grpo_advantages_rows([[1.0, 0.0, 1.0, 0.0]])[0]
+        advantages = grpo_advantages([1.0, 0.0, 1.0, 0.0])
         np.testing.assert_allclose(advantages, [1.0, -1.0, 1.0, -1.0], atol=1e-7)
 
     def test_constant_rewards_all_zero(self):
-        assert grpo_advantages_rows([[2.5, 2.5, 2.5]])[0] == [0.0, 0.0, 0.0]
+        assert grpo_advantages([2.5, 2.5, 2.5]) == [0.0, 0.0, 0.0]
 
     def test_hand_computed_example(self):
-        advantages = grpo_advantages_rows([[3.0, 1.0, 2.0]])[0]
+        advantages = grpo_advantages([3.0, 1.0, 2.0])
         np.testing.assert_allclose(advantages, [1.2247, -1.2247, 0.0], atol=1e-4)
 
     def test_mean_is_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            rewards = rng.normal(size=(1, int(rng.integers(2, 12))))
-            assert abs(np.mean(grpo_advantages_rows(rewards))) < 1e-9
+            rewards = rng.normal(size=int(rng.integers(2, 12))).tolist()
+            assert abs(np.mean(grpo_advantages(rewards))) < 1e-9
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
-        rewards = rng.normal(size=(1, 8))
-        base = grpo_advantages_rows(rewards)
-        shifted = grpo_advantages_rows(rewards + 500.0)
+        rewards = rng.normal(size=8)
+        base = grpo_advantages(rewards.tolist())
+        shifted = grpo_advantages((rewards + 500.0).tolist())
         np.testing.assert_allclose(base, shifted, atol=1e-6)
 
     def test_scale_equivariance_up_to_eps(self):
         # With std well above eps, positive scaling cancels out.
         rng = np.random.default_rng(3)
         for c in (0.5, 2.0, 4.0):
-            rewards = rng.normal(0.0, 1.0, (1, 10))
+            rewards = rng.normal(0.0, 1.0, 10)
             rewards = rewards / rewards.std() * 0.5  # std 0.5 >> eps
-            base = grpo_advantages_rows(rewards)
-            scaled = grpo_advantages_rows(rewards * c)
+            base = grpo_advantages(rewards.tolist())
+            scaled = grpo_advantages((rewards * c).tolist())
             np.testing.assert_allclose(base, scaled, atol=1e-6)
 
     def test_group_too_small(self):
         with pytest.raises(GroupTooSmall):
-            grpo_advantages_rows([[1.0]])
+            grpo_advantages([1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
-            grpo_advantages_rows([[1.0, float("inf")]])
+            grpo_advantages([1.0, float("inf")])
 
 
-def dpo_edge_columns():
-    """Columns of pairs at the edges of `dpo_losses`: z = 0, z either side
-    of 40 at beta 1, and every mix of -1e308, 0 and 1e308 logprobs (z = ±inf
-    or nan)."""
+def dpo_edge_rows():
+    """Pairs at the edges of `dpo_loss`: z = 0, z either side of 40 at
+    beta 1, and every mix of -1e308, 0 and 1e308 logprobs (z = ±inf or nan)."""
     rows = [(-2.0, -2.0, -2.0, -2.0), (-1.0, -3.0, -4.0, -6.0)]
     for z in (np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 100.0)):
         rows.append((float(z), 0.0, 0.0, 0.0))
     edges = (-1e308, 0.0, 1e308)
     rows += [(a, b, c, d) for a in edges for b in edges for c in edges for d in edges]
-    return [list(column) for column in zip(*rows)]
+    return rows
 
 
 class TestNumpyForms:
@@ -313,13 +325,14 @@ class TestNumpyForms:
         rng = np.random.default_rng(31)
         random = rng.uniform(-60.0, 0.0, (4, 2000)) * 10.0 ** rng.integers(-3, 4, (4, 2000))
         cfg = DpoConfig(beta=beta, nll_weight=nll)
-        for columns in (random.tolist(), dpo_edge_columns()):
-            got = dpo_losses(*columns, cfg)
+        for rows in (random.T.tolist(), dpo_edge_rows()):
+            got = [dpo_loss(*row, cfg) for row in rows]
             with np.errstate(all="ignore"):
-                want = [c.tolist() for c in numpy_dpo_losses(*columns, cfg)]
-            assert list(map(repr, got[0])) == list(map(repr, want[0]))
-            for ours, theirs in zip(got[1:], want[1:]):
-                for a, b in zip(ours, theirs, strict=True):
+                want = [c.tolist() for c in numpy_dpo_losses(*zip(*rows), cfg)]
+            assert [repr(pair[0]) for pair in got] == list(map(repr, want[0]))
+            for k, theirs in enumerate(want[1:], start=1):
+                for pair, b in zip(got, theirs, strict=True):
+                    a = pair[k]
                     assert math.isfinite(a) == math.isfinite(b), (a, b)
                     # numpy's vectorized `exp` may differ from libm's by an
                     # ulp. Once exp(z) >= 2**53, 1 + exp(z) rounds, and the
@@ -339,7 +352,7 @@ class TestNumpyForms:
                 rows.append((rng.integers(0, 5, k) / 4.0).tolist())
             else:
                 rows.append((rng.normal(size=k) * 10.0 ** rng.integers(-6, 7, k)).tolist())
-        got = grpo_advantages_rows(rows)
+        got = [grpo_advantages(rewards) for rewards in rows]
         for row, rewards in zip(got, rows, strict=True):
             assert grpo_row_agrees(row, rewards), rewards
             if len(rewards) < 8:
