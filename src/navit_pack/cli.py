@@ -1,7 +1,9 @@
 """File-based command line interface.
 
 Data goes to stdout, diagnostics to stderr; exit status is 0 exactly
-when no diagnostic was emitted. All subcommands are deterministic given
+when no diagnostic was emitted. `plan`, `pack` and `prefs` write stdout
+in blocks (`_write_blocks`); a reader of stdout that goes away is
+reported as `<stdout>: Broken pipe`. All subcommands are deterministic given
 their inputs and --seed, so repeated runs are byte-identical. `main`
 imports a subcommand's `module` (`cli_pack`, `cli_chat` or `cli_prefs`)
 only when it dispatches to it, so the parser and a usage error load no other.
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from . import __version__
 from .errors import _QUOTE_LIMIT, _clipped, _quoted
@@ -27,6 +30,10 @@ T = TypeVar("T")
 # ids, and `cli_pack._position_runs` renders all of them up front.
 _MAX_CAPACITY = 2**20
 
+
+# `_write_blocks` writes stdout in blocks of at least this many characters
+# (the last one shorter), so a run makes one write per block, not per line.
+_BLOCK = 1 << 16
 
 # Diagnostics written since `main` started the current command. The exit
 # status is derived from it, so no subcommand counts its own failures.
@@ -61,6 +68,26 @@ def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
                 _diag(f"{_shown(path)}:{lineno}: {e}")
                 continue
             yield lineno, value
+
+
+def _write_blocks(lines: Iterable[str]) -> None:
+    """Write `lines` to stdout joined into blocks of `_BLOCK` characters.
+
+    The pending block is written also when `lines` raises, so a run that
+    fails mid-file writes every line made before the fault.
+    """
+    block: list[str] = []
+    size = 0
+    try:
+        for line in lines:
+            block.append(line)
+            size += len(line)
+            if size >= _BLOCK:
+                text, block, size = "".join(block), [], 0
+                sys.stdout.write(text)
+    finally:
+        if block:
+            sys.stdout.write("".join(block))
 
 
 # The argparse types below echo a bad value cut by `_clipped`, so that a
@@ -211,6 +238,18 @@ def _input_path(args: argparse.Namespace) -> str:
     return "<stdin>"
 
 
+def _stdout_closed() -> None:
+    """Report that the reader of stdout went away, and point stdout at the
+    null device, so that the flush at exit has nowhere to fail."""
+    _diag("<stdout>: Broken pipe")
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):  # stdout has no file descriptor
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run `args.func` of `args.module`; return 1 exactly if it wrote a diagnostic, else 0."""
     global _diagnostics
@@ -219,9 +258,13 @@ def main(argv: list[str] | None = None) -> int:
     _diagnostics = 0
     try:
         command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except OSError as e:
         name = e.filename  # cut like an echoed value
-        _diag(str(e) if name is None else f"{_clipped(_shown(name))}: {e.strerror}")
+        if name is None and isinstance(e, BrokenPipeError):
+            _stdout_closed()
+        else:
+            _diag(str(e) if name is None else f"{_clipped(_shown(name))}: {e.strerror}")
     except UnicodeDecodeError as e:
         _diag(f"{_shown(_input_path(args))}: not UTF-8 text ({e.reason})")
     return 1 if _diagnostics else 0

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import Iterator
@@ -40,7 +39,7 @@ def _position_runs(capacity: int) -> tuple[str, list[int], str]:
 
 
 def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str:
-    """The `pack` line of `seq` in one f-string, as `_plan_lines` writes a `plan` line.
+    """The `pack` line of `seq` in one f-string, as `cmd_plan` writes a `plan` line.
     Byte-identical to its oracle `tests/mutants.oracle_line`: `json.dumps` of a dict of
     `seq`'s fields and `build_attention_metadata(seq)`'s `position_ids`. The ids are
     slices of `runs`, the `_position_runs` of `seq.capacity`, not encoded per token."""
@@ -61,30 +60,44 @@ def _sequence_line(seq: PackedSequence, runs: tuple[str, list[int], str]) -> str
     )
 
 
-def _plan_lines(record_id: str, plans: list[tuple[int, ResizePlan]]) -> Iterator[str]:
-    """Record `record_id`'s `plan` lines, one f-string per `(image index, plan)`. Each equals
-    `json.dumps` of its dict plus a newline, byte for byte: the oracle its tests hold it to."""
-    id_json = encode_basestring_ascii(record_id)
-    for index, plan in plans:
-        source, target = plan.source, plan.target
-        yield (
-            f'{{"id":{id_json},"image_index":{index},"source":{{"width":{source.width},'
-            f'"height":{source.height}}},"target":{{"width":{target.width},"height":'
-            f'{target.height}}},"grid_rows":{plan.grid_rows},"grid_cols":{plan.grid_cols},'
-            f'"token_count":{plan.token_count}}}\n'
-        )
+def _plan_fields(plan: ResizePlan) -> str:
+    """The text of a `plan` line after `"image_index":N,`, newline included.
+    It is the same for every image of a size, so `cmd_plan` makes it once."""
+    source, target = plan.source, plan.target
+    return (
+        f'"source":{{"width":{source.width},"height":{source.height}}},"target":{{"width":'
+        f'{target.width},"height":{target.height}}},"grid_rows":{plan.grid_rows},'
+        f'"grid_cols":{plan.grid_cols},"token_count":{plan.token_count}}}\n'
+    )
 
 
 def cmd_plan(args: argparse.Namespace) -> None:
+    """`plan`: one f-string per feasible image, equal to `json.dumps` of its
+    dict plus a newline, byte for byte: the oracle its tests hold it to.
+
+    Each distinct size is planned and its `_plan_fields` made once per run.
+    An infeasible size is not kept, so each of its images gets its own
+    diagnostic, naming its line and index.
+    """
     budget = phase_budget(args.phase)
-    for lineno, record in cli._records(args.manifest, parse_manifest_line):
-        plans = []
-        for index, size in enumerate(record.images):
-            try:
-                plans.append((index, _plan_image(index, size, budget)))
-            except BudgetInfeasible as e:
-                cli._diag(f"{cli._shown(args.manifest)}:{lineno}: {e}")
-        sys.stdout.writelines(_plan_lines(record.id, plans))
+    path = cli._shown(args.manifest)
+    fields: dict[tuple[int, int], str] = {}
+
+    def lines() -> Iterator[str]:
+        for lineno, record in cli._records(args.manifest, parse_manifest_line):
+            head = f'{{"id":{encode_basestring_ascii(record.id)},"image_index":'
+            for index, size in enumerate(record.images):
+                key = size.width, size.height  # a plain tuple: `ImageSize.__eq__` is Python code
+                text = fields.get(key)
+                if text is None:
+                    try:
+                        text = fields[key] = _plan_fields(_plan_image(index, size, budget))
+                    except BudgetInfeasible as e:
+                        cli._diag(f"{path}:{lineno}: {e}")
+                        continue
+                yield f"{head}{index},{text}"
+
+    cli._write_blocks(lines())
 
 
 def cmd_pack(args: argparse.Namespace) -> None:
@@ -108,6 +121,7 @@ def cmd_pack(args: argparse.Namespace) -> None:
         return
     report = packing_report(samples, sequences, args.capacity, args.batch_size)
     runs = _position_runs(args.capacity)
-    for seq in sequences:
-        print(_sequence_line(seq, runs))
-    print(json.dumps(report._asdict(), separators=(",", ":")))
+    cli._write_blocks(chain(
+        (_sequence_line(seq, runs) + "\n" for seq in sequences),
+        [json.dumps(report._asdict(), separators=(",", ":")) + "\n"],
+    ))

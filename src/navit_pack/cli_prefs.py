@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import cli
 from .errors import _quoted
@@ -110,7 +109,8 @@ def _grpo_line(group: PreferenceGroup) -> str | None:
 def cmd_prefs(args: argparse.Namespace) -> None:
     """`prefs`: every group parsed before any line is written, then one
     group at a time through the difficulty filter and the command's
-    renderer, its lines or its diagnostic written at once."""
+    renderer: its diagnostic is written at once, its lines go to
+    `cli._write_blocks`."""
     groups = list(cli._records(args.groups, parse_group_line))
     if cli._diagnostics:
         return
@@ -126,16 +126,19 @@ def cmd_prefs(args: argparse.Namespace) -> None:
     def not_finite(lineno: int, group: PreferenceGroup, fault: str) -> None:
         cli._diag(f"{path}:{lineno}: query {_quoted(group.query_id)}: {fault} is not finite")
 
-    for lineno, group in groups:
-        if args.min_score_variance > 0.0:
-            variance = group.score_variance()
-            if variance < args.min_score_variance:
-                continue
-            if not math.isfinite(variance):
-                not_finite(lineno, group, "score variance")
-                continue
-        text = render(group)
-        if text is None:
-            not_finite(lineno, group, what)
-        else:
-            sys.stdout.write(text)
+    def texts() -> Iterator[str]:
+        for lineno, group in groups:
+            if args.min_score_variance > 0.0:
+                variance = group.score_variance()
+                if variance < args.min_score_variance:
+                    continue
+                if not math.isfinite(variance):
+                    not_finite(lineno, group, "score variance")
+                    continue
+            text = render(group)
+            if text is None:
+                not_finite(lineno, group, what)
+            else:
+                yield text
+
+    cli._write_blocks(texts())

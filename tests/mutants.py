@@ -236,6 +236,56 @@ def json_record_differs():
     )
 
 
+def _manifest_outcome(parse, line):
+    """`repr` of the manifest record that `parse` makes of `line`, or the
+    type and text of the `ValueError` it raises."""
+    try:
+        return repr(parse(line))
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def _image_line(*images, **fields):
+    """A manifest line of record `r` holding `images`, with `fields` added."""
+    return json.dumps({"id": "r", "text_tokens": 3, "images": list(images), **fields}) + "\n"
+
+
+# Manifest lines at the edges of `parse_manifest_line`'s one pass: sides
+# that are a `bool`, zero, negative or past float range, `images` absent,
+# empty, null or a string, and an image with an extra key, each next to
+# well-formed records.
+_MANIFEST_CORPUS = [
+    _image_line({"width": 640, "height": 480}, {"width": 1, "height": 2**999}),
+    *(
+        _image_line({"width": 640, "height": 480}, {"width": side, "height": 9})
+        for side in (True, False, 0, -1, 2**1000, 2**1100, 1.0)
+    ),
+    _image_line({"width": 9, "height": True}),
+    _image_line({"width": 9, "height": 0}),
+    _image_line({"width": 9, "height": 2**1100}),
+    '{"id": "r", "text_tokens": 0}\n',
+    *(_image_line(images=images) for images in ([], None, "640x480", {})),
+    _image_line({"width": 640, "height": 480, "depth": 3}),
+    _image_line({"width": 640}),
+    _image_line({"width": 640, "height": 480}, text_tokens=True),
+    _image_line({"width": 640, "height": 480}, text_tokens=-1),
+    _image_line({"width": 640, "height": 480}, id=""),
+]
+
+
+def manifest_differs():
+    """Whether `packing.parse_manifest_line` gives a line of the corpus
+    another record, or another error, than `packing._checked_record`, the
+    field-by-field path, does."""
+    def checked(line):
+        return packing._checked_record(records._json_record(line, packing._MANIFEST_KEYS))
+
+    return any(
+        _manifest_outcome(packing.parse_manifest_line, line) != _manifest_outcome(checked, line)
+        for line in _MANIFEST_CORPUS
+    )
+
+
 def oracle_plan_line(record_id, index, plan):
     """The `plan` line of image `index` of record `record_id`: `json.dumps` of its dict."""
     target = plan.target
@@ -250,31 +300,52 @@ def oracle_plan_line(record_id, index, plan):
     }, separators=(",", ":"))
 
 
-# (id, [(image index, plan)]) records: ids that JSON must escape, and
-# grids that are not square.
-_PLAN_CORPUS = [
-    (record_id, [
-        (index, ResizePlan(ImageSize(width, height), rows, cols, 16))
-        for index, (width, height, rows, cols) in enumerate(images)
-    ])
-    for record_id, images in [
-        ('say "hi"', [(640, 480, 30, 40)]),
-        ("C:\\data\\img", [(100, 300, 42, 14), (2000, 50, 7, 126)]),
-        ("café-日本-\U0001f600", [(1, 1, 28, 28)]),
-        ("tab\tnew\nline\x01", [(300, 100, 16, 48)]),
-        ("plain", [(4032, 3024, 84, 112), (224, 224, 28, 28), (3840, 2160, 63, 112)]),
+# Manifest records for `plan`: ids that JSON must escape, grids that are
+# not square, sizes repeated in a record and across records, sizes that
+# share a width, and a sliver past the distortion limit in two records,
+# which `plan` must report at each of its images.
+PLAN_MANIFEST = "".join(
+    json.dumps({
+        "id": record_id, "text_tokens": 1,
+        "images": [{"width": width, "height": height} for width, height in sizes],
+    }) + "\n"
+    for record_id, sizes in [
+        ('say "hi"', [(640, 480)]),
+        ("C:\\data\\img", [(100, 300), (2000, 50), (640, 480)]),
+        ("café-日本-\U0001f600", [(1, 1), (640, 640), (1, 1)]),
+        ("tab\tnew\nline\x01", [(300, 100), (10000, 3), (640, 100)]),
+        ("plain", [(4032, 3024), (224, 224), (10000, 3), (3840, 2160), (224, 448), (640, 480)]),
     ]
-]
+)
 
 
-def plan_lines_differ():
-    """Whether `cli_pack._plan_lines` writes a record of the corpus other than
-    `oracle_plan_line` does, line for line."""
-    return any(
-        "".join(cli_pack._plan_lines(record_id, plans))
-        != "".join(oracle_plan_line(record_id, i, plan) + "\n" for i, plan in plans)
-        for record_id, plans in _PLAN_CORPUS
-    )
+def plan_oracle(text, path):
+    """Expected `plan` stdout and stderr for the manifest `text` at `path`:
+    `plan_resize` called on each image alone, one `oracle_plan_line` per
+    plan and one diagnostic per infeasible image."""
+    budget = phase_budget(geometry.Phase.P2)
+    out, err = [], []
+    for lineno, line in enumerate(text.split("\n")[:-1], 1):
+        record = json.loads(line)
+        for index, image in enumerate(record.get("images", [])):
+            try:
+                plan = geometry.plan_resize(ImageSize(image["width"], image["height"]), budget)
+            except geometry.BudgetInfeasible as e:
+                err.append(f"{path}:{lineno}: image {index}: {e}\n")
+            else:
+                out.append(oracle_plan_line(record["id"], index, plan) + "\n")
+    return "".join(out), "".join(err)
+
+
+def plan_output_differs():
+    """Whether `plan` writes other stdout or stderr for `PLAN_MANIFEST` than
+    `plan_oracle` does."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "plan.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(PLAN_MANIFEST)
+        _, out, err = run_in_process("plan", "--manifest", path)
+    return (out, err) != plan_oracle(PLAN_MANIFEST, path)
 
 
 # (width, height, budget) sources, each with a grid that fits: P1 and P2
@@ -621,13 +692,31 @@ MUTANTS = {
             '(end != len(line) - 1 or line[end] != "\\n")', 'line[end] not in "\\n "'
         ),
     }, differs=json_record_differs),
-    **_mutants(cli_pack, "_plan_lines", {
-        "id-unescaped": ("encode_basestring_ascii(record_id)", "f'\"{record_id}\"'"),
+    **_mutants(cli_pack, "cmd_plan", {
+        "id-unescaped": ("encode_basestring_ascii(record.id)", "chr(34) + record.id + chr(34)"),
         "id-not-ascii-escaped": (
-            "encode_basestring_ascii(record_id)", "json.dumps(record_id, ensure_ascii=False)"
+            "encode_basestring_ascii(record.id)", "json.dumps(record.id, ensure_ascii=False)"
         ),
+        # Sizes of one width share the first one's plan.
+        "memo-keyed-on-width": ("key = size.width, size.height", "key = size.width"),
+    }, differs=plan_output_differs),
+    **_mutants(cli_pack, "_plan_fields", {
         "rows-for-cols": ('"grid_cols":{plan.grid_cols}', '"grid_cols":{plan.grid_rows}'),
-    }, differs=plan_lines_differ),
+    }, differs=plan_output_differs),
+    **_mutants(packing, "parse_manifest_line", {
+        "fast-side-bool": (
+            "type(width) is not int or type(height) is not int",
+            "not isinstance(width, int) or not isinstance(height, int)",
+        ),
+        "fast-side-zero": (
+            "0 < width < _SIDE_LIMIT and 0 < height < _SIDE_LIMIT",
+            "0 <= width < _SIDE_LIMIT and 0 <= height < _SIDE_LIMIT",
+        ),
+        "fast-side-unbounded": (
+            "0 < width < _SIDE_LIMIT and 0 < height < _SIDE_LIMIT", "0 < width and 0 < height"
+        ),
+        "fast-extra-image-key": ("img.keys() != _IMAGE_KEYS", "not img.keys() >= _IMAGE_KEYS"),
+    }, differs=manifest_differs),
     **_mutants(geometry, "_fitting_row", {
         "floor-for-ceil": ("-(-n_lo // q)", "n_lo // q"),
         "gt-for-ge-fit": ("if r >= first:", "if r > first:"),
