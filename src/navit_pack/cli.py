@@ -70,6 +70,19 @@ def _records(path: str, parse: Callable[[str], T]) -> Iterator[tuple[int, T]]:
             yield lineno, value
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away."""
+
+
+def _write(text: str) -> None:
+    """Write `text` to stdout. A reader that went away raises `_StdoutClosed`,
+    so that `main` can name stdout, which a `BrokenPipeError` does not."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _write_blocks(lines: Iterable[str]) -> None:
     """Write `lines` to stdout joined into blocks of `_BLOCK` characters.
 
@@ -84,10 +97,10 @@ def _write_blocks(lines: Iterable[str]) -> None:
             size += len(line)
             if size >= _BLOCK:
                 text, block, size = "".join(block), [], 0
-                sys.stdout.write(text)
+                _write(text)
     finally:
         if block:
-            sys.stdout.write("".join(block))
+            _write("".join(block))
 
 
 # The argparse types below echo a bad value cut by `_clipped`, so that a
@@ -258,13 +271,16 @@ def main(argv: list[str] | None = None) -> int:
     _diagnostics = 0
     try:
         command(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except _StdoutClosed:
+        _stdout_closed()
     except OSError as e:
         name = e.filename  # cut like an echoed value
-        if name is None and isinstance(e, BrokenPipeError):
-            _stdout_closed()
-        else:
-            _diag(str(e) if name is None else f"{_clipped(_shown(name))}: {e.strerror}")
+        _diag(str(e) if name is None else f"{_clipped(_shown(name))}: {e.strerror}")
     except UnicodeDecodeError as e:
         _diag(f"{_shown(_input_path(args))}: not UTF-8 text ({e.reason})")
+    else:
+        try:
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+        except BrokenPipeError:
+            _stdout_closed()
     return 1 if _diagnostics else 0

@@ -74,7 +74,7 @@ def cmd_chat(args: argparse.Namespace) -> None:
     except ValueError as e:
         cli._diag(f"{cli._shown(args.conversation)}: {e}")
         return
-    sys.stdout.write(prompt.flat_text())
+    cli._write(prompt.flat_text())
     if args.sidecar:
         sidecar = {
             "thinking_enabled": prompt.thinking_enabled,
@@ -95,4 +95,4 @@ def cmd_parse(args: argparse.Namespace) -> None:
     except MalformedThinkBlock as e:
         cli._diag(f"malformed think block: {e}")
         return
-    print(json.dumps(result._asdict(), separators=(",", ":")))
+    cli._write(json.dumps(result._asdict(), separators=(",", ":")) + "\n")

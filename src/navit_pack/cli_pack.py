@@ -25,6 +25,11 @@ from .packing import (
 )
 from .records import ManifestError
 
+# `cmd_plan` keeps the plans of at most this many distinct sizes, and
+# forgets them all when it is full: about 260 bytes a size, so about 1 MB
+# however many distinct sizes a manifest holds.
+_PLAN_MEMO = 4096
+
 
 def _position_runs(capacity: int) -> tuple[str, list[int], str]:
     """JSON text of the ids 0..capacity-1 and of capacity pad ids, unbracketed.
@@ -75,9 +80,10 @@ def cmd_plan(args: argparse.Namespace) -> None:
     """`plan`: one f-string per feasible image, equal to `json.dumps` of its
     dict plus a newline, byte for byte: the oracle its tests hold it to.
 
-    Each distinct size is planned and its `_plan_fields` made once per run.
-    An infeasible size is not kept, so each of its images gets its own
-    diagnostic, naming its line and index.
+    Each distinct size is planned and its `_plan_fields` made once per run,
+    as long as no more than `_PLAN_MEMO` sizes are kept. An infeasible size
+    is not kept, so each of its images gets its own diagnostic, naming its
+    line and index.
     """
     budget = phase_budget(args.phase)
     path = cli._shown(args.manifest)
@@ -91,10 +97,13 @@ def cmd_plan(args: argparse.Namespace) -> None:
                 text = fields.get(key)
                 if text is None:
                     try:
-                        text = fields[key] = _plan_fields(_plan_image(index, size, budget))
+                        text = _plan_fields(_plan_image(index, size, budget))
                     except BudgetInfeasible as e:
                         cli._diag(f"{path}:{lineno}: {e}")
                         continue
+                    if len(fields) >= _PLAN_MEMO:
+                        fields.clear()
+                    fields[key] = text
                 yield f"{head}{index},{text}"
 
     cli._write_blocks(lines())

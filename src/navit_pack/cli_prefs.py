@@ -27,7 +27,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
+        cli._write(f"{r.name:<{width}}  {status}  {r.detail}\n")
     failed = [r.name for r in results if not r.passed]
     if failed:
         cli._diag(f"failed checks: {', '.join(failed)}")

@@ -10,6 +10,7 @@ baseline.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import accumulate, groupby
 from operator import itemgetter
@@ -42,9 +43,8 @@ _TOO_LONG_SHOWN = 10
 
 _MANIFEST_KEYS = {"id", "text_tokens", "images"}
 _IMAGE_KEYS = {"width", "height"}
-# `parse_manifest_line` accepts sides below this in its one pass; a larger
-# one is checked against float range by `parse_image_size`.
-_SIDE_LIMIT = 2**1000
+# Every integer up to this converts to a float, as planning needs.
+_FLOAT_MAX = sys.float_info.max
 
 
 class SampleTooLong(ValueError):
@@ -163,10 +163,6 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
     Two stable sorts, by id then by length descending, give that order. A
     max segment tree over the bins' free tokens (unopened bins hold the
     full capacity) finds the leftmost bin with room in one O(log n) walk.
-    Its leaves are the bins first fit can open: at most `2 * total //
-    capacity + 1` for `total` tokens, since first fit never leaves two bins
-    each at most half full (the later bin's first sample would have fit in
-    the earlier one), so all bins but one hold more than half the capacity.
     A run of equal lengths takes one walk per bin, the bin found taking as
     many as it has room for, as first fit would: the bins before it lack
     room and it stays first until full. A walk places at least one sample,
@@ -186,8 +182,7 @@ def pack_ffd(samples: Sequence[SampleRecord], capacity: int) -> list[PackedSeque
 
     order = sorted([(s.id, s.total_tokens) for s in samples])
     order.sort(key=itemgetter(1), reverse=True)
-    bound = min(len(order), 2 * sum(map(itemgetter(1), order)) // capacity + 1)
-    leaves = 1 << (int(bound) - 1).bit_length()  # `int`: lengths may be numpy integers
+    leaves = 1 << (len(order) - 1).bit_length()
     # free[leaves + i] = free tokens in bin i; free[k] = max(free[2k], free[2k + 1]).
     free = [capacity] * (2 * leaves)
     bins: list[list[tuple[str, int]]] = []
@@ -285,37 +280,14 @@ def parse_manifest_line(line: str) -> ManifestRecord:
     [{"width": int, "height": int}]}, with "images" optional. Unknown
     keys are rejected by name.
 
-    A well-formed record is accepted in one pass of exact-type checks:
-    sides from 1 to below `_SIDE_LIMIT`, far inside float range. Any
-    other record goes through `_checked_record`, which makes every value
-    and error, so both paths give the same ones.
+    JSON makes exact `int`, `list` and `dict` values, so exact-type checks
+    accept a well-formed image; any other image goes to `_entry` and
+    `parse_image_size`, which raise the error naming its fault.
     """
     obj = _json_record(line, _MANIFEST_KEYS)
-    record_id, text_tokens = obj.get("id"), obj.get("text_tokens")
-    images = obj.get("images", [])
-    if type(record_id) is not str or not record_id or type(text_tokens) is not int:
-        return _checked_record(obj)
-    if text_tokens < 0 or type(images) is not list:
-        return _checked_record(obj)
-    sizes = []
-    for img in images:
-        if type(img) is not dict or img.keys() != _IMAGE_KEYS:
-            return _checked_record(obj)
-        width, height = img["width"], img["height"]
-        if type(width) is not int or type(height) is not int:
-            return _checked_record(obj)
-        if not (0 < width < _SIDE_LIMIT and 0 < height < _SIDE_LIMIT):
-            return _checked_record(obj)
-        sizes.append(ImageSize(width, height))
-    return ManifestRecord(record_id, text_tokens, tuple(sizes))
-
-
-def _checked_record(obj: dict) -> ManifestRecord:
-    """The manifest record `obj`, each field checked in turn; raises
-    ManifestError naming the first fault."""
     record_id = _name(obj, "id")
     text_tokens = obj.get("text_tokens")
-    if not _is_int(text_tokens):
+    if type(text_tokens) is not int:
         raise ManifestError("missing or invalid 'text_tokens' (integer required)")
     if text_tokens < 0:
         raise ManifestError("'text_tokens' must be non-negative")
@@ -323,6 +295,12 @@ def _checked_record(obj: dict) -> ManifestRecord:
         return ManifestRecord(record_id, text_tokens, ())
     images = []
     for i, img in enumerate(_list(obj, "images")):
+        if type(img) is dict and img.keys() == _IMAGE_KEYS:
+            width, height = img["width"], img["height"]
+            if type(width) is int and type(height) is int:
+                if 0 < width <= _FLOAT_MAX and 0 < height <= _FLOAT_MAX:
+                    images.append(ImageSize(width, height))
+                    continue
         images.append(parse_image_size(_entry(img, _IMAGE_KEYS, "image", i), i))
     return ManifestRecord(record_id, text_tokens, tuple(images))
 

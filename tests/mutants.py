@@ -236,53 +236,83 @@ def json_record_differs():
     )
 
 
-def _manifest_outcome(parse, line):
-    """`repr` of the manifest record that `parse` makes of `line`, or the
-    type and text of the `ValueError` it raises."""
-    try:
-        return repr(parse(line))
-    except ValueError as e:
-        return type(e).__name__, str(e)
-
-
 def _image_line(*images, **fields):
     """A manifest line of record `r` holding `images`, with `fields` added."""
     return json.dumps({"id": "r", "text_tokens": 3, "images": list(images), **fields}) + "\n"
 
 
-# Manifest lines at the edges of `parse_manifest_line`'s one pass: sides
-# that are a `bool`, zero, negative or past float range, `images` absent,
-# empty, null or a string, and an image with an extra key, each next to
-# well-formed records.
-_MANIFEST_CORPUS = [
-    _image_line({"width": 640, "height": 480}, {"width": 1, "height": 2**999}),
-    *(
-        _image_line({"width": 640, "height": 480}, {"width": side, "height": 9})
-        for side in (True, False, 0, -1, 2**1000, 2**1100, 1.0)
+def _record(*sides):
+    """Record `r` of 3 text tokens and images of the `(width, height)` `sides`."""
+    return packing.ManifestRecord("r", 3, tuple(ImageSize(w, h) for w, h in sides))
+
+
+_VGA = {"width": 640, "height": 480}
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _side_error(index, key, fault="must be a positive integer"):
+    return f"image {index}: {key!r} {fault}"
+
+
+# Manifest lines at the edges of `parse_manifest_line`'s exact-type checks,
+# each with the record or the error text it gives: sides that are a `bool`,
+# zero, negative, not integers, or at and past the edge of float range
+# (`_FLOAT_MAX + 1` rounds to a float, 2^1024 does not); `images` absent,
+# empty, null, a string, an object or a list of lists; a missing or extra
+# image key; a `bool`, negative or float `text_tokens`; and a bad id.
+_MANIFEST_CASES = [
+    (_image_line(_VGA, {"width": 1, "height": 2**999}), _record((640, 480), (1, 2**999))),
+    (
+        _image_line(_VGA, {"width": _FLOAT_MAX, "height": _FLOAT_MAX + 1}),
+        _record((640, 480), (_FLOAT_MAX, _FLOAT_MAX + 1)),
     ),
-    _image_line({"width": 9, "height": True}),
-    _image_line({"width": 9, "height": 0}),
-    _image_line({"width": 9, "height": 2**1100}),
-    '{"id": "r", "text_tokens": 0}\n',
-    *(_image_line(images=images) for images in ([], None, "640x480", {})),
-    _image_line({"width": 640, "height": 480, "depth": 3}),
-    _image_line({"width": 640}),
-    _image_line({"width": 640, "height": 480}, text_tokens=True),
-    _image_line({"width": 640, "height": 480}, text_tokens=-1),
-    _image_line({"width": 640, "height": 480}, id=""),
+    *(
+        (_image_line(_VGA, {"width": side, "height": 9}), _side_error(1, "width"))
+        for side in (True, False, 0, -1, 1.0, None, "9")
+    ),
+    *(
+        (_image_line(_VGA, {"width": side, "height": 9}), _side_error(1, "width", "is too large"))
+        for side in (2**1024, 2**1100)
+    ),
+    (_image_line({"width": 9, "height": True}), _side_error(0, "height")),
+    (_image_line({"width": 9, "height": 0}), _side_error(0, "height")),
+    (_image_line({"width": 9, "height": 2**1100}), _side_error(0, "height", "is too large")),
+    (_image_line({"width": 2**1100, "height": 0}), _side_error(0, "width", "is too large")),
+    ('{"id": "r", "text_tokens": 0}\n', packing.ManifestRecord("r", 0, ())),
+    (_image_line(), _record()),
+    *(
+        (_image_line(images=images), "'images' must be a list")
+        for images in (None, "640x480", {})
+    ),
+    (_image_line(images=[[640, 480]]), "image 0 must be an object"),
+    (_image_line({"width": 640, "height": 480, "depth": 3}), "image 0: unknown field 'depth'"),
+    (_image_line({"width": 640}), _side_error(0, "height")),
+    (_image_line({"height": 480, "w": 1}), "image 0: unknown field 'w'"),
+    *(
+        (_image_line(_VGA, text_tokens=tokens), "missing or invalid 'text_tokens' (integer required)")
+        for tokens in (True, 1.0, None)
+    ),
+    (_image_line(_VGA, text_tokens=-1), "'text_tokens' must be non-negative"),
+    *(
+        (_image_line(_VGA, id=record_id), "missing or invalid 'id' (non-empty string required)")
+        for record_id in ("", 7)
+    ),
 ]
 
 
 def manifest_differs():
-    """Whether `packing.parse_manifest_line` gives a line of the corpus
-    another record, or another error, than `packing._checked_record`, the
-    field-by-field path, does."""
-    def checked(line):
-        return packing._checked_record(records._json_record(line, packing._MANIFEST_KEYS))
+    """Whether `packing.parse_manifest_line` gives a line of `_MANIFEST_CASES`
+    another record, or another error, than the one recorded with it."""
+    def outcome(line):
+        try:
+            return repr(packing.parse_manifest_line(line))
+        except ValueError as e:
+            return type(e).__name__, str(e)
 
     return any(
-        _manifest_outcome(packing.parse_manifest_line, line) != _manifest_outcome(checked, line)
-        for line in _MANIFEST_CORPUS
+        outcome(line) != (repr(want) if isinstance(want, packing.ManifestRecord)
+                          else ("ManifestError", want))
+        for line, want in _MANIFEST_CASES
     )
 
 
@@ -704,18 +734,16 @@ MUTANTS = {
         "rows-for-cols": ('"grid_cols":{plan.grid_cols}', '"grid_cols":{plan.grid_rows}'),
     }, differs=plan_output_differs),
     **_mutants(packing, "parse_manifest_line", {
-        "fast-side-bool": (
-            "type(width) is not int or type(height) is not int",
-            "not isinstance(width, int) or not isinstance(height, int)",
+        "side-bool-accepted": (
+            "type(width) is int and type(height) is int",
+            "isinstance(width, int) and isinstance(height, int)",
         ),
-        "fast-side-zero": (
-            "0 < width < _SIDE_LIMIT and 0 < height < _SIDE_LIMIT",
-            "0 <= width < _SIDE_LIMIT and 0 <= height < _SIDE_LIMIT",
+        "side-zero-accepted": ("0 < width <= _FLOAT_MAX", "0 <= width <= _FLOAT_MAX"),
+        "side-unbounded": ("0 < height <= _FLOAT_MAX", "0 < height"),
+        "extra-image-key-accepted": ("img.keys() == _IMAGE_KEYS", "img.keys() >= _IMAGE_KEYS"),
+        "text-tokens-bool-accepted": (
+            "type(text_tokens) is not int", "not isinstance(text_tokens, int)"
         ),
-        "fast-side-unbounded": (
-            "0 < width < _SIDE_LIMIT and 0 < height < _SIDE_LIMIT", "0 < width and 0 < height"
-        ),
-        "fast-extra-image-key": ("img.keys() != _IMAGE_KEYS", "not img.keys() >= _IMAGE_KEYS"),
     }, differs=manifest_differs),
     **_mutants(geometry, "_fitting_row", {
         "floor-for-ceil": ("-(-n_lo // q)", "n_lo // q"),

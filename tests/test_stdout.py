@@ -1,6 +1,7 @@
 """How `plan`, `pack` and `prefs` write stdout: in blocks of `cli._BLOCK`
 characters, every line made before an input fault still written, and a
-closed stdout named in one diagnostic.
+closed stdout named in one diagnostic. Also how `plan` keeps the plans of
+the sizes it has seen.
 
 A run is counted under a write-through `TextIOWrapper` over a raw stream
 that counts its writes: what stdout is when `PYTHONUNBUFFERED` is set,
@@ -14,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,8 @@ import pytest
 from mutants import (
     PLAN_MANIFEST, _PREFS_GROUPS, oracle_line, plan_oracle, prefs_oracle, run_in_process,
 )
-from navit_pack import cli
+from test_cli import CONVERSATION
+from navit_pack import cli, cli_pack, packing
 from navit_pack.geometry import Phase, phase_budget
 from navit_pack.packing import pack_ffd, packing_report, parse_manifest_line, sample_from_record
 
@@ -160,6 +163,28 @@ class TestFaultMidFile:
         assert hashlib.sha256(out).hexdigest() == self.DIGESTS[command]
 
 
+def distinct_sizes(n):
+    """A manifest of `n` records of one image each, no two of a size."""
+    return "".join(
+        json.dumps({"id": f"d{i:05d}", "text_tokens": 1,
+                    "images": [{"width": 600 + i // 64, "height": 400 + i % 64}]}) + "\n"
+        for i in range(n)
+    )
+
+
+def counted_plan_calls(monkeypatch):
+    """A list that gets one item per `plan_resize` call `plan` makes."""
+    calls = []
+    plan_resize = packing.plan_resize
+
+    def counted(size, budget):
+        calls.append(size)
+        return plan_resize(size, budget)
+
+    monkeypatch.setattr(packing, "plan_resize", counted)
+    return calls
+
+
 class TestRepeatedSizes:
     def test_plan_matches_planning_each_image_alone(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -169,6 +194,57 @@ class TestRepeatedSizes:
         # The sliver is reported at each of its images, by line and index.
         sliver = "best grid 1x1617 distorts aspect by 2.061x (> 2.0) for source 10000x3"
         assert err == f"{path}:4: image 1: {sliver}\n{path}:5: image 2: {sliver}\n"
+
+    def test_each_feasible_size_is_planned_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        path.write_text(PLAN_MANIFEST)
+        calls = counted_plan_calls(monkeypatch)
+        run_in_process("plan", "--manifest", str(path))
+        sizes = [
+            (image["width"], image["height"])
+            for line in PLAN_MANIFEST.splitlines() for image in json.loads(line)["images"]
+        ]
+        # 16 images of 12 sizes; the infeasible sliver is planned at each of its two images.
+        assert (len(sizes), len(set(sizes))) == (16, 12)
+        assert sorted(map(tuple, calls)) == sorted([*set(sizes), (10000, 3)])
+
+    def test_a_full_memo_is_forgotten(self, tmp_path, monkeypatch):
+        """At `_PLAN_MEMO` sizes kept, the next new size clears them: a size
+        seen before the clear is planned again, and stdout is the same."""
+        path = tmp_path / "m.jsonl"
+        path.write_text(PLAN_MANIFEST)
+        want = run_in_process("plan", "--manifest", str(path))
+        monkeypatch.setattr(cli_pack, "_PLAN_MEMO", 2)
+        calls = counted_plan_calls(monkeypatch)
+        assert run_in_process("plan", "--manifest", str(path)) == want
+        assert len(calls) > 13
+
+    @staticmethod
+    def plan_peak(path, monkeypatch):
+        """Peak bytes `tracemalloc` sees while `plan` runs on `path`, stdout discarded."""
+        with open(os.devnull, "w") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            tracemalloc.start()
+            try:
+                assert cli.main(["plan", "--manifest", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_memory_stays_bounded_on_distinct_sizes(self, tmp_path, monkeypatch):
+        """With at most 256 sizes kept, 4,000 distinct sizes take no more
+        memory than 1,000 do; kept without bound, the 3,000 more plans
+        (about 260 bytes each) show."""
+        short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+        short.write_text(distinct_sizes(1_000))
+        long.write_text(distinct_sizes(4_000))
+        self.plan_peak(short, monkeypatch)  # imports and first-call allocations
+        growth = {}
+        for limit in (256, 10**9):
+            monkeypatch.setattr(cli_pack, "_PLAN_MEMO", limit)
+            growth[limit] = self.plan_peak(long, monkeypatch) - self.plan_peak(short, monkeypatch)
+        assert growth[256] < 100_000
+        assert growth[10**9] > 500_000
 
 
 class TestClosedStdout:
@@ -200,3 +276,23 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert (result.returncode, result.stderr) == (1, b"<stdout>: Broken pipe\n")
+
+    def test_broken_sidecar_is_not_stdout(self, tmp_path):
+        """A sidecar whose reader is gone is not reported as stdout, and the
+        prompt written before it still reaches stdout."""
+        conv = tmp_path / "c.json"
+        conv.write_text(json.dumps(CONVERSATION))
+        argv = [sys.executable, "-m", "navit_pack", "chat", "--conversation", str(conv)]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        prompt = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [*argv, "--sidecar", f"/dev/fd/{write}"],
+                capture_output=True, env=env, pass_fds=[write],
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, b"[Errno 32] Broken pipe\n")
+        assert result.stdout == prompt
