@@ -10,6 +10,10 @@ mechanisms, not model quality.
 
 from __future__ import annotations
 
+import itertools
+import os
+import re
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -35,6 +39,11 @@ _TILE_ENTRIES = 1 << 17
 # A tile whose shifted row sums are not all above this is redone with the
 # exact row max: its largest terms may have left the normal float range.
 _SUM_FLOOR = 1e-200
+
+
+# Environment variables that set OpenBLAS's thread count, in the order it
+# reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 # Base of the rotary frequencies, as in RoFormer.
@@ -119,8 +128,8 @@ class PatchSequence(
 
 
 class AttentionParams(namedtuple("AttentionParams", "wq wk wv wo"), _Value):
-    """Projection matrices for one attention head: `wq`, `wk` and `wv` are
-    (d_model, d_head), `wo` is (d_head, d_model)."""
+    """Finite projection matrices for one attention head: `wq`, `wk` and
+    `wv` are (d_model, d_head), `wo` is (d_head, d_model)."""
 
     __slots__ = ()
 
@@ -137,6 +146,9 @@ class AttentionParams(namedtuple("AttentionParams", "wq wk wv wo"), _Value):
         ):
             if mat.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {mat.shape}, expected {shape}")
+        for name, mat in zip(cls._fields, (wq, wk, wv, wo)):
+            if not np.isfinite(mat).all():
+                raise NonFiniteInput(f"{name} contains non-finite entries")
         return tuple.__new__(cls, (wq, wk, wv, wo))
 
     @property
@@ -241,6 +253,62 @@ def interpolate_pos_table(
     )
 
 
+def _workers() -> int:
+    """Threads `block_diag_forward` may run its tiles on: the CPUs this
+    process may use over the threads each BLAS call takes.
+
+    OpenBLAS takes the first of `_BLAS_THREAD_VARS` that C's `atoi` reads
+    as a positive count, and every CPU when none does, so with BLAS
+    unpinned this is 1.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for name in _BLAS_THREAD_VARS:
+        count = re.match(r"\s*[+-]?\d+", os.environ.get(name, ""))
+        if count and int(count.group()) > 0:
+            return max(1, (cpus or 1) // int(count.group()))
+    return 1
+
+
+def _in_parallel(run, items: list, workers: int) -> None:
+    """Call `run(*item)` for each of `items` on `workers` threads, the
+    caller and `workers - 1` helpers, each taking the next item no thread
+    has taken yet.
+
+    Helpers run under the caller's numpy error state. Once a thread
+    raises, no thread starts another item, and the first exception is
+    raised here after every helper has stopped.
+    """
+    # Each index goes to one thread: `next` on a count runs under the
+    # interpreter lock from start to end.
+    taken = itertools.count()
+    failures = []
+    state, call = np.geterr(), np.geterrcall()
+
+    def work() -> None:
+        try:
+            for i in taken:
+                if i >= len(items) or failures:
+                    break
+                run(*items[i])
+        except BaseException as error:
+            failures.append(error)
+
+    def helper() -> None:
+        with np.errstate(call=call, **state):
+            work()
+
+    helpers = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+
 def block_diag_forward(
     packed: PatchSequence, weights: AttentionParams, rope: RopeConfig
 ) -> np.ndarray:
@@ -266,6 +334,15 @@ def block_diag_forward(
     largest score that its largest term leaves the normal range, or a
     non-finite input) is redone with the exact row max as the shift,
     which gives non-finite inputs the rows of a plain max-shifted softmax.
+
+    The tiles are independent, and each is computed the same way whichever
+    thread runs it, so the result is bit for bit the same for any number
+    of workers. There are as many workers as `_workers()` gives (the
+    usable CPUs over the BLAS threads, so 1 unless BLAS is pinned to fewer
+    threads than there are CPUs), but no more than there are whole tiles
+    of `_TILE_ENTRIES` scores in the sequence's sum of squared block
+    lengths. With two or more, the caller and its helper threads each take
+    the next tile not yet taken; with one, the caller runs every tile.
     """
     x = np.asarray(packed.embeddings, dtype=np.float64)
     if x.shape[1] != weights.d_model:
@@ -275,7 +352,8 @@ def block_diag_forward(
     d = weights.d_head
     q, k = apply_rope_2d(np.stack((x @ weights.wq, x @ weights.wk)), packed.positions, rope)
     b = packed.sample_boundaries
-    key_max = np.repeat(np.maximum.reduceat(np.linalg.norm(k, axis=1), b[:-1]), np.diff(b))
+    lengths = np.diff(b)
+    key_max = np.repeat(np.maximum.reduceat(np.linalg.norm(k, axis=1), b[:-1]), lengths)
     scale = 1.0 / np.sqrt(d)
     # Scaled queries with a last column of -m_i, keys with a last column of
     # 1; rebinding both frees the rotated stack.
@@ -284,18 +362,30 @@ def block_diag_forward(
     v = x @ weights.wv
 
     heads = np.empty_like(v)
-    for lo, hi in zip(b[:-1], b[1:]):
+
+    def attend(lo: int, hi: int, start: int, stop: int) -> None:
         k_block, v_block = k[lo:hi], v[lo:hi]
-        tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
-        for start in range(lo, hi, tile_rows):
-            stop = min(start + tile_rows, hi)
-            scores = q[start:stop] @ k_block.T
+        scores = q[start:stop] @ k_block.T
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=1, keepdims=True)
+        if not (sums > _SUM_FLOOR).all():
+            scores = q[start:stop, :d] @ k_block[:, :d].T
+            scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
             sums = scores.sum(axis=1, keepdims=True)
-            if not (sums > _SUM_FLOOR).all():
-                scores = q[start:stop, :d] @ k_block[:, :d].T
-                scores -= scores.max(axis=1, keepdims=True)
-                np.exp(scores, out=scores)
-                sums = scores.sum(axis=1, keepdims=True)
-            heads[start:stop] = (scores @ v_block) / sums
+        heads[start:stop] = (scores @ v_block) / sums
+
+    def tiles():
+        for lo, hi in zip(b[:-1], b[1:]):
+            tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
+            for start in range(lo, hi, tile_rows):
+                yield lo, hi, start, min(start + tile_rows, hi)
+
+    whole_tiles = int(lengths @ lengths) // _TILE_ENTRIES
+    workers = min(_workers(), whole_tiles) if whole_tiles > 1 else 1
+    if workers > 1:
+        _in_parallel(attend, list(tiles()), workers)
+    else:
+        for tile in tiles():
+            attend(*tile)
     return heads @ weights.wo

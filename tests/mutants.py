@@ -27,6 +27,7 @@ import signal
 import sys
 import tempfile
 import textwrap
+import threading
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from typing import Callable, NamedTuple
 
@@ -638,6 +639,42 @@ def attention_differs():
     return not (np.abs(out - reference) <= 1e-9).all()
 
 
+def split_attention_differs():
+    """Whether `encoder.block_diag_forward` on 2 workers gives
+    `test_encoder.orthogonal_blocks((600, 100))` other bits, or another
+    number of calls to numpy's error callback, than on 1 worker.
+
+    The shifted exps of each of the 4 tiles underflow, which under
+    `under="call"` makes one call per tile, so a tile left unrun or run
+    under another error state shows in the count, whatever `np.empty_like`
+    left in its rows. On 2 workers the first call waits, up to 1 s, for a
+    call from another thread, so the helper runs a tile whichever thread
+    starts first.
+    """
+    packed, params, rope = orthogonal_blocks((600, 100))
+    saved, runs = encoder._workers, []
+    try:
+        for workers in (1, 2):
+            threads, met = [], threading.Event()
+
+            def call(kind, flag):
+                threads.append(threading.get_ident())
+                if workers == 1:
+                    return
+                if len(threads) == 1:
+                    met.wait(1.0)
+                elif threads[-1] != threads[0]:
+                    met.set()
+
+            encoder._workers = lambda: workers
+            with np.errstate(under="call", call=call):
+                runs.append((encoder.block_diag_forward(packed, params, rope), len(threads)))
+    finally:
+        encoder._workers = saved
+    (want, want_calls), (got, got_calls) = runs
+    return got_calls != want_calls or not np.array_equal(got, want)
+
+
 def _mutants(module, attr, changes, check=None, differs=None):
     """`{label: Mutant}` of `module.attr`, one per change, all with the same oracles."""
     return {label: Mutant(module, attr, c, check, differs) for label, c in changes.items()}
@@ -671,6 +708,15 @@ MUTANTS = {
     **_mutants(encoder, "block_diag_forward", {
         "shift-underflow-unguarded": ("if not (sums > _SUM_FLOOR).all():", "if False:"),
     }, differs=attention_differs),
+    # A worker stops one tile early, so the last tile's rows keep what
+    # `np.empty_like` left there; helpers run under numpy's default error
+    # state, not the caller's.
+    **_mutants(encoder, "_in_parallel", {
+        "worker-stops-a-tile-early": (
+            "if i >= len(items) or failures:", "if i >= len(items) - 1 or failures:"
+        ),
+        "helpers-without-error-state": ("np.errstate(call=call, **state)", "np.errstate()"),
+    }, differs=split_attention_differs),
     **_mutants(packing, "pack_ffd", {
         "ffd-one-per-sequence": pack_one_per_sequence,
         "ffd-next-fit": pack_next_fit_decreasing,

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -1261,6 +1262,36 @@ class TestStartup:
         assert json.loads(result.stderr.splitlines()[-1]) == {
             "codes": [0, 0, 0], "numpy": False, "inspect": False
         }
+
+    def test_encoder_loads_no_thread_pool(self):
+        # What `import navit_pack.encoder` adds to `import numpy`: its own
+        # package and the `json` that `records` decodes with. No
+        # `concurrent.futures`, `queue` or `multiprocessing`, so the tile
+        # workers add nothing to `encode`'s start-up.
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import navit_pack.encoder\n"
+            "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.stderr.split() == [
+            "__future__", "_json", "json", "json.decoder", "json.encoder", "json.scanner",
+            "navit_pack", "navit_pack.encoder", "navit_pack.errors", "navit_pack.records",
+        ]
+
+    def test_verify_starts_no_helper_thread(self, monkeypatch):
+        # `pack-equiv`'s largest sequence holds 160,000 scores, less than a
+        # whole tile for each of 2 workers, so every tile runs inline.
+        from navit_pack import encoder
+        from test_encoder import refuse_to_start
+
+        monkeypatch.setattr(encoder, "_workers", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse_to_start)
+        for seed in ("0", "1", "2"):
+            code, statuses, err = run_verify("verify", "--seed", seed)
+            assert (code, err) == (0, "") and set(statuses.values()) == {"pass"}
 
     def test_prefs_and_verify_do_not_import_chat(self, tmp_path):
         groups = tmp_path / "g.jsonl"

@@ -1,7 +1,11 @@
 """Rotary embeddings, position-table interpolation, and packed attention."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,8 +266,8 @@ def exact_max_forward(packed, weights, rope, later_tiles=1.0):
     return heads @ weights.wo
 
 
-def orthogonal_blocks():
-    """Blocks of 12 and 5 tokens whose rotated queries and keys are
+def orthogonal_blocks(lengths=(12, 5)):
+    """Blocks of the given lengths whose rotated queries and keys are
     orthogonal at large norms, with `(packed, params, rope)`.
 
     `wq` writes only the row half of the head dimensions and `wk` only the
@@ -279,7 +283,7 @@ def orthogonal_blocks():
     params = AttentionParams(
         wq, wk, rng.normal(size=(d_model, d_head)), rng.normal(size=(d_head, d_model))
     )
-    return make_packed(rng, [12, 5], d_model), params, RopeConfig(d_head=d_head)
+    return make_packed(rng, lengths, d_model), params, RopeConfig(d_head=d_head)
 
 
 class TestBlockDiagonal:
@@ -477,6 +481,124 @@ class TestBlockDiagonal:
                 rope,
             )
             np.testing.assert_allclose(out[lo:hi], alone, atol=1e-6)
+
+
+def refuse_to_start(thread):
+    raise AssertionError(f"{thread.name} started")
+
+
+class TestSplitTiles:
+    """`block_diag_forward` with its tiles on more than one worker. The
+    count is forced through `encoder._workers`, since tier-1 runs with BLAS
+    unpinned, where it is 1."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[3, 700, 40, 1, 90], np.random.default_rng(30).integers(30, 90, 150).tolist()],
+        ids=["long-and-short", "many-blocks"],
+    )
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, lengths):
+        assert sum(n * n for n in lengths) >= 3 * _TILE_ENTRIES
+        rng = np.random.default_rng(31)
+        params = AttentionParams.random(8, 8, rng)
+        packed = make_packed(rng, lengths, 8)
+        in_parallel, split = encoder._in_parallel, []
+
+        def spy(run, tiles, workers):
+            split.append(workers)
+            in_parallel(run, tiles, workers)
+
+        monkeypatch.setattr(encoder, "_in_parallel", spy)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(encoder, "_workers", lambda: workers)
+            outputs.append(block_diag_forward(packed, params, RopeConfig(d_head=8)))
+        assert split == [2, 3]
+        for out in outputs[1:]:
+            assert np.array_equal(out, outputs[0])
+
+    def test_nan_embedding_gives_the_inline_bits_and_no_warning(self, monkeypatch):
+        # The NaN token is a key of every row of its block, so every tile of
+        # the block meets it, the helper's included.
+        rng = np.random.default_rng(32)
+        params = AttentionParams.random(8, 8, rng)
+        packed = make_packed(rng, [700, 9], 8)
+        packed.embeddings[350, 3] = np.nan
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(encoder, "_workers", lambda: workers)
+            with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+                warnings.simplefilter("error")
+                outputs.append(block_diag_forward(packed, params, RopeConfig(d_head=8)))
+        assert np.isnan(outputs[0][:700]).all() and np.isfinite(outputs[0][700:]).all()
+        assert np.array_equal(outputs[1].view(np.int64), outputs[0].view(np.int64))
+
+    def test_an_error_in_a_tile_reaches_the_caller(self, monkeypatch):
+        # Every tile's shifted exps underflow. (A NaN input raises no
+        # floating-point error, so it cannot stand in here.)
+        packed, params, rope = orthogonal_blocks((600, 100))
+        monkeypatch.setattr(encoder, "_workers", lambda: 2)
+        before = threading.active_count()
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            block_diag_forward(packed, params, rope)
+        assert threading.active_count() == before
+
+    def test_helpers_take_the_callers_error_state_and_raise_in_it(self):
+        meet = threading.Barrier(2, timeout=5.0)
+        states = []
+
+        def run(i):
+            meet.wait()  # each of the two threads holds one item
+            states.append((np.geterr()["under"], np.geterrcall()))
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("raised by a helper")
+
+        before = threading.active_count()
+        with np.errstate(under="raise", call=print):
+            with pytest.raises(ValueError, match="raised by a helper"):
+                encoder._in_parallel(run, [(0,), (1,)], 2)
+        assert states == [("raise", print)] * 2
+        assert threading.active_count() == before
+
+    def test_every_item_runs_once_on_more_workers_than_cores(self):
+        ran, items = [], [(i,) for i in range(5000)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=encoder._in_parallel, args=(ran.append, items, 8))
+            runner.start()
+            runner.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not runner.is_alive()
+        assert sorted(ran) == list(range(5000))
+
+    def test_no_helper_starts_with_blas_unpinned(self, monkeypatch):
+        for name in encoder._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(threading.Thread, "start", refuse_to_start)
+        rng = np.random.default_rng(33)
+        params = AttentionParams.random(8, 8, rng)
+        assert encoder._workers() == 1
+        block_diag_forward(make_packed(rng, [700], 8), params, RopeConfig(d_head=8))
+
+    @pytest.mark.parametrize(
+        "env, blas_threads",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": " +2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1,4"}, 1),
+            ({"OMP_NUM_THREADS": "-1"}, None),
+            ({}, None),
+        ],
+    )
+    def test_workers_are_the_cpus_over_the_blas_threads(self, monkeypatch, env, blas_threads):
+        for name in encoder._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cpus = len(os.sched_getaffinity(0))
+        assert encoder._workers() == (1 if blas_threads is None else max(1, cpus // blas_threads))
 
 
 class TestValidation:

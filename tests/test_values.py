@@ -152,6 +152,16 @@ REFUSALS = {
         ShapeMismatch,
         r"wq must be 2D, got shape \(3,\)",
     ),
+    "AttentionParams inf wq": (
+        lambda: encoder.AttentionParams(np.array([[INF]]), ONE, ONE, ONE),
+        NonFiniteInput,
+        r"wq contains non-finite entries",
+    ),
+    "AttentionParams nan wo": (
+        lambda: encoder.AttentionParams(ONE, ONE, ONE, np.array([[NAN]])),
+        NonFiniteInput,
+        r"wo contains non-finite entries",
+    ),
     "RopeConfig float d_head": (
         lambda: encoder.RopeConfig(8.0), TypeError, r"d_head must be an integer, got 8\.0"
     ),
