@@ -36,6 +36,12 @@ __all__ = [
 _TILE_ENTRIES = 1 << 17
 
 
+# Most keys a tile of block_diag_forward scores its rows against at once,
+# so that a chunk's keys and values fit in cache beside the tile's scores,
+# where a long block's whole keys and values would not.
+_KEY_CHUNK = 512
+
+
 # A tile whose shifted row sums are not all above this is redone with the
 # exact row max: its largest terms may have left the normal float range.
 _SUM_FLOOR = 1e-200
@@ -70,7 +76,8 @@ class RopeConfig(namedtuple("RopeConfig", "d_head"), _Value):
 
 
 class LearnedPosTable(namedtuple("LearnedPosTable", "grid_rows grid_cols table"), _Value):
-    """Learned absolute position embeddings on a fixed patch grid."""
+    """Learned absolute position embeddings, finite, on a fixed patch grid
+    of integer sides."""
 
     __slots__ = ()
 
@@ -80,12 +87,17 @@ class LearnedPosTable(namedtuple("LearnedPosTable", "grid_rows grid_cols table")
         grid_cols: int,
         table: np.ndarray,  # (grid_rows * grid_cols, d_model)
     ) -> LearnedPosTable:
+        for name, side in (("grid_rows", grid_rows), ("grid_cols", grid_cols)):
+            if not isinstance(side, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {side!r}")
         if grid_rows < 1 or grid_cols < 1:
             raise ValueError("grid must have at least one cell per side")
         if table.ndim != 2 or table.shape[0] != grid_rows * grid_cols:
             raise ShapeMismatch(
                 f"table has {table.shape} rows, expected {grid_rows * grid_cols}"
             )
+        if not np.isfinite(table).all():
+            raise NonFiniteInput("table contains non-finite entries")
         return tuple.__new__(cls, (grid_rows, grid_cols, table))
 
 
@@ -318,22 +330,31 @@ def block_diag_forward(
     queries are scored against that block's keys alone, so the work is
     the sum of squared block lengths rather than the square of the
     sequence length, and each sample's output rows equal an isolated
-    forward on that sample. Query rows go in tiles of at most
-    `_TILE_ENTRIES` (2^17) scores, which bounds the working memory of a
-    long block. An empty sequence gives an empty (0, d_model) result.
+    forward on that sample. A block of L tokens has its keys in chunks of
+    at most `_KEY_CHUNK` (512) and its query rows in tiles of
+    `_TILE_ENTRIES // min(L, _KEY_CHUNK)` rows, so a tile scores at most
+    `_TILE_ENTRIES` (2^17) entries at a time against keys and values
+    that stay in cache. A block of at most 512 tokens is one chunk: its
+    tiles score `_TILE_ENTRIES // L` rows against all its keys in one
+    product. An empty sequence gives an empty (0, d_model) result.
 
     q and k are rotated in one `apply_rope_2d` call. The softmax of row i
     is shifted by m_i = |q_i| * max |k_j| / sqrt(d_head) over the keys j
     of its block, which by Cauchy-Schwarz is at least every score of the
     row and depends on that block alone. The 1/sqrt(d_head) scale and the
     shift are folded into the queries, the shift as one extra column of
-    -m_i against a column of ones on the keys, so a tile's scores take
-    four passes: the score product, an in-place exp, the row sum and the
-    value product, after which each row is divided by its sum. A tile
-    with a row sum not above `_SUM_FLOOR` (a shift so far above the row's
-    largest score that its largest term leaves the normal range, or a
-    non-finite input) is redone with the exact row max as the shift,
-    which gives non-finite inputs the rows of a plain max-shifted softmax.
+    -m_i against a column of ones on the keys, so for each key chunk a
+    tile takes the score product, an in-place exp, and adds the chunk's
+    row sums and value product to its own. Since m_i is fixed before the
+    first chunk, the chunks' sums add as they are, with no running max
+    and no rescaling, and each row is divided by its sum once, after the
+    last chunk. A tile with a row sum not above `_SUM_FLOOR` (a shift so
+    far above the row's largest score that its largest term leaves the
+    normal range, or a non-finite input) is redone with the exact row max
+    as the shift, which gives non-finite inputs the rows of a plain
+    max-shifted softmax. The redo scores its rows against the whole
+    block, in sub-tiles of `_TILE_ENTRIES // L` rows, so it too holds at
+    most 2^17 scores at a time.
 
     The tiles are independent, and each is computed the same way whichever
     thread runs it, so the result is bit for bit the same for any number
@@ -364,20 +385,28 @@ def block_diag_forward(
     heads = np.empty_like(v)
 
     def attend(lo: int, hi: int, start: int, stop: int) -> None:
-        k_block, v_block = k[lo:hi], v[lo:hi]
-        scores = q[start:stop] @ k_block.T
-        np.exp(scores, out=scores)
-        sums = scores.sum(axis=1, keepdims=True)
-        if not (sums > _SUM_FLOOR).all():
-            scores = q[start:stop, :d] @ k_block[:, :d].T
+        chunk = min(hi - lo, _KEY_CHUNK)
+        sums = part = 0.0
+        for c in range(lo, hi, chunk):
+            end = min(c + chunk, hi)
+            scores = q[start:stop] @ k[c:end].T
+            np.exp(scores, out=scores)
+            sums += scores.sum(axis=1, keepdims=True)
+            part += scores @ v[c:end]
+        if (sums > _SUM_FLOOR).all():
+            heads[start:stop] = part / sums
+            return
+        redo_rows = max(1, _TILE_ENTRIES // (hi - lo))
+        for s in range(start, stop, redo_rows):
+            e = min(s + redo_rows, stop)
+            scores = q[s:e, :d] @ k[lo:hi, :d].T
             scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
-            sums = scores.sum(axis=1, keepdims=True)
-        heads[start:stop] = (scores @ v_block) / sums
+            heads[s:e] = (scores @ v[lo:hi]) / scores.sum(axis=1, keepdims=True)
 
     def tiles():
         for lo, hi in zip(b[:-1], b[1:]):
-            tile_rows = max(1, _TILE_ENTRIES // (hi - lo))
+            tile_rows = _TILE_ENTRIES // min(hi - lo, _KEY_CHUNK)
             for start in range(lo, hi, tile_rows):
                 yield lo, hi, start, min(start + tile_rows, hi)
 

@@ -263,8 +263,8 @@ def _dense_block_attention(
 
 
 # One block this long spans two row tiles of `encoder.block_diag_forward`
-# (2^17 // 400 = 327 rows per tile), and the dense reference stays at 160k
-# scores.
+# (2^17 // 400 = 327 rows per tile) in one key chunk, and the dense
+# reference stays at 160k scores.
 _LONG_BLOCK = 400
 
 

@@ -40,7 +40,7 @@ from navit_pack.geometry import ImageSize, PixelBudget, ResizePlan, phase_budget
 from navit_pack.objectives import (
     GRPO_EPSILON, DpoConfig, GroupTooSmall, dpo_loss, pair_indices, parse_group_line,
 )
-from test_encoder import orthogonal_blocks
+from test_encoder import make_packed, orthogonal_blocks
 from test_geometry import oracle_plan_fast
 
 
@@ -639,17 +639,32 @@ def attention_differs():
     return not (np.abs(out - reference) <= 1e-9).all()
 
 
+def long_block_attention_differs():
+    """Whether `encoder.block_diag_forward` gives blocks of 1, 1300 and 37
+    tokens rows further than 1e-9 from `selfcheck._dense_block_attention`.
+    The 1300-token block spans 3 key chunks; `verify` builds no block
+    longer than one."""
+    rng = np.random.default_rng(16)
+    params = encoder.AttentionParams.random(8, 8, rng)
+    rope = encoder.RopeConfig(d_head=8)
+    packed = make_packed(rng, [1, 1300, 37], 8)
+    out = encoder.block_diag_forward(packed, params, rope)
+    reference = selfcheck._dense_block_attention(packed, params, rope)
+    return not (np.abs(out - reference) <= 1e-9).all()
+
+
 def split_attention_differs():
     """Whether `encoder.block_diag_forward` on 2 workers gives
     `test_encoder.orthogonal_blocks((600, 100))` other bits, or another
     number of calls to numpy's error callback, than on 1 worker.
 
-    The shifted exps of each of the 4 tiles underflow, which under
-    `under="call"` makes one call per tile, so a tile left unrun or run
-    under another error state shows in the count, whatever `np.empty_like`
-    left in its rows. On 2 workers the first call waits, up to 1 s, for a
-    call from another thread, so the helper runs a tile whichever thread
-    starts first.
+    The 600-token block is 3 tiles of 2 key chunks each, and the 100-token
+    block 1 tile of 1 chunk. The shifted exps of every chunk underflow,
+    which under `under="call"` makes one call per chunk, so a tile left
+    unrun or run under another error state shows in the count, whatever
+    `np.empty_like` left in its rows. On 2 workers the first call waits,
+    up to 1 s, for a call from another thread, so the helper runs a tile
+    whichever thread starts first.
     """
     packed, params, rope = orthogonal_blocks((600, 100))
     saved, runs = encoder._workers, []
@@ -700,14 +715,22 @@ MUTANTS = {
         "rope-row-only": ("pos[:, :, None] * freqs", "pos[:, [0, 0], None] * freqs"),
         "rope-swapped-axes": ("pos[:, :, None] * freqs", "pos[:, ::-1, None] * freqs"),
     }, "rope-relative"),
-    # Each block but the last takes the first token of the next as a key.
+    # Each key chunk takes the key after it: a block of at most
+    # `_KEY_CHUNK` tokens, all that `verify` builds, takes the first token
+    # of the next block.
     **_mutants(encoder, "block_diag_forward", {
-        "pack-boundary-moved": ("k[lo:hi], v[lo:hi]", "k[lo:hi + 1], v[lo:hi + 1]"),
+        "pack-boundary-moved": ("end = min(c + chunk, hi)", "end = min(c + chunk, hi) + 1"),
     }, "pack-equiv"),
     # A tile whose shifted exps all underflow is kept, and its rows are 0/0.
     **_mutants(encoder, "block_diag_forward", {
-        "shift-underflow-unguarded": ("if not (sums > _SUM_FLOOR).all():", "if False:"),
+        "shift-underflow-unguarded": ("if (sums > _SUM_FLOOR).all():", "if True:"),
     }, differs=attention_differs),
+    # A tile keeps only its last key chunk's value product.
+    **_mutants(encoder, "block_diag_forward", {
+        "value-product-last-chunk-only": (
+            "part += scores @ v[c:end]", "part = scores @ v[c:end]"
+        ),
+    }, differs=long_block_attention_differs),
     # A worker stops one tile early, so the last tile's rows keep what
     # `np.empty_like` left there; helpers run under numpy's default error
     # state, not the caller's.

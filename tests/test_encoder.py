@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from navit_pack.encoder import (
+    _KEY_CHUNK,
     _TILE_ENTRIES,
     AttentionParams,
     LearnedPosTable,
@@ -244,8 +245,10 @@ def make_packed(rng, lengths, d_model, rotated=True):
 
 def exact_max_forward(packed, weights, rope, later_tiles=1.0):
     """`block_diag_forward` with each tile's scores shifted by their exact row
-    max, in the same row tiles. The row sums of every tile after a block's
-    first are multiplied by `later_tiles`: 1.0 is the faithful copy."""
+    max, in the row tiles of its exact-max redo, which are its own tiles
+    for blocks of at most `_KEY_CHUNK` tokens. The row sums of every tile
+    after a block's first are multiplied by `later_tiles`: 1.0 is the
+    faithful copy."""
     x = packed.embeddings
     q, k, v = x @ weights.wq, x @ weights.wk, x @ weights.wv
     q = apply_rope_2d(q, packed.positions, rope)
@@ -383,7 +386,8 @@ class TestBlockDiagonal:
     @pytest.mark.parametrize("rotated", [False, True])
     def test_long_block_spans_row_tiles(self, rotated):
         n = 1500
-        assert math.ceil(n / (_TILE_ENTRIES // n)) == 18
+        assert math.ceil(n / (_TILE_ENTRIES // _KEY_CHUNK)) == 6
+        assert math.ceil(n / _KEY_CHUNK) == 3
         rng = np.random.default_rng(15)
         params = AttentionParams.random(8, 8, rng)
         rope = RopeConfig(d_head=8)
@@ -420,6 +424,47 @@ class TestBlockDiagonal:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_redo_memory_is_sub_tiled(self):
+        # Every tile of the block is redone with the exact row max; a redo of
+        # a whole 256-row tile against the whole block at once peaks at
+        # about 10 MiB, the sub-tiled redo at about 3.1 MiB.
+        packed, params, rope = orthogonal_blocks((4096,))
+        with np.errstate(under="ignore"):
+            tracemalloc.start()
+            try:
+                out = block_diag_forward(packed, params, rope)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        np.testing.assert_allclose(
+            out, _dense_block_attention(packed, params, rope), rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025, 1300])
+    def test_key_chunk_edges_match_the_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        params = AttentionParams.random(8, 8, rng)
+        rope = RopeConfig(d_head=8)
+        packed = make_packed(rng, [1, n, 1], 8)
+        np.testing.assert_allclose(
+            block_diag_forward(packed, params, rope),
+            _dense_block_attention(packed, params, rope),
+            rtol=0,
+            atol=1e-9,
+        )
+
+    def test_short_blocks_tile_as_without_key_chunks(self, monkeypatch):
+        lengths = [3, _KEY_CHUNK, 40, _KEY_CHUNK - 1, 1, 90, 300]
+        rng = np.random.default_rng(34)
+        params = AttentionParams.random(8, 8, rng)
+        packed = make_packed(rng, lengths, 8)
+        outputs = []
+        for chunk in (_KEY_CHUNK, 2**20):
+            monkeypatch.setattr(encoder, "_KEY_CHUNK", chunk)
+            outputs.append(block_diag_forward(packed, params, RopeConfig(d_head=8)))
+        assert np.array_equal(outputs[1].view(np.int64), outputs[0].view(np.int64))
 
     @pytest.mark.parametrize("later_tiles", [1.0, 1.01])
     def test_verify_catches_a_later_tile_bug(self, monkeypatch, later_tiles):
@@ -494,8 +539,12 @@ class TestSplitTiles:
 
     @pytest.mark.parametrize(
         "lengths",
-        [[3, 700, 40, 1, 90], np.random.default_rng(30).integers(30, 90, 150).tolist()],
-        ids=["long-and-short", "many-blocks"],
+        [
+            [3, 700, 40, 1, 90],
+            np.random.default_rng(30).integers(30, 90, 150).tolist(),
+            [1, 511, 1, 512, 1, 513, 1, 1024, 1, 1025, 1, 1300, 1],
+        ],
+        ids=["long-and-short", "many-blocks", "key-chunk-edges"],
     )
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, lengths):
         assert sum(n * n for n in lengths) >= 3 * _TILE_ENTRIES

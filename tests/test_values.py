@@ -216,6 +216,16 @@ REFUSALS = {
         ValueError,
         r"positions must be non-negative",
     ),
+    "LearnedPosTable nan table": (
+        lambda: encoder.LearnedPosTable(2, 2, np.array([[NAN], [1.0], [2.0], [3.0]])),
+        NonFiniteInput,
+        r"table contains non-finite entries",
+    ),
+    "LearnedPosTable float side": (
+        lambda: encoder.LearnedPosTable(2.5, 2, np.zeros((5, 1))),
+        TypeError,
+        r"grid_rows must be an integer, got 2\.5",
+    ),
     "LearnedPosTable empty grid": (
         lambda: encoder.LearnedPosTable(0, 1, np.ones((0, 2))),
         ValueError,
